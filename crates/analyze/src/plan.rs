@@ -8,6 +8,7 @@
 
 use p3_datalog::ast::ClauseId;
 use p3_datalog::diag::Diagnostic;
+use p3_obs::json::quote;
 use std::fmt::Write as _;
 
 /// Statically predicted cost of one rule; mirrors `RuleCost`.
@@ -195,14 +196,14 @@ impl AnalyzePlan {
         let mut out = String::from("{");
         let _ = write!(
             out,
-            "\"total_cost\":{},\"recommend\":\"{}\",\"reason\":\"{}\",\"analysis_us\":{}",
+            "\"total_cost\":{},\"recommend\":\"{}\",\"reason\":{},\"analysis_us\":{}",
             self.total_cost(),
             if self.recommend_demand {
                 "demand"
             } else {
                 "naive"
             },
-            json_escape(&self.reason),
+            quote(&self.reason),
             self.analysis_us,
         );
         out.push_str(",\"rules\":[");
@@ -212,12 +213,12 @@ impl AnalyzePlan {
             }
             let _ = write!(
                 out,
-                "{{\"rank\":{},\"label\":\"{}\",\"head\":\"{}\",\"recursive\":{},\
+                "{{\"rank\":{},\"label\":{},\"head\":{},\"recursive\":{},\
                  \"cost\":{},\"firings\":{},\"new_tuples\":{},\"candidates\":{},\
                  \"iterations\":{}}}",
                 i + 1,
-                json_escape(&r.label),
-                json_escape(&r.head),
+                quote(&r.label),
+                quote(&r.head),
                 r.recursive,
                 r.cost(),
                 r.firings,
@@ -233,9 +234,9 @@ impl AnalyzePlan {
             }
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"arity\":{},\"edb\":{},\"cardinality\":{},\
+                "{{\"name\":{},\"arity\":{},\"edb\":{},\"cardinality\":{},\
                  \"widened\":{},\"dnf_width\":{},\"fan_in\":{},\"domains\":[",
-                json_escape(&p.name),
+                quote(&p.name),
                 p.arity,
                 p.edb,
                 p.cardinality,
@@ -247,7 +248,7 @@ impl AnalyzePlan {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", json_escape(d));
+                out.push_str(&quote(d));
             }
             out.push_str("]}");
         }
@@ -255,10 +256,10 @@ impl AnalyzePlan {
         if let Some(q) = &self.query {
             let _ = write!(
                 out,
-                ",\"query\":{{\"query\":\"{}\",\"pred\":\"{}\",\"cardinality\":{},\
+                ",\"query\":{{\"query\":{},\"pred\":{},\"cardinality\":{},\
                  \"dnf_width\":{},\"proof_fanin\":{},\"classes\":{{",
-                json_escape(&q.query),
-                json_escape(&q.pred),
+                quote(&q.query),
+                quote(&q.pred),
                 q.cardinality,
                 q.dnf_width,
                 q.proof_fanin,
@@ -281,24 +282,6 @@ impl AnalyzePlan {
         out.push_str("]}");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Spearman rank correlation between two cost assignments over the same

@@ -350,23 +350,7 @@ impl AuditRecord {
 
 /// JSON string literal (including surrounding quotes) per RFC 8259:
 /// quote, backslash, and all control characters below 0x20 escaped.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub use p3_obs::json::quote as json_escape;
 
 /// Little-endian reader with bounds checks; `None` means truncated/corrupt.
 struct Reader<'a> {

@@ -31,6 +31,7 @@ pub mod eval_mode;
 pub mod persist;
 pub mod prob_method;
 pub mod query;
+pub mod report;
 pub mod session;
 pub mod system;
 
@@ -49,8 +50,6 @@ pub use query::modification::{
     modification_query, modification_query_with, EvalMethod, ModificationEval, ModificationOptions,
     ModificationPlan, ModificationStep, Strategy,
 };
-pub use session::{
-    LoadOptions, ProfileStage, ProfileTarget, QueryProfile, QuerySession, SessionOptions,
-    SessionStats,
-};
+pub use report::{CacheDelta, QueryAnswer, QueryClass, QueryReport, Stage};
+pub use session::{LoadOptions, QuerySession, SessionOptions, SessionStats};
 pub use system::P3;

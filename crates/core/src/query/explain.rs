@@ -10,56 +10,53 @@
 //! service plane ([`QueryExplain::to_json_string`]).
 //!
 //! Explaining is **observation-only**: it runs the query through exactly
-//! the session paths an unexplained query takes (same caches, same DNF
-//! interning, same probabilities downstream) and reads counters the
-//! engine maintains anyway.
+//! the session paths an unexplained query takes (the one resolver, so the
+//! same caches, DNF interning and journaling, and the same probabilities
+//! downstream) and reads counters the engine maintains anyway.
 
+use crate::report::QueryReport;
 use p3_datalog::diag::Diagnostic;
 use p3_datalog::explain::ExplainPlan;
 use p3_lint::cost::cost_recommendations;
+use p3_obs::json::escape_into;
 use p3_prob::DnfShape;
 
 /// One query's cost story: engine plan + answer shape + recommendations.
 ///
-/// Built by `QuerySession::explain`. The cache-delta fields are measured
-/// around this explain call; on a warm session they show the memo hits
-/// that made the query cheap (the plan then describes the original —
-/// cached — evaluation, not new work).
+/// Built by `QuerySession::explain`. The report's cache deltas are
+/// measured around this explain call; on a warm session they show the
+/// memo hits that made the query cheap (the plan then describes the
+/// original — cached — evaluation, not new work).
 #[derive(Clone, Debug)]
 pub struct QueryExplain {
-    /// The explained ground atom.
-    pub query: String,
     /// Per-rule cost attribution of the evaluation that answers this
     /// query: the naive whole-program run, or the query's demand run
     /// (projected onto source clauses). `plan.mode` says which.
     pub plan: ExplainPlan,
     /// Shape of the answer's provenance polynomial.
     pub shape: DnfShape,
-    /// Session memo-table hits during this explain call.
-    pub session_hits: u64,
-    /// Session memo-table misses during this explain call.
-    pub session_misses: u64,
-    /// Hash-cons intern hits in the shared `DnfStore`.
-    pub store_intern_hits: u64,
-    /// Hash-cons intern misses in the shared `DnfStore`.
-    pub store_intern_misses: u64,
-    /// Memoized or/and/restrict hits in the shared store.
-    pub store_op_hits: u64,
-    /// Memoized or/and/restrict misses in the shared store.
-    pub store_op_misses: u64,
-    /// Clean-tuple extraction-memo hits (process-global counter).
-    pub extract_memo_hits: u64,
-    /// Clean-tuple extraction-memo misses (process-global counter).
-    pub extract_memo_misses: u64,
+    /// The explain call's own report: the query, its stages and cache
+    /// deltas, and the evaluations it forced.
+    pub report: QueryReport,
     /// Measured lint recommendations (P3603/P3604) the plan justifies.
     pub recommendations: Vec<Diagnostic>,
 }
 
 impl QueryExplain {
-    /// Derives the recommendation list from `plan` (used by the builder;
-    /// exposed so alternative front-ends can re-derive after filtering).
-    pub fn recommend(plan: &ExplainPlan) -> Vec<Diagnostic> {
-        cost_recommendations(plan)
+    /// Bundles a plan with the answer's shape and the explain call's
+    /// report, deriving the recommendations the plan justifies.
+    pub fn new(plan: ExplainPlan, shape: DnfShape, report: QueryReport) -> Self {
+        Self {
+            recommendations: cost_recommendations(&plan),
+            plan,
+            shape,
+            report,
+        }
+    }
+
+    /// The explained ground atom.
+    pub fn query(&self) -> &str {
+        &self.report.query
     }
 
     /// The evaluation mode label (`naive` or `demand`).
@@ -73,7 +70,7 @@ impl QueryExplain {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let plan = &self.plan;
-        out.push_str(&format!("explain: {} [{} mode]\n", self.query, plan.mode));
+        out.push_str(&format!("explain: {} [{} mode]\n", self.query(), plan.mode));
         out.push_str(&format!(
             "  evaluation: {} iterations over {} strata, {} tuples, {} rule firings, total cost {}\n",
             plan.stats.iterations,
@@ -132,16 +129,17 @@ impl QueryExplain {
             self.shape.max_width,
             self.shape.distinct_vars,
         ));
+        let c = self.report.cache();
         out.push_str(&format!(
             "  caches: session {}/{}  intern {}/{}  store-ops {}/{}  extract-memo {}/{} (hits/misses)\n",
-            self.session_hits,
-            self.session_misses,
-            self.store_intern_hits,
-            self.store_intern_misses,
-            self.store_op_hits,
-            self.store_op_misses,
-            self.extract_memo_hits,
-            self.extract_memo_misses,
+            c.session_hits,
+            c.session_misses,
+            c.store_intern_hits,
+            c.store_intern_misses,
+            c.store_op_hits,
+            c.store_op_misses,
+            c.extract_memo_hits,
+            c.extract_memo_misses,
         ));
         for d in &self.recommendations {
             out.push('\n');
@@ -179,7 +177,7 @@ impl QueryExplain {
         let plan = &self.plan;
         let mut s = String::with_capacity(512);
         s.push_str("{\"query\":\"");
-        json_escape(&self.query, &mut s);
+        escape_into(&mut s, self.query());
         s.push_str(&format!(
             "\",\"mode\":\"{}\",\"total_cost\":{},\"iterations\":{},\"tuples\":{},\"firings\":{}",
             plan.mode,
@@ -211,9 +209,9 @@ impl QueryExplain {
                 s.push(',');
             }
             s.push_str("{\"rule\":\"");
-            json_escape(&r.label, &mut s);
+            escape_into(&mut s, &r.label);
             s.push_str("\",\"head\":\"");
-            json_escape(&r.head, &mut s);
+            escape_into(&mut s, &r.head);
             s.push_str(&format!(
                 "\",\"recursive\":{},\"cost\":{},\"firings\":{},\"new_tuples\":{},\
                  \"candidates\":{},\"iterations\":{},\"indexed_probes\":{},\
@@ -246,18 +244,19 @@ impl QueryExplain {
             self.shape.max_width,
             self.shape.distinct_vars
         ));
+        let c = self.report.cache();
         s.push_str(&format!(
             ",\"caches\":{{\"session_hits\":{},\"session_misses\":{},\"intern_hits\":{},\
              \"intern_misses\":{},\"store_op_hits\":{},\"store_op_misses\":{},\
              \"extract_memo_hits\":{},\"extract_memo_misses\":{}}}",
-            self.session_hits,
-            self.session_misses,
-            self.store_intern_hits,
-            self.store_intern_misses,
-            self.store_op_hits,
-            self.store_op_misses,
-            self.extract_memo_hits,
-            self.extract_memo_misses,
+            c.session_hits,
+            c.session_misses,
+            c.store_intern_hits,
+            c.store_intern_misses,
+            c.store_op_hits,
+            c.store_op_misses,
+            c.extract_memo_hits,
+            c.extract_memo_misses,
         ));
         s.push_str(",\"recommendations\":[");
         for (i, d) in self.recommendations.iter().enumerate() {
@@ -268,19 +267,5 @@ impl QueryExplain {
         }
         s.push_str("]}");
         s
-    }
-}
-
-fn json_escape(value: &str, out: &mut String) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }

@@ -35,7 +35,8 @@ use crate::query::influence::{
 use crate::query::modification::{
     modification_query_with, EvalMethod, ModificationEval, ModificationOptions, ModificationPlan,
 };
-use crate::system::{DemandCore, P3};
+use crate::report::{CacheDelta, QueryAnswer, QueryClass, QueryReport, Recorder};
+use crate::system::P3;
 use p3_datalog::ast::Const;
 use p3_datalog::engine::TupleId;
 use p3_datalog::symbol::Symbol;
@@ -197,108 +198,6 @@ pub struct SessionStats {
     /// with `warm_restored > 0` can answer its *first* occurrence of a
     /// query from cache.
     pub warm_restored: u64,
-}
-
-/// Which query class a [`QuerySession::profile`] run executes.
-#[derive(Clone, Debug)]
-pub enum ProfileTarget {
-    /// `P[query]` under a probability backend.
-    Probability(ProbMethod),
-    /// Explanation Query: probability plus derivation-tree rendering.
-    Explanation(ProbMethod),
-    /// Derivation Query: ε-sufficient provenance.
-    Derivation {
-        /// Error bound ε.
-        eps: f64,
-        /// Search algorithm.
-        algo: DerivationAlgo,
-        /// Probability backend.
-        method: ProbMethod,
-    },
-    /// Influence Query: ranked influential clauses.
-    Influence(InfluenceOptions),
-    /// Modification Query: reach `target` at minimal cost.
-    Modification {
-        /// Target probability.
-        target: f64,
-        /// Search options.
-        opts: ModificationOptions,
-    },
-}
-
-impl ProfileTarget {
-    /// The query-class name (matches the service op classes).
-    pub fn class(&self) -> &'static str {
-        match self {
-            ProfileTarget::Probability(_) => "probability",
-            ProfileTarget::Explanation(_) => "explanation",
-            ProfileTarget::Derivation { .. } => "derivation",
-            ProfileTarget::Influence(_) => "influence",
-            ProfileTarget::Modification { .. } => "modification",
-        }
-    }
-}
-
-/// One pipeline stage of a profiled query: wall time plus cache hit/miss
-/// deltas taken around the stage.
-///
-/// Session deltas count only this session's memo tables; store and
-/// extraction-memo deltas read shared (store-wide / process-global)
-/// counters, so under concurrent load they can include other queries'
-/// traffic — attribution is exact when the session is driven serially.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProfileStage {
-    /// Stage name: `parse`, `transform` (demand-mode sessions only),
-    /// `extract`, then one per query class (plus `render` for
-    /// explanations).
-    pub name: &'static str,
-    /// Wall-clock time spent in the stage, microseconds.
-    pub wall_us: u64,
-    /// Session memo-table hits during the stage.
-    pub session_hits: u64,
-    /// Session memo-table misses during the stage.
-    pub session_misses: u64,
-    /// Hash-cons intern hits in the shared [`DnfStore`](p3_prob::store::DnfStore).
-    pub store_intern_hits: u64,
-    /// Hash-cons intern misses in the shared store.
-    pub store_intern_misses: u64,
-    /// Memoized or/and/restrict hits in the shared store.
-    pub store_op_hits: u64,
-    /// Memoized or/and/restrict misses in the shared store.
-    pub store_op_misses: u64,
-    /// Clean-tuple extraction-memo hits (process-global counter).
-    pub extract_memo_hits: u64,
-    /// Clean-tuple extraction-memo misses (process-global counter).
-    pub extract_memo_misses: u64,
-}
-
-/// A stage-by-stage breakdown of one query, from [`QuerySession::profile`].
-#[derive(Clone, Debug)]
-pub struct QueryProfile {
-    /// The profiled ground atom.
-    pub query: String,
-    /// The query class that ran (see [`ProfileTarget::class`]).
-    pub class: &'static str,
-    /// End-to-end wall time, microseconds.
-    pub total_us: u64,
-    /// The resulting probability, when the class produces one
-    /// (`None` for influence rankings).
-    pub probability: Option<f64>,
-    /// The stages, in execution order.
-    pub stages: Vec<ProfileStage>,
-}
-
-/// A point-in-time reading of every counter a [`ProfileStage`] reports.
-#[derive(Clone, Copy)]
-struct CounterSnapshot {
-    session_hits: u64,
-    session_misses: u64,
-    store_intern_hits: u64,
-    store_intern_misses: u64,
-    store_op_hits: u64,
-    store_op_misses: u64,
-    extract_memo_hits: u64,
-    extract_memo_misses: u64,
 }
 
 /// A memoizing query handle over an immutable [`P3`]. See the module docs.
@@ -548,30 +447,67 @@ impl QuerySession {
     /// canonical polynomial, so downstream `DnfId`-keyed caches are shared
     /// across modes.
     pub fn provenance_id_with(&self, query: &str, opts: ExtractOptions) -> Result<DnfId, P3Error> {
+        self.resolve(query, opts, &mut ())
+    }
+
+    /// The one query resolver behind every path — plain queries, [`run`]
+    /// and [`explain`]: the warm layer, then the session's eval mode.
+    /// `rec` times the stages and notes the evaluations they force.
+    ///
+    /// [`run`]: Self::run
+    /// [`explain`]: Self::explain
+    fn resolve<R: Recorder>(
+        &self,
+        query: &str,
+        opts: ExtractOptions,
+        rec: &mut R,
+    ) -> Result<DnfId, P3Error> {
         let depth = persist::depth_code(opts);
         // The warm layer answers before any parsing or tuple resolution:
         // entries restored from a store (or journaled earlier this run)
         // are keyed by the query string itself.
-        {
+        let warm = {
             let warm = self.caches.warm.read().unwrap();
-            if !warm.is_empty() {
-                if let Some(&(id, restored)) = warm.get(&(query.to_string(), depth)) {
-                    self.hit();
-                    if restored {
-                        p3_store::warm_boot_hits_metric().inc();
-                    }
-                    return Ok(id);
-                }
+            if warm.is_empty() {
+                None
+            } else {
+                warm.get(&(query.to_string(), depth)).copied()
             }
+        };
+        if let Some((id, restored)) = warm {
+            rec.stage(self, "extract", || {
+                self.hit();
+                if restored {
+                    p3_store::warm_boot_hits_metric().inc();
+                }
+            });
+            return Ok(id);
         }
         let id = match self.mode {
             EvalMode::Demand => {
-                let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
-                self.demand_dnf(query, pred, &args, opts)?
+                let (pred, args) = rec.stage(self, "parse", || {
+                    worlds::parse_ground_query(self.p3.program(), query)
+                })?;
+                if R::RECORDS {
+                    let (core, forced) =
+                        rec.stage(self, "transform", || self.p3.demand_core(pred, &args))?;
+                    rec.forced(forced, &core.plan);
+                }
+                rec.stage(self, "extract", || {
+                    self.demand_dnf(query, pred, &args, opts)
+                })?
             }
             _ => {
-                let tuple = self.p3.tuple(query)?;
-                self.tuple_dnf(tuple, opts)
+                let (tuple, forced) = rec.stage(self, "parse", || {
+                    let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
+                    let (full, forced) = self.p3.force_full();
+                    match full.db.lookup(pred, &args) {
+                        Some(tuple) => Ok((tuple, forced)),
+                        None => Err(P3Error::NotDerivable(query.to_string())),
+                    }
+                })?;
+                rec.forced(forced, &self.p3.full().plan);
+                rec.stage(self, "extract", || self.tuple_dnf(tuple, opts))
             }
         };
         // With persistence on, mirror the memo into the warm layer and the
@@ -632,7 +568,7 @@ impl QuerySession {
         self.miss();
         let mut span = p3_obs::span::span("session.extract");
         span.add_field("mode", "demand");
-        let core = self.p3.demand_core(pred, args)?;
+        let (core, _) = self.p3.demand_core(pred, args)?;
         let tuple = core
             .tuple
             .ok_or_else(|| P3Error::NotDerivable(query.to_string()))?;
@@ -838,6 +774,16 @@ impl QuerySession {
         opts: &ModificationOptions,
     ) -> Result<ModificationPlan, P3Error> {
         let id = self.provenance_id(query)?;
+        Ok(self.modification_of(id, target, opts))
+    }
+
+    /// Modification Query over an interned formula.
+    pub fn modification_of(
+        &self,
+        id: DnfId,
+        target: f64,
+        opts: &ModificationOptions,
+    ) -> ModificationPlan {
         let dnf = self.dnf(id);
         let base: *const VarTable = &*self.p3.vars;
         let method = match opts.eval {
@@ -861,7 +807,7 @@ impl QuerySession {
                 }
             }
         };
-        Ok(modification_query_with(
+        modification_query_with(
             &dnf,
             &self.p3.vars,
             target,
@@ -870,13 +816,15 @@ impl QuerySession {
                 prob: &prob,
                 influence: &influence,
             },
-        ))
+        )
     }
 
-    fn counters(&self) -> CounterSnapshot {
+    /// A reading of every counter a [`CacheDelta`] reports (absolute
+    /// values; stages subtract two readings).
+    pub(crate) fn cache_counters(&self) -> CacheDelta {
         let store = self.p3.store.stats();
         let (extract_memo_hits, extract_memo_misses) = p3_provenance::extract::memo_counters();
-        CounterSnapshot {
+        CacheDelta {
             session_hits: self.caches.hits.load(Ordering::Relaxed),
             session_misses: self.caches.misses.load(Ordering::Relaxed),
             store_intern_hits: store.intern_hits,
@@ -888,191 +836,105 @@ impl QuerySession {
         }
     }
 
-    /// Runs `f` as one named profile stage, recording wall time and the
-    /// counter deltas around it.
-    fn stage<R>(
-        &self,
-        name: &'static str,
-        stages: &mut Vec<ProfileStage>,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let before = self.counters();
-        let start = Instant::now();
-        let out = f();
-        let wall_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let after = self.counters();
-        stages.push(ProfileStage {
-            name,
-            wall_us,
-            session_hits: after.session_hits.saturating_sub(before.session_hits),
-            session_misses: after.session_misses.saturating_sub(before.session_misses),
-            store_intern_hits: after
-                .store_intern_hits
-                .saturating_sub(before.store_intern_hits),
-            store_intern_misses: after
-                .store_intern_misses
-                .saturating_sub(before.store_intern_misses),
-            store_op_hits: after.store_op_hits.saturating_sub(before.store_op_hits),
-            store_op_misses: after.store_op_misses.saturating_sub(before.store_op_misses),
-            extract_memo_hits: after
-                .extract_memo_hits
-                .saturating_sub(before.extract_memo_hits),
-            extract_memo_misses: after
-                .extract_memo_misses
-                .saturating_sub(before.extract_memo_misses),
-        });
-        out
-    }
-
-    /// Runs one query class with a stage-by-stage breakdown: wall time and
-    /// cache hit/miss deltas per pipeline stage (parse, extraction, then
-    /// the class-specific computation), sourced from the session, store
-    /// and extraction-memo instrumentation already in place. The profiled
-    /// run is a *real* run — results land in (and are served from) the
-    /// session caches exactly as they would unprofiled, so profiling the
+    /// Answers one query class and reports how: the query is resolved
+    /// once — through the same warm-layer-aware resolver as
+    /// [`Self::provenance_id_with`], so it journals exactly as a plain
+    /// query does — and the class is answered from that `DnfId` by the
+    /// per-class session method. The [`QueryReport`] times each stage
+    /// (`parse`, `transform` in demand mode, `extract`, then the class's
+    /// own), takes one [`CacheDelta`] per stage and keeps the plans of the
+    /// evaluations the query forced.
+    ///
+    /// The run is a *real* run: results land in (and are served from) the
+    /// session caches exactly as they would unreported, so running the
     /// same query twice shows the warm path on the second run.
-    pub fn profile(
+    /// Explanation text and DOT render from the full model, which an
+    /// explanation on a demand session therefore forces.
+    pub fn run(
         &self,
         query: &str,
-        target: &ProfileTarget,
+        class: &QueryClass,
         opts: ExtractOptions,
-    ) -> Result<QueryProfile, P3Error> {
+    ) -> Result<(QueryAnswer, QueryReport), P3Error> {
         let started = Instant::now();
-        let mut stages = Vec::new();
-        // Resolve the query and extract its polynomial, mode-dependently.
-        // `resolved` keeps whichever graph/database the render stage needs.
-        enum Resolved {
-            Full(TupleId),
-            Demand(Arc<DemandCore>),
-        }
-        let (id, resolved) = match self.mode {
-            EvalMode::Demand => {
-                let (pred, args) = self.stage("parse", &mut stages, || {
-                    worlds::parse_ground_query(self.p3.program(), query)
-                })?;
-                let core = self.stage("transform", &mut stages, || {
-                    self.p3.demand_core(pred, &args)
-                })?;
-                let id = self.stage("extract", &mut stages, || {
-                    self.demand_dnf(query, pred, &args, opts)
-                })?;
-                (id, Resolved::Demand(core))
+        let mut report = QueryReport::new(query, class.name());
+        let id = self.resolve(query, opts, &mut report)?;
+        let answer = match class {
+            QueryClass::Probability(method) => {
+                QueryAnswer::Probability(
+                    report.stage(self, "probability", || self.probability_of(id, *method)),
+                )
             }
-            _ => {
-                let tuple = self.stage("parse", &mut stages, || self.p3.tuple(query))?;
-                let id = self.stage("extract", &mut stages, || self.tuple_dnf(tuple, opts));
-                (id, Resolved::Full(tuple))
+            QueryClass::Explanation(method) => {
+                let probability =
+                    report.stage(self, "probability", || self.probability_of(id, *method));
+                let (explanation, forced) = report.stage(self, "render", || {
+                    let (_, forced) = self.p3.force_full();
+                    let tuple = self.p3.tuple(query)?;
+                    let polynomial = (*self.dnf(id)).clone();
+                    let explanation =
+                        self.p3
+                            .explanation(query, tuple, polynomial, probability, opts);
+                    Ok::<_, P3Error>((explanation, forced))
+                })?;
+                report.forced(forced, &self.p3.full().plan);
+                QueryAnswer::Explanation(explanation)
             }
-        };
-        let probability = match target {
-            ProfileTarget::Probability(method) => {
-                Some(self.stage("probability", &mut stages, || {
-                    self.probability_of(id, *method)
+            QueryClass::Derivation { eps, algo, method } => {
+                QueryAnswer::Derivation(report.stage(self, "derivation", || {
+                    self.sufficient_provenance_of(id, *eps, *algo, *method)
                 }))
             }
-            ProfileTarget::Explanation(method) => {
-                let p = self.stage("probability", &mut stages, || {
-                    self.probability_of(id, *method)
-                });
-                self.stage("render", &mut stages, || {
-                    let program = self.p3.program();
-                    let (graph, db, tuple) = match &resolved {
-                        Resolved::Full(tuple) => (self.p3.graph(), self.p3.database(), *tuple),
-                        Resolved::Demand(core) => (
-                            &core.graph,
-                            &core.db,
-                            core.tuple.expect("extraction succeeded above"),
-                        ),
-                    };
-                    let text =
-                        p3_provenance::explain::explain(graph, db, program, tuple, opts.max_depth);
-                    let dot = p3_provenance::dot::to_dot(graph, db, program, tuple);
-                    (text, dot)
-                });
-                Some(p)
+            QueryClass::Influence(influence_opts) => {
+                QueryAnswer::Influence(
+                    report.stage(self, "influence", || self.influence_of(id, influence_opts)),
+                )
             }
-            ProfileTarget::Derivation { eps, algo, method } => {
-                let s = self.stage("derivation", &mut stages, || {
-                    self.sufficient_provenance_of(id, *eps, *algo, *method)
-                });
-                Some(s.probability)
-            }
-            ProfileTarget::Influence(influence_opts) => {
-                self.stage("influence", &mut stages, || {
-                    self.influence_of(id, influence_opts)
-                });
-                None
-            }
-            ProfileTarget::Modification {
-                target: goal,
+            QueryClass::Modification {
+                target,
                 opts: mod_opts,
-            } => {
-                let plan = self.stage("modification", &mut stages, || {
-                    self.modification(query, *goal, mod_opts)
-                })?;
-                Some(plan.achieved_probability)
-            }
+            } => QueryAnswer::Modification(report.stage(self, "modification", || {
+                self.modification_of(id, *target, mod_opts)
+            })),
         };
-        Ok(QueryProfile {
-            query: query.to_string(),
-            class: target.class(),
-            total_us: started.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            probability,
-            stages,
-        })
+        report.finish(started, id, &self.dnf(id));
+        Ok((answer, report))
     }
 
-    /// Explains a query's evaluation cost: resolves the query exactly as
-    /// an unexplained run would (same caches, same evaluation cores) and
-    /// returns the per-rule [`ExplainPlan`](p3_datalog::explain::ExplainPlan)
-    /// of the evaluation that answers it, the answer's DNF shape, the
-    /// cache deltas around this call, and any measured P3603/P3604
+    /// Explains a query's evaluation cost: resolves the query through the
+    /// same resolver as an unexplained run (same caches, same evaluation
+    /// cores, same journaling) and returns the per-rule
+    /// [`ExplainPlan`](p3_datalog::explain::ExplainPlan) of the evaluation
+    /// that answers it, the answer's DNF shape, the query's report (stage
+    /// times and cache deltas of this call), and any measured P3603/P3604
     /// recommendations the numbers justify.
     ///
     /// Observation-only: explaining a query changes no answer — the DnfId
     /// it extracts and any probabilities computed afterwards are
     /// bit-identical with and without the explain call.
     pub fn explain(&self, query: &str) -> Result<QueryExplain, P3Error> {
-        let opts = ExtractOptions::unbounded();
-        let before = self.counters();
-        let (id, plan) = match self.mode {
-            EvalMode::Demand => {
-                let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
-                let core = self.p3.demand_core(pred, &args)?;
-                let id = self.demand_dnf(query, pred, &args, opts)?;
-                (id, core.plan.clone())
-            }
-            _ => {
-                let tuple = self.p3.tuple(query)?;
-                let id = self.tuple_dnf(tuple, opts);
-                (id, self.p3.full().plan.clone())
-            }
-        };
-        let after = self.counters();
-        let shape = self.dnf(id).shape();
-        let recommendations = QueryExplain::recommend(&plan);
-        Ok(QueryExplain {
-            query: query.to_string(),
-            plan,
-            shape,
-            session_hits: after.session_hits.saturating_sub(before.session_hits),
-            session_misses: after.session_misses.saturating_sub(before.session_misses),
-            store_intern_hits: after
-                .store_intern_hits
-                .saturating_sub(before.store_intern_hits),
-            store_intern_misses: after
-                .store_intern_misses
-                .saturating_sub(before.store_intern_misses),
-            store_op_hits: after.store_op_hits.saturating_sub(before.store_op_hits),
-            store_op_misses: after.store_op_misses.saturating_sub(before.store_op_misses),
-            extract_memo_hits: after
-                .extract_memo_hits
-                .saturating_sub(before.extract_memo_hits),
-            extract_memo_misses: after
-                .extract_memo_misses
-                .saturating_sub(before.extract_memo_misses),
-            recommendations,
-        })
+        let started = Instant::now();
+        let mut report = QueryReport::new(query, "explain");
+        let id = self.resolve(query, ExtractOptions::unbounded(), &mut report)?;
+        // The evaluation was forced by resolution unless the warm layer
+        // answered; then looking its plan up forces it here.
+        let (plan, forced, shape) = report.stage(self, "explain", || {
+            let (plan, forced) = match self.mode {
+                EvalMode::Demand => {
+                    let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
+                    let (core, forced) = self.p3.demand_core(pred, &args)?;
+                    (core.plan.clone(), forced)
+                }
+                _ => {
+                    let (full, forced) = self.p3.force_full();
+                    (full.plan.clone(), forced)
+                }
+            };
+            Ok::<_, P3Error>((plan, forced, self.dnf(id).shape()))
+        })?;
+        report.forced(forced, &plan);
+        report.finish(started, id, &self.dnf(id));
+        Ok(QueryExplain::new(plan, shape, report))
     }
 
     /// Statically analyzes this session's program: predicted per-rule
@@ -1356,7 +1218,7 @@ mod tests {
         assert_eq!(session.eval_mode(), EvalMode::Demand);
         let ex = session.explain(Q).unwrap();
         assert_eq!(ex.mode(), "demand");
-        assert_eq!(ex.query, Q);
+        assert_eq!(ex.query(), Q);
         assert!(ex.plan.total_cost() > 0);
         assert!(
             ex.plan.magic.is_some(),
@@ -1395,74 +1257,63 @@ mod tests {
         assert!(json.contains("\"magic\":{"), "{json}");
         // Second explain of the same query hits the session caches.
         let warm = session.explain(Q).unwrap();
-        assert!(warm.session_hits > 0, "{warm:?}");
+        assert!(warm.report.cache().session_hits > 0, "{warm:?}");
+        assert!(warm.report.evaluations.is_empty(), "nothing forced warm");
+        assert_eq!(ex.report.evaluations.len(), 1, "the cold explain forced it");
         assert_eq!(warm.plan.total_cost(), ex.plan.total_cost());
     }
 
     #[test]
-    fn profile_reports_stages_and_matches_unprofiled_result() {
+    fn run_reports_stages_and_matches_the_plain_answer() {
         let p3 = P3::from_source(ACQ).unwrap();
         // ACQ is recursive, so the default (auto) session runs in demand
-        // mode and the profile carries a `transform` stage.
+        // mode and the report carries a `transform` stage.
         let session = p3.session();
         assert_eq!(session.eval_mode(), EvalMode::Demand);
-        let profile = session
-            .profile(
-                Q,
-                &ProfileTarget::Probability(ProbMethod::Exact),
-                ExtractOptions::unbounded(),
-            )
-            .unwrap();
-        assert_eq!(profile.class, "probability");
-        assert_eq!(profile.query, Q);
-        assert!((profile.probability.unwrap() - 0.16384).abs() < 1e-12);
-        let names: Vec<&str> = profile.stages.iter().map(|s| s.name).collect();
+        let class = QueryClass::Probability(ProbMethod::Exact);
+        let (answer, report) = session.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+        assert_eq!(report.class, "probability");
+        assert_eq!(report.query, Q);
+        assert!((answer.probability().unwrap() - 0.16384).abs() < 1e-12);
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
         assert_eq!(names, ["parse", "transform", "extract", "probability"]);
-        // A naive session profiles without the transform stage.
+        assert_eq!((report.dnf_monomials, report.dnf_literals), (2, 10));
+        // The cold run forced the query's demand evaluation.
+        assert_eq!(report.evaluations.len(), 1);
+        assert_eq!(report.evaluations[0].mode, "demand");
+        assert!(report.evaluations[0].derived_tuples() > 0);
+        // A naive session reports without the transform stage.
         let naive = p3.session_with(SessionOptions {
             eval_mode: EvalMode::Naive,
             ..Default::default()
         });
-        let naive_profile = naive
-            .profile(
-                Q,
-                &ProfileTarget::Probability(ProbMethod::Exact),
-                ExtractOptions::unbounded(),
-            )
-            .unwrap();
-        let naive_names: Vec<&str> = naive_profile.stages.iter().map(|s| s.name).collect();
+        let (naive_answer, naive_report) =
+            naive.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+        let naive_names: Vec<&str> = naive_report.stages.iter().map(|s| s.name).collect();
         assert_eq!(naive_names, ["parse", "extract", "probability"]);
-        assert_eq!(naive_profile.probability, profile.probability);
-        // The cold run misses in extract and probability; a second profiled
-        // run of the same query is served from the session caches.
-        let cold_misses: u64 = profile.stages.iter().map(|s| s.session_misses).sum();
-        assert!(cold_misses >= 2, "{profile:?}");
-        let warm = session
-            .profile(
-                Q,
-                &ProfileTarget::Probability(ProbMethod::Exact),
-                ExtractOptions::unbounded(),
-            )
-            .unwrap();
-        assert_eq!(warm.probability, profile.probability);
-        let warm_misses: u64 = warm.stages.iter().map(|s| s.session_misses).sum();
-        let warm_hits: u64 = warm.stages.iter().map(|s| s.session_hits).sum();
-        assert_eq!(warm_misses, 0, "{warm:?}");
-        assert!(warm_hits >= 2, "{warm:?}");
+        assert_eq!(naive_answer.probability(), answer.probability());
+        assert_eq!(naive_report.dnf, report.dnf);
+        // The cold run misses in extract and probability; a second run of
+        // the same query is served from the session caches.
+        assert!(report.cache().session_misses >= 2, "{report:?}");
+        let (_, warm) = session.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+        assert_eq!(warm.cache().session_misses, 0, "{warm:?}");
+        assert!(warm.cache().session_hits >= 2, "{warm:?}");
+        assert!(warm.evaluations.is_empty());
     }
 
     #[test]
-    fn profile_covers_every_query_class() {
+    fn run_covers_every_query_class() {
         let p3 = P3::from_source(ACQ).unwrap();
         let session = p3.session();
-        let targets: Vec<(ProfileTarget, &str, &str)> = vec![
+        let classes: Vec<(QueryClass, &str, &str)> = vec![
             (
-                ProfileTarget::Explanation(ProbMethod::Exact),
+                QueryClass::Explanation(ProbMethod::Exact),
                 "explanation",
                 "render",
             ),
             (
-                ProfileTarget::Derivation {
+                QueryClass::Derivation {
                     eps: 0.01,
                     algo: DerivationAlgo::NaiveGreedy,
                     method: ProbMethod::Exact,
@@ -1471,7 +1322,7 @@ mod tests {
                 "derivation",
             ),
             (
-                ProfileTarget::Influence(InfluenceOptions {
+                QueryClass::Influence(InfluenceOptions {
                     method: InfluenceMethod::Exact,
                     ..Default::default()
                 }),
@@ -1479,7 +1330,7 @@ mod tests {
                 "influence",
             ),
             (
-                ProfileTarget::Modification {
+                QueryClass::Modification {
                     target: 0.5,
                     opts: ModificationOptions {
                         tolerance: 1e-9,
@@ -1490,24 +1341,54 @@ mod tests {
                 "modification",
             ),
         ];
-        for (target, class, last_stage) in targets {
-            let profile = session
-                .profile(Q, &target, ExtractOptions::unbounded())
-                .unwrap();
-            assert_eq!(profile.class, class);
-            assert_eq!(profile.stages.last().unwrap().name, last_stage, "{class}");
-            assert!(profile.stages.len() >= 3, "{class}: {profile:?}");
+        for (class, name, last_stage) in classes {
+            let (answer, report) = session.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+            assert_eq!(report.class, name);
+            assert_eq!(report.stages.last().unwrap().name, last_stage, "{name}");
+            assert!(report.stages.len() >= 3, "{name}: {report:?}");
             // Influence has no single probability; every other class does.
-            assert_eq!(profile.probability.is_none(), class == "influence");
+            assert_eq!(answer.probability().is_none(), name == "influence");
         }
+        // Rendering an explanation forced the full model, once.
+        assert!(p3.fully_evaluated());
         // Bad queries surface the parse error, not a panic.
         assert!(session
-            .profile(
+            .run(
                 "bogus(",
-                &ProfileTarget::Probability(ProbMethod::Exact),
+                &QueryClass::Probability(ProbMethod::Exact),
                 ExtractOptions::unbounded(),
             )
             .is_err());
+    }
+
+    #[test]
+    fn modification_of_honours_the_resolved_hop_limit() {
+        let p3 = P3::from_source(ACQ).unwrap();
+        let session = p3.session();
+        let opts = ModificationOptions::default();
+        // One hop cannot reach know(Ben,Elena): its polynomial is empty.
+        let cut = session
+            .provenance_id_with(Q, ExtractOptions::with_max_depth(1))
+            .unwrap();
+        let plan = session.modification_of(cut, 0.5, &opts);
+        assert_eq!(plan.initial_probability, 0.0);
+        let (answer, _) = session
+            .run(
+                Q,
+                &QueryClass::Modification {
+                    target: 0.5,
+                    opts: opts.clone(),
+                },
+                ExtractOptions::with_max_depth(1),
+            )
+            .unwrap();
+        match answer {
+            QueryAnswer::Modification(p) => assert_eq!(p.initial_probability, 0.0),
+            other => panic!("{other:?}"),
+        }
+        // The query-string form keeps resolving unbounded.
+        let unbounded = session.modification(Q, 0.5, &opts).unwrap();
+        assert!((unbounded.initial_probability - 0.16384).abs() < 1e-12);
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub(crate) struct FullCore {
 /// One query-directed evaluation: the demanded fragment of the model with
 /// provenance already projected back onto the source program.
 pub(crate) struct DemandCore {
-    pub(crate) db: Database,
     pub(crate) graph: ProvGraph,
     pub(crate) analysis: Analysis,
     /// The queried tuple, when derivable.
@@ -114,7 +113,15 @@ impl P3 {
 
     /// Forces (or retrieves) the naive whole-program evaluation.
     pub(crate) fn full(&self) -> &FullCore {
-        self.full.get_or_init(|| {
+        self.force_full().0
+    }
+
+    /// Like [`Self::full`], also saying whether this call is the one that
+    /// ran the evaluation.
+    pub(crate) fn force_full(&self) -> (&FullCore, bool) {
+        let mut forced = false;
+        let core = self.full.get_or_init(|| {
+            forced = true;
             let (db, graph, plan) = capture::evaluate_with_provenance_plan(&self.program);
             let analysis = Analysis::new(&graph);
             FullCore {
@@ -123,18 +130,20 @@ impl P3 {
                 analysis,
                 plan,
             }
-        })
+        });
+        (core, forced)
     }
 
-    /// Forces (or retrieves) the demand evaluation for one ground query.
+    /// Forces (or retrieves) the demand evaluation for one ground query,
+    /// also saying whether this call is the one that ran it.
     pub(crate) fn demand_core(
         &self,
         pred: Symbol,
         args: &[Const],
-    ) -> Result<Arc<DemandCore>, P3Error> {
+    ) -> Result<(Arc<DemandCore>, bool), P3Error> {
         let key: DemandKey = (pred, args.to_vec().into_boxed_slice());
         if let Some(core) = self.demand.read().unwrap().get(&key) {
-            return Ok(Arc::clone(core));
+            return Ok((Arc::clone(core), false));
         }
         let eval = p3_provenance::evaluate_query_with_provenance(&self.program, pred, args)
             .map_err(|e| match e {
@@ -144,7 +153,6 @@ impl P3 {
         let analysis = Analysis::new(&eval.graph);
         let tuple = eval.db.lookup(pred, args);
         let core = Arc::new(DemandCore {
-            db: eval.db,
             graph: eval.graph,
             analysis,
             tuple,
@@ -152,10 +160,10 @@ impl P3 {
             plan: eval.plan,
         });
         // Two threads may race to evaluate the same query; the first insert
-        // wins and both observe one core.
-        Ok(Arc::clone(
-            self.demand.write().unwrap().entry(key).or_insert(core),
-        ))
+        // wins, both observe one core, and only the winner reports forcing.
+        let mut demand = self.demand.write().unwrap();
+        let forced = !demand.contains_key(&key);
+        Ok((Arc::clone(demand.entry(key).or_insert(core)), forced))
     }
 
     /// How many distinct queries have been demand-evaluated on this system.
@@ -187,43 +195,6 @@ impl P3 {
         for core in self.demand.read().unwrap().values() {
             out.push(core.plan.clone());
         }
-        out
-    }
-
-    /// Total measured rule cost (candidates + firings + new tuples)
-    /// across every forced evaluation. Monotone over a system's lifetime,
-    /// so deltas around a request attribute evaluation cost to it: cold
-    /// evaluations move this counter, memo hits don't.
-    pub fn rule_cost_total(&self) -> u64 {
-        let mut total = 0;
-        if let Some(full) = self.full.get() {
-            total += full.plan.total_cost();
-        }
-        for core in self.demand.read().unwrap().values() {
-            total += core.plan.total_cost();
-        }
-        total
-    }
-
-    /// The `n` costliest source rules aggregated across every forced
-    /// evaluation, as `(label, cost)` pairs sorted by descending cost
-    /// (ties broken by label).
-    pub fn top_rules(&self, n: usize) -> Vec<(String, u64)> {
-        let mut by_label: HashMap<String, u64> = HashMap::new();
-        let mut add = |plan: &ExplainPlan| {
-            for rule in &plan.rules {
-                *by_label.entry(rule.label.clone()).or_insert(0) += rule.cost();
-            }
-        };
-        if let Some(full) = self.full.get() {
-            add(&full.plan);
-        }
-        for core in self.demand.read().unwrap().values() {
-            add(&core.plan);
-        }
-        let mut out: Vec<(String, u64)> = by_label.into_iter().filter(|&(_, c)| c > 0).collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(n);
         out
     }
 
@@ -358,10 +329,24 @@ impl P3 {
         let tuple = self.tuple(query)?;
         let polynomial = self.extractor().polynomial(tuple, opts);
         let probability = method.probability(&polynomial, &self.vars);
+        Ok(self.explanation(query, tuple, polynomial, probability, opts))
+    }
+
+    /// Bundles an explanation of a full-model `tuple`, rendering its
+    /// derivation tree and provenance subgraph from the full model (so the
+    /// renderings are the same whichever eval mode extracted `polynomial`).
+    pub(crate) fn explanation(
+        &self,
+        query: &str,
+        tuple: TupleId,
+        polynomial: Dnf,
+        probability: f64,
+        opts: ExtractOptions,
+    ) -> Explanation {
         let full = self.full();
         let text = explain::explain(&full.graph, &full.db, &self.program, tuple, opts.max_depth);
         let dot = dot::to_dot(&full.graph, &full.db, &self.program, tuple);
-        Ok(Explanation {
+        Explanation {
             query: query.to_string(),
             tuple,
             num_derivations: polynomial.len(),
@@ -369,7 +354,7 @@ impl P3 {
             probability,
             text,
             dot,
-        })
+        }
     }
 
     /// Renders the polynomial with clause labels (debugging aid).
@@ -487,12 +472,14 @@ mod tests {
         assert_eq!(p3.demand_evaluations(), 0);
         let (pred, args) =
             worlds::parse_ground_query(p3.program(), r#"know("Ben","Elena")"#).unwrap();
-        let core = p3.demand_core(pred, &args).unwrap();
+        let (core, forced) = p3.demand_core(pred, &args).unwrap();
         assert!(core.tuple.is_some());
+        assert!(forced);
         assert_eq!(p3.demand_evaluations(), 1);
         // Repeating the query hits the cache.
-        let again = p3.demand_core(pred, &args).unwrap();
+        let (again, forced) = p3.demand_core(pred, &args).unwrap();
         assert!(Arc::ptr_eq(&core, &again));
+        assert!(!forced, "a cached core is not forced again");
         assert_eq!(copy.demand_evaluations(), 1, "cache is shared");
     }
 
@@ -500,21 +487,20 @@ mod tests {
     fn explain_plans_accumulate_per_forced_evaluation() {
         let p3 = P3::from_source(ACQ).unwrap();
         assert!(p3.explain_plans().is_empty(), "nothing forced yet");
-        assert_eq!(p3.rule_cost_total(), 0);
         let _ = p3.database();
         let plans = p3.explain_plans();
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].mode, "naive");
-        let naive_cost = p3.rule_cost_total();
-        assert!(naive_cost > 0);
+        assert!(plans[0].total_cost() > 0);
         let (pred, args) =
             worlds::parse_ground_query(p3.program(), r#"know("Ben","Elena")"#).unwrap();
         p3.demand_core(pred, &args).unwrap();
-        assert_eq!(p3.explain_plans().len(), 2);
-        assert!(p3.rule_cost_total() > naive_cost);
+        let plans = p3.explain_plans();
+        assert_eq!(plans.len(), 2);
+        assert!(plans[1].total_cost() > 0);
         // The recursive closure rule r3 does the joins; it must appear in
         // the aggregated top rules.
-        let top = p3.top_rules(3);
+        let top = p3_datalog::explain::top_rules(&plans, 3);
         assert!(top.iter().any(|(l, _)| l == "r3"), "{top:?}");
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
     }

@@ -194,3 +194,57 @@ fn journal_stream_alone_is_sufficient_to_warm_boot() {
     );
     assert_eq!(b.stats().misses, 0);
 }
+
+/// The `DnfMemo` records a store-attached session journaled, as
+/// `(query, depth)` pairs in order.
+fn dnf_memos(backend: &p3_store::MemBackend) -> Vec<(String, u64)> {
+    backend
+        .records()
+        .into_iter()
+        .filter_map(|r| match r {
+            p3_store::Record::DnfMemo { query, depth, .. } => Some((query, depth)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A reported (`run`) or explained query resolves through the same
+/// resolver as a plain one, so it journals its `DnfMemo` exactly as the
+/// plain query does — and is therefore warm after a restart.
+#[test]
+fn run_and_explain_journal_the_dnf_memo_like_a_plain_query() {
+    let query = "path(a, d)";
+    let class = p3_core::QueryClass::Probability(ProbMethod::Exact);
+    for mode in [EvalMode::Naive, EvalMode::Demand] {
+        let journal = |ask: &dyn Fn(&p3_core::QuerySession)| {
+            let s = session(RECURSIVE_SRC, mode);
+            let backend = std::sync::Arc::new(p3_store::MemBackend::new());
+            s.attach_store(backend.clone());
+            ask(&s);
+            (dnf_memos(&backend), backend.records())
+        };
+        let (plain, _) = journal(&|s| {
+            s.probability(query, ProbMethod::Exact).unwrap();
+        });
+        assert_eq!(plain.len(), 1, "{mode:?}: {plain:?}");
+        let unbounded = p3_provenance::extract::ExtractOptions::unbounded();
+        let (ran, ran_records) = journal(&|s| {
+            s.run(query, &class, unbounded).unwrap();
+        });
+        assert_eq!(ran, plain, "{mode:?}: run journals like a plain query");
+        let (explained, _) = journal(&|s| {
+            s.explain(query).unwrap();
+        });
+        assert_eq!(explained, plain, "{mode:?}: explain journals too");
+
+        // After a restart the reported query is answered from the warm
+        // layer, before any parsing or evaluation.
+        let warm = session(RECURSIVE_SRC, mode);
+        warm.restore_records(&ran_records);
+        let (_, report) = warm.run(query, &class, unbounded).unwrap();
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["extract", "probability"], "{mode:?}");
+        assert_eq!(warm.stats().misses, 0, "{mode:?}");
+        assert!(!warm.p3().fully_evaluated() && warm.p3().demand_evaluations() == 0);
+    }
+}

@@ -173,7 +173,10 @@ impl Diagnostic {
         let mut out = String::from("{");
         out.push_str(&format!("\"code\":\"{}\"", self.code));
         out.push_str(&format!(",\"severity\":\"{}\"", self.severity));
-        out.push_str(&format!(",\"message\":{}", json_string(&self.message)));
+        out.push_str(&format!(
+            ",\"message\":{}",
+            p3_obs::json::quote(&self.message)
+        ));
         if let Some(span) = self.span {
             out.push_str(&format!(
                 ",\"span\":{{\"start\":{},\"end\":{}}}",
@@ -187,10 +190,10 @@ impl Diagnostic {
             ));
         }
         if let Some(clause) = &self.clause {
-            out.push_str(&format!(",\"clause\":{}", json_string(clause)));
+            out.push_str(&format!(",\"clause\":{}", p3_obs::json::quote(clause)));
         }
         if let Some(help) = &self.help {
-            out.push_str(&format!(",\"help\":{}", json_string(help)));
+            out.push_str(&format!(",\"help\":{}", p3_obs::json::quote(help)));
         }
         out.push('}');
         out
@@ -224,25 +227,6 @@ pub fn line_col(src: &str, offset: usize) -> (usize, usize) {
         }
     }
     (line, col)
-}
-
-/// Renders a JSON string literal with the escapes the grammar requires.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

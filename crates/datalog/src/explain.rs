@@ -105,6 +105,12 @@ impl ExplainPlan {
         self.rules.iter().map(RuleCost::cost).sum::<u64>() + self.magic.map_or(0, |m| m.cost())
     }
 
+    /// Tuples the run derived beyond its base facts (magic tuples of a
+    /// demand run included), summed over strata.
+    pub fn derived_tuples(&self) -> u64 {
+        self.strata.iter().map(|s| s.derived_tuples as u64).sum()
+    }
+
     /// Builds a plan from a naive run: compiled rules map one-to-one onto
     /// source clauses.
     pub fn from_engine(engine: &Engine<'_>) -> ExplainPlan {
@@ -181,6 +187,27 @@ impl ExplainPlan {
             magic: Some(magic),
         }
     }
+}
+
+/// The `n` costliest source rules across `plans`, as `(label, cost)` pairs
+/// with each label's cost summed over the plans, sorted by descending cost
+/// (ties broken by label). Zero-cost rules are left out.
+pub fn top_rules<'a>(
+    plans: impl IntoIterator<Item = &'a ExplainPlan>,
+    n: usize,
+) -> Vec<(String, u64)> {
+    let mut by_label: HashMap<&str, u64> = HashMap::new();
+    for rule in plans.into_iter().flat_map(|plan| &plan.rules) {
+        *by_label.entry(&rule.label).or_insert(0) += rule.cost();
+    }
+    let mut out: Vec<(String, u64)> = by_label
+        .into_iter()
+        .filter(|&(_, cost)| cost > 0)
+        .map(|(label, cost)| (label.to_string(), cost))
+        .collect();
+    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    out.truncate(n);
+    out
 }
 
 /// Caps a rule label for use as a Prometheus label value: long or hostile

@@ -22,10 +22,13 @@
 //!   (the admin plane's `GET /slo` endpoint and `/readyz` gate).
 //! * [`process`]: `p3_build_info` and process self-metrics (RSS, open
 //!   fds, uptime) sampled from `/proc/self`.
+//! * [`json`]: the one JSON string escaper every hand-written JSON
+//!   encoder in the workspace shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod process;

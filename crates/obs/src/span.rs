@@ -297,23 +297,9 @@ pub fn recent_roots(name: Option<&str>, n: usize) -> Vec<SpanTree> {
         .collect()
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_event(out: &mut String, record: &SpanRecord) {
     out.push_str("{\"name\":\"");
-    escape_json(record.name, out);
+    crate::json::escape_into(out, record.name);
     out.push_str("\",\"ph\":\"X\",\"cat\":\"p3\",\"pid\":1,\"tid\":");
     out.push_str(&record.tid.to_string());
     out.push_str(",\"ts\":");
@@ -327,9 +313,9 @@ fn push_event(out: &mut String, record: &SpanRecord) {
     out.push('"');
     for (key, value) in &record.fields {
         out.push_str(",\"");
-        escape_json(key, out);
+        crate::json::escape_into(out, key);
         out.push_str("\":\"");
-        escape_json(value, out);
+        crate::json::escape_into(out, value);
         out.push('"');
     }
     out.push_str("}}");

@@ -29,7 +29,10 @@
 //! connect/send/recv spans with the server-side execution tree.
 
 use crate::json::Value;
-use p3_core::{DerivationAlgo, EvalMode, InfluenceMethod, ProbMethod};
+use p3_core::{
+    DerivationAlgo, EvalMode, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod,
+    QueryClass,
+};
 use p3_prob::McConfig;
 
 /// A query-class op, parsed and validated.
@@ -240,6 +243,45 @@ impl Op {
             Op::Profile { inner } => inner.query_text(),
             _ => None,
         }
+    }
+
+    /// The query atom and [`QueryClass`] of the five query-class ops — the
+    /// one mapping from the wire onto `QuerySession::run`, shared by the
+    /// ops themselves and by `profile`.
+    pub fn query_class(&self) -> Option<(&str, QueryClass)> {
+        let class = match self {
+            Op::Probability { method, .. } => QueryClass::Probability(*method),
+            Op::Explanation { method, .. } => QueryClass::Explanation(*method),
+            Op::Derivation {
+                eps, algo, method, ..
+            } => QueryClass::Derivation {
+                eps: *eps,
+                algo: *algo,
+                method: *method,
+            },
+            Op::Influence {
+                method,
+                top_k,
+                preprocess_epsilon,
+                ..
+            } => QueryClass::Influence(InfluenceOptions {
+                method: *method,
+                top_k: *top_k,
+                preprocess_epsilon: *preprocess_epsilon,
+                restrict_to: None,
+            }),
+            Op::Modification {
+                target, tolerance, ..
+            } => QueryClass::Modification {
+                target: *target,
+                opts: ModificationOptions {
+                    tolerance: *tolerance,
+                    ..Default::default()
+                },
+            },
+            _ => return None,
+        };
+        Some((self.query_text()?, class))
     }
 
     /// Whether this op runs on the worker pool (vs. inline on the

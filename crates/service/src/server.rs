@@ -27,9 +27,9 @@ use crate::protocol::{AuditKey, Op, Request, Response};
 use crate::stats::{Outcome, ServiceStats};
 use p3_audit::{AuditLog, AuditRecord, StageTiming};
 use p3_core::{
-    EvalMode, InfluenceOptions, ModificationOptions, ProfileTarget, QueryProfile, QuerySession,
-    SessionOptions, WarmRestore, P3,
+    EvalMode, QueryAnswer, QueryClass, QueryReport, QuerySession, SessionOptions, WarmRestore, P3,
 };
+use p3_datalog::explain::ExplainPlan;
 use p3_obs::slo::{SloConfig, SloEngine};
 use p3_provenance::extract::ExtractOptions;
 use p3_store::{FileBackend, RecoveryReport, StorageBackend};
@@ -158,88 +158,69 @@ struct Job {
     /// Id of the request's root span, so the worker can parent its
     /// `execute` span across the thread hop (0 = tracing disabled).
     root_span: u64,
-    reply: mpsc::SyncSender<Answer>,
+    reply: mpsc::SyncSender<Reply>,
 }
 
-/// A worker's reply: the op result plus the timing/cache facts the handler
-/// needs to make a slow request diagnosable from one log line and to
-/// build the request's audit record.
-struct Answer {
+/// A worker's reply: the op result plus the request's audit record with
+/// every worker-side fact filled in — queue wait, execution time, stages,
+/// cache deltas, DNF width and the costs of the evaluations the op forced.
+/// The handler adds the envelope (timestamp, trace, class, outcome, total
+/// latency).
+struct Reply {
     result: Result<Value, String>,
-    /// Time the job sat in the queue before a worker picked it up.
-    queue_wait_us: u64,
-    /// Time the worker spent executing the op.
-    execute_us: u64,
-    /// Session memo-table hits while the op ran (shared session: under
-    /// concurrent load this includes other requests' traffic).
-    session_hits: u64,
-    /// Session memo-table misses while the op ran.
-    session_misses: u64,
-    /// Per-op facts collected inside `execute`.
-    facts: ExecFacts,
-    /// Tuples derived by rule evaluation while the op ran (global-counter
-    /// delta across both eval modes; approximate under concurrency).
-    derived_tuples: u64,
-    /// Persistent-store records journaled while the op ran.
-    store_records: u64,
-    /// Extraction-memo hits while the op ran.
-    extract_memo_hits: u64,
-    /// Extraction-memo misses while the op ran.
-    extract_memo_misses: u64,
-    /// Rule-evaluation cost (candidates + firings + new tuples) attributed
-    /// to forced evaluations while the op ran (delta of the session
-    /// system's monotone tally; approximate under concurrency).
-    rule_cost: u64,
-    /// The costliest rules of the session's accumulated plans after the
-    /// op — populated only when the op forced evaluation (`rule_cost > 0`).
-    top_rules: Vec<(String, u64)>,
+    record: AuditRecord,
 }
 
-/// Facts `execute` collects as it runs an op: coarse per-stage wall
-/// timings, the DNF shape where a formula id is in hand, and whether a
-/// `load-program` failure was the lint gate (vs. a real error).
-#[derive(Default)]
-struct ExecFacts {
-    stages: Vec<StageTiming>,
-    dnf_monomials: u64,
-    dnf_literals: u64,
-    lint_reject: bool,
+/// Runs `f` as one named stage of `record`.
+fn timed<T>(record: &mut AuditRecord, name: &str, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    record.stages.push(StageTiming {
+        name: name.to_string(),
+        wall_us: micros(start.elapsed()),
+    });
+    out
 }
 
-impl ExecFacts {
-    /// Records one stage's wall time around `f`.
-    fn timed<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.stages.push(StageTiming {
-            name: name.to_string(),
-            wall_us: start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-        });
-        out
+/// A duration in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
+}
+
+/// Takes `record`'s evaluation costs from the evaluations the request
+/// forced: derived tuples, rule cost and the costliest rules.
+fn audit_evaluations(record: &mut AuditRecord, plans: &[ExplainPlan]) {
+    record.derived_tuples = plans.iter().map(ExplainPlan::derived_tuples).sum();
+    record.rule_cost = plans.iter().map(ExplainPlan::total_cost).sum();
+    record.top_rules = p3_datalog::explain::top_rules(plans, p3_audit::MAX_TOP_RULES);
+}
+
+/// Fills `record` from a query's report — the audit record is a view of
+/// it. Resolution (`parse`, `transform`, `extract`) folds into one
+/// `extract` stage ahead of the class's own stages; the cache totals, the
+/// DNF width and the forced evaluations' costs carry over.
+fn audit_report(record: &mut AuditRecord, report: &QueryReport) {
+    for stage in &report.stages {
+        let name = match stage.name {
+            "parse" | "transform" => "extract",
+            other => other,
+        };
+        match record.stages.last_mut() {
+            Some(last) if last.name == name => last.wall_us += stage.wall_us,
+            _ => record.stages.push(StageTiming {
+                name: name.to_string(),
+                wall_us: stage.wall_us,
+            }),
+        }
     }
-
-    /// Notes the DNF width of the formula the op answered from.
-    fn note_dnf(&mut self, dnf: &p3_prob::Dnf) {
-        self.dnf_monomials = dnf.len() as u64;
-        self.dnf_literals = dnf.monomials().iter().map(|m| m.len() as u64).sum();
-    }
-}
-
-/// Reads the process-global derived-tuples tally: the mode-labeled
-/// engine counters summed, so a delta spans naive and demand evaluation.
-fn derived_tuples_total() -> u64 {
-    ["naive", "demand"]
-        .iter()
-        .map(|mode| {
-            let labels = p3_obs::metrics::render_labels(&[("mode", mode)]);
-            p3_obs::metrics::labeled_counter(
-                "p3_engine_derived_tuples_total",
-                "Tuples derived by rule evaluation, by evaluation mode",
-                &labels,
-            )
-            .get()
-        })
-        .sum()
+    let cache = report.cache();
+    record.session_hits = cache.session_hits;
+    record.session_misses = cache.session_misses;
+    record.extract_memo_hits = cache.extract_memo_hits;
+    record.extract_memo_misses = cache.extract_memo_misses;
+    record.dnf_monomials = report.dnf_monomials;
+    record.dnf_literals = report.dnf_literals;
+    audit_evaluations(record, &report.evaluations);
 }
 
 /// Sets the queue-depth saturation gauge (also a `readyz` input).
@@ -834,76 +815,24 @@ fn record_request_metrics(class: &str, latency: Duration) {
     .observe(latency.as_micros().min(u64::MAX as u128) as u64);
 }
 
-/// Worker-side facts about a finished request, filled in by `dispatch`
-/// for the slow-request log and the audit record (zero for inline admin
-/// ops, which have no queue wait or execution split).
-#[derive(Default)]
-struct RequestMeta {
-    queue_wait_us: u64,
-    execute_us: u64,
-    session_hits: u64,
-    session_misses: u64,
-    stages: Vec<StageTiming>,
-    derived_tuples: u64,
-    dnf_monomials: u64,
-    dnf_literals: u64,
-    store_records: u64,
-    extract_memo_hits: u64,
-    extract_memo_misses: u64,
-    lint_reject: bool,
-    rule_cost: u64,
-    top_rules: Vec<(String, u64)>,
-}
-
-/// Builds this request's audit record, feeds the SLO engine, and appends
-/// to the audit log when one is configured. Called exactly once per
-/// request line — queries, inline admin ops, and malformed lines alike —
-/// which is what makes "one request, one record" an invariant rather
-/// than a convention.
-#[allow(clippy::too_many_arguments)]
-fn audit_request(
-    shared: &Shared,
-    class: &str,
-    trace: &str,
-    eval_mode: EvalMode,
-    query_hash: u64,
-    outcome: p3_audit::Outcome,
-    elapsed: Duration,
-    meta: RequestMeta,
-) {
+/// Completes this request's audit record with its envelope, feeds the SLO
+/// engine, and appends to the audit log when one is configured. Called
+/// exactly once per request line — queries, inline admin ops, and
+/// malformed lines alike — which is what makes "one request, one record"
+/// an invariant rather than a convention.
+fn audit_request(shared: &Shared, mut record: AuditRecord, elapsed: Duration) {
     let now_ms = unix_ms();
-    let ok = outcome == p3_audit::Outcome::Ok;
     shared.slo.record(
-        class,
+        &record.class,
         now_ms,
-        ok,
+        record.outcome == p3_audit::Outcome::Ok,
         elapsed.as_millis().min(u64::MAX as u128) as u64,
     );
     let Some(audit) = &shared.audit else {
         return;
     };
-    let record = AuditRecord {
-        ts_ms: now_ms,
-        trace: trace.to_string(),
-        class: class.to_string(),
-        eval_mode: eval_mode.as_str().to_string(),
-        query_hash,
-        outcome,
-        queue_wait_us: meta.queue_wait_us,
-        execute_us: meta.execute_us,
-        total_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
-        stages: meta.stages,
-        derived_tuples: meta.derived_tuples,
-        dnf_monomials: meta.dnf_monomials,
-        dnf_literals: meta.dnf_literals,
-        session_hits: meta.session_hits,
-        session_misses: meta.session_misses,
-        store_records: meta.store_records,
-        extract_memo_hits: meta.extract_memo_hits,
-        extract_memo_misses: meta.extract_memo_misses,
-        rule_cost: meta.rule_cost,
-        top_rules: meta.top_rules,
-    };
+    record.ts_ms = now_ms;
+    record.total_us = micros(elapsed);
     if let Err(e) = audit.append(record) {
         p3_obs::warn!(
             "audit append failed",
@@ -922,22 +851,19 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
             let elapsed = start.elapsed();
             shared.stats.record("malformed", elapsed, Outcome::Error);
             record_request_metrics("malformed", elapsed);
-            audit_request(
-                shared,
-                "malformed",
-                "",
-                shared.eval_mode,
-                0,
-                p3_audit::Outcome::Error,
-                elapsed,
-                RequestMeta::default(),
-            );
+            let record = AuditRecord {
+                class: "malformed".to_string(),
+                eval_mode: shared.eval_mode.as_str().to_string(),
+                outcome: p3_audit::Outcome::Error,
+                ..Default::default()
+            };
+            audit_request(shared, record, elapsed);
             return Response::error(None, msg);
         }
     };
     let class = request.op.class();
-    let mut meta = RequestMeta::default();
-    let response = dispatch(&request, shared, start, &mut meta);
+    let mut record = AuditRecord::default();
+    let response = dispatch(&request, shared, start, &mut record);
     let outcome = match response.status {
         crate::protocol::Status::Ok => Outcome::Ok,
         crate::protocol::Status::Error => Outcome::Error,
@@ -946,30 +872,21 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
     let elapsed = start.elapsed();
     shared.stats.record(class, elapsed, outcome);
     record_request_metrics(class, elapsed);
-    let audit_outcome = match response.status {
+    record.outcome = match response.status {
         crate::protocol::Status::Ok => p3_audit::Outcome::Ok,
         crate::protocol::Status::Timeout => p3_audit::Outcome::Timeout,
-        crate::protocol::Status::Error if meta.lint_reject => p3_audit::Outcome::LintReject,
-        crate::protocol::Status::Error => p3_audit::Outcome::Error,
+        // `Error`, or `LintReject` when the worker said the lint gate
+        // rejected the program.
+        crate::protocol::Status::Error => record.outcome,
     };
-    let query_hash = request.op.query_text().map(p3_audit::fnv1a_64).unwrap_or(0);
-    let slow_meta = (
-        meta.queue_wait_us,
-        meta.execute_us,
-        meta.session_hits,
-        meta.session_misses,
-    );
-    audit_request(
-        shared,
-        class,
-        request.trace.as_deref().unwrap_or(""),
-        request.eval_mode.unwrap_or(shared.eval_mode),
-        query_hash,
-        audit_outcome,
-        elapsed,
-        meta,
-    );
-    let (queue_wait_us, execute_us, session_hits, session_misses) = slow_meta;
+    record.class = class.to_string();
+    record.trace = request.trace.clone().unwrap_or_default();
+    record.eval_mode = request
+        .eval_mode
+        .unwrap_or(shared.eval_mode)
+        .as_str()
+        .to_string();
+    record.query_hash = request.op.query_text().map(p3_audit::fnv1a_64).unwrap_or(0);
     p3_obs::debug!(
         "request served",
         class = class,
@@ -988,13 +905,14 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
                 class = class,
                 latency_ms = elapsed.as_millis(),
                 threshold_ms = slow_ms,
-                queue_wait_us = queue_wait_us,
-                execute_us = execute_us,
-                session_hits = session_hits,
-                session_misses = session_misses,
+                queue_wait_us = record.queue_wait_us,
+                execute_us = record.execute_us,
+                session_hits = record.session_hits,
+                session_misses = record.session_misses,
             );
         }
     }
+    audit_request(shared, record, elapsed);
     response
 }
 
@@ -1002,7 +920,7 @@ fn dispatch(
     request: &Request,
     shared: &Shared,
     received: Instant,
-    meta: &mut RequestMeta,
+    record: &mut AuditRecord,
 ) -> Response {
     // The root span covers the request's whole server-side life: parse is
     // already done, so this is queue wait + execution + reply marshalling.
@@ -1071,30 +989,17 @@ fn dispatch(
                 Ok(()) => {}
             }
             // The handler is the watchdog: wait only until the deadline.
-            let answer = match deadline {
+            let reply = match deadline {
                 None => reply_rx.recv().map_err(|_| ()),
                 Some(d) => {
                     let left = d.saturating_duration_since(Instant::now());
                     reply_rx.recv_timeout(left).map_err(|_| ())
                 }
             };
-            match answer {
-                Ok(answer) => {
-                    meta.queue_wait_us = answer.queue_wait_us;
-                    meta.execute_us = answer.execute_us;
-                    meta.session_hits = answer.session_hits;
-                    meta.session_misses = answer.session_misses;
-                    meta.stages = answer.facts.stages;
-                    meta.dnf_monomials = answer.facts.dnf_monomials;
-                    meta.dnf_literals = answer.facts.dnf_literals;
-                    meta.lint_reject = answer.facts.lint_reject;
-                    meta.derived_tuples = answer.derived_tuples;
-                    meta.store_records = answer.store_records;
-                    meta.extract_memo_hits = answer.extract_memo_hits;
-                    meta.extract_memo_misses = answer.extract_memo_misses;
-                    meta.rule_cost = answer.rule_cost;
-                    meta.top_rules = answer.top_rules;
-                    match answer.result {
+            match reply {
+                Ok(reply) => {
+                    *record = reply.record;
+                    match reply.result {
                         Ok(result) => Response::ok(request.id, result),
                         Err(msg) => Response::error(request.id, msg),
                     }
@@ -1110,7 +1015,7 @@ fn dispatch(
 
 fn worker_loop(shared: Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
-        let queue_wait_us = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let queue_wait = job.enqueued.elapsed();
         // Don't burn CPU on work nobody is waiting for anymore.
         if let Some(d) = job.deadline {
             if Instant::now() >= d {
@@ -1124,26 +1029,20 @@ fn worker_loop(shared: Arc<Shared>) {
         // an immediate `trace` request could miss it.
         let executing = Instant::now();
         let session = shared.session_for(job.eval_mode);
-        let stats_before = session.stats();
-        // Process-global counter snapshots bracketing the execution: the
-        // deltas are this op's cost, give or take concurrent requests'
-        // traffic on the same counters (documented as approximate).
-        let tuples_before = derived_tuples_total();
-        let rule_cost_before = session.p3().rule_cost_total();
-        let (extract_hits_before, extract_misses_before) = p3_provenance::extract::memo_counters();
-        let store_records_before = shared
-            .active_store()
-            .map(|s| s.backend.stats().records_written)
-            .unwrap_or(0);
-        let mut facts = ExecFacts::default();
+        let store_records = || {
+            shared
+                .active_store()
+                .map(|s| s.backend.stats().records_written)
+        };
+        let store_records_before = store_records().unwrap_or(0);
+        let mut record = AuditRecord::default();
         let result = {
             let mut span = p3_obs::span::child_of("execute", job.root_span);
             span.add_field("class", job.op.class());
-            let result = execute(&session, &shared, &job.op, job.hop_limit, &mut facts);
+            let result = execute(&session, &shared, &job.op, job.hop_limit, &mut record);
             span.add_field("ok", result.is_ok());
             result
         };
-        let stats_after = session.stats();
         // Make whatever the op journaled durable before the client hears
         // the answer: a SIGKILL after the reply then replays this state.
         if let Some(store) = shared.active_store() {
@@ -1161,37 +1060,13 @@ fn worker_loop(shared: Arc<Shared>) {
                 .fetch_sub(1, Ordering::SeqCst)
                 .saturating_sub(1),
         );
-        let (extract_hits_after, extract_misses_after) = p3_provenance::extract::memo_counters();
-        let store_records_after = shared
-            .active_store()
-            .map(|s| s.backend.stats().records_written)
-            .unwrap_or(store_records_before);
-        // Rule-cost attribution: only ops that forced an evaluation moved
-        // the tally, so only those carry a top-rules exemplar.
-        let rule_cost = session
-            .p3()
-            .rule_cost_total()
-            .saturating_sub(rule_cost_before);
-        let top_rules = if rule_cost > 0 {
-            session.p3().top_rules(p3_audit::MAX_TOP_RULES)
-        } else {
-            Vec::new()
-        };
+        record.queue_wait_us = micros(queue_wait);
+        record.store_records = store_records()
+            .unwrap_or(store_records_before)
+            .saturating_sub(store_records_before);
+        record.execute_us = micros(executing.elapsed());
         // The handler may have timed out and gone; that's fine.
-        let _ = job.reply.send(Answer {
-            result,
-            queue_wait_us,
-            execute_us: executing.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            session_hits: stats_after.hits.saturating_sub(stats_before.hits),
-            session_misses: stats_after.misses.saturating_sub(stats_before.misses),
-            facts,
-            derived_tuples: derived_tuples_total().saturating_sub(tuples_before),
-            store_records: store_records_after.saturating_sub(store_records_before),
-            extract_memo_hits: extract_hits_after.saturating_sub(extract_hits_before),
-            extract_memo_misses: extract_misses_after.saturating_sub(extract_misses_before),
-            rule_cost,
-            top_rules,
-        });
+        let _ = job.reply.send(Reply { result, record });
     }
 }
 
@@ -1202,16 +1077,32 @@ fn extract_opts(hop_limit: Option<usize>) -> ExtractOptions {
     }
 }
 
-/// Runs a query op against the shared session. Every result is a JSON
-/// object; errors are strings (surfaced as `"status":"error"`).
+/// Runs a query op against the shared session, filling in `record` as it
+/// goes. Every result is a JSON object; errors are strings (surfaced as
+/// `"status":"error"`).
 fn execute(
     session: &QuerySession,
     shared: &Shared,
     op: &Op,
     hop_limit: Option<usize>,
-    facts: &mut ExecFacts,
+    record: &mut AuditRecord,
 ) -> Result<Value, String> {
-    let p3 = session.p3();
+    // The query classes and `profile` all answer through one `run`.
+    let (asked, profiled) = match op {
+        Op::Profile { inner } => (inner.as_ref(), true),
+        op => (op, false),
+    };
+    if let Some((query, class)) = asked.query_class() {
+        let (answer, report) = session
+            .run(query, &class, extract_opts(hop_limit))
+            .map_err(|e| e.to_string())?;
+        audit_report(record, &report);
+        return Ok(if profiled {
+            profile_value(&report, answer.probability())
+        } else {
+            answer_value(session.p3(), &class, answer, &report)
+        });
+    }
     match op {
         Op::Ping
         | Op::Stats
@@ -1225,6 +1116,12 @@ fn execute(
         | Op::Slo => {
             unreachable!("admin ops answer inline")
         }
+        Op::Probability { .. }
+        | Op::Explanation { .. }
+        | Op::Derivation { .. }
+        | Op::Influence { .. }
+        | Op::Modification { .. } => unreachable!("query classes are answered by `run` above"),
+        Op::Profile { inner } => Err(format!("cannot profile op class '{}'", inner.class())),
         Op::Persist => {
             let store = shared.active_store().ok_or_else(|| {
                 "no active store: start the server with --store-dir \
@@ -1234,14 +1131,13 @@ fn execute(
             // Export from the default session — that is the one the store
             // journals; per-mode override sessions share its DnfStore.
             let records = shared.current_session().export_records();
-            facts
-                .timed("persist", || {
-                    store
-                        .backend
-                        .snapshot(&records)
-                        .and_then(|()| store.backend.flush())
-                })
-                .map_err(|e| format!("store compaction failed: {e}"))?;
+            timed(record, "persist", || {
+                store
+                    .backend
+                    .snapshot(&records)
+                    .and_then(|()| store.backend.flush())
+            })
+            .map_err(|e| format!("store compaction failed: {e}"))?;
             let stats = store.backend.stats();
             Ok(Value::object(vec![
                 ("persisted", Value::from(true)),
@@ -1260,7 +1156,7 @@ fn execute(
             // Pre-flight lint: findings go to the structured log either
             // way; error-severity findings reject the program unless the
             // request opted out with `"lint": false`.
-            let report = facts.timed("lint", || p3_lint::lint_source(&text));
+            let report = timed(record, "lint", || p3_lint::lint_source(&text));
             for d in &report.diagnostics {
                 p3_obs::info!(
                     "lint finding on load-program",
@@ -1272,16 +1168,15 @@ fn execute(
                 );
             }
             if *lint && report.has_errors() {
-                facts.lint_reject = true;
+                record.outcome = p3_audit::Outcome::LintReject;
                 let mut msg = format!("program rejected by lint: {}", report.summary_line());
                 for d in report.at_least(p3_lint::Severity::Error) {
                     msg.push_str(&format!("; {d}"));
                 }
                 return Err(msg);
             }
-            let fresh = facts
-                .timed("load", || P3::from_source(&text))
-                .map_err(|e| e.to_string())?;
+            let fresh =
+                timed(record, "load", || P3::from_source(&text)).map_err(|e| e.to_string())?;
             let clauses = fresh.program().len();
             let new_session = fresh.session_with(SessionOptions {
                 max_entries: shared.cache_cap,
@@ -1294,6 +1189,7 @@ fn execute(
                 EvalMode::Demand => Value::Null,
                 _ => Value::from(fresh.database().len()),
             };
+            audit_evaluations(record, &fresh.explain_plans());
             let eval_mode = new_session.eval_mode().as_str();
             // The store is keyed to the boot-time program's content hash;
             // a different program must not journal into it (or warm-boot
@@ -1327,7 +1223,7 @@ fn execute(
                 ),
                 (None, None) => unreachable!("validated at parse time"),
             };
-            let report = facts.timed("lint", || p3_lint::lint_source(&text));
+            let report = timed(record, "lint", || p3_lint::lint_source(&text));
             let findings = Value::parse(&report.to_json())
                 .map_err(|e| format!("internal: bad findings JSON: {e}"))?;
             Ok(Value::object(vec![
@@ -1343,130 +1239,78 @@ fn execute(
                 ("text", Value::from(report.render(Some(&text), Some(&name)))),
             ]))
         }
-        Op::Probability { query, method } => {
-            let id = facts
-                .timed("extract", || {
-                    session.provenance_id_with(query, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            let p = facts.timed("probability", || session.probability_of(id, *method));
-            facts.note_dnf(&session.dnf(id));
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                ("probability", Value::from(p)),
-                ("derivations", Value::from(session.dnf(id).len())),
-            ]))
+        Op::Explain { query } => {
+            let explained = session.explain(query).map_err(|e| e.to_string())?;
+            audit_report(record, &explained.report);
+            // The explain type owns the canonical JSON shape (shared with
+            // `p3 explain --json`); parse it back rather than re-encoding.
+            Value::parse(&explained.to_json_string())
+                .map_err(|e| format!("explain payload encoding: {e}"))
         }
-        Op::Explanation { query, method } => {
-            let explanation = facts
-                .timed("explanation", || {
-                    p3.explain_with(query, *method, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            facts.note_dnf(&explanation.polynomial);
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                ("probability", Value::from(explanation.probability)),
-                ("num_derivations", Value::from(explanation.num_derivations)),
-                (
-                    "polynomial",
-                    Value::from(p3.render_polynomial(&explanation.polynomial)),
-                ),
-                ("text", Value::from(explanation.text)),
-                ("dot", Value::from(explanation.dot)),
-            ]))
+        Op::Analyze { query } => {
+            let plan = timed(record, "analyze", || session.analyze(query.as_deref()));
+            // The plan type owns the canonical JSON shape (shared with
+            // `p3 analyze --json`); parse it back rather than re-encoding.
+            Value::parse(&plan.to_json_string())
+                .map_err(|e| format!("analyze payload encoding: {e}"))
         }
-        Op::Derivation {
+    }
+}
+
+/// The result payload of a query op: `answer` in its class's wire shape.
+fn answer_value(p3: &P3, class: &QueryClass, answer: QueryAnswer, report: &QueryReport) -> Value {
+    let query = ("query", Value::from(report.query.clone()));
+    let var = |v| Value::from(p3.vars().name(v).to_string());
+    match (answer, class) {
+        (QueryAnswer::Probability(p), _) => Value::object(vec![
             query,
-            eps,
-            algo,
-            method,
-        } => {
-            let id = facts
-                .timed("extract", || {
-                    session.provenance_id_with(query, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            facts.note_dnf(&session.dnf(id));
-            let s = facts.timed("derivation", || {
-                session.sufficient_provenance_of(id, *eps, *algo, *method)
-            });
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                ("kept", Value::from(s.polynomial.len())),
-                ("original", Value::from(s.original_len)),
-                ("probability", Value::from(s.probability)),
-                ("original_probability", Value::from(s.original_probability)),
-                ("error", Value::from(s.error)),
-                ("compression_ratio", Value::from(s.compression_ratio)),
-                (
-                    "polynomial",
-                    Value::from(p3.render_polynomial(&s.polynomial)),
-                ),
-            ]))
-        }
-        Op::Influence {
+            ("probability", Value::from(p)),
+            ("derivations", Value::from(report.dnf_monomials)),
+        ]),
+        (QueryAnswer::Explanation(e), _) => Value::object(vec![
             query,
-            method,
-            top_k,
-            preprocess_epsilon,
-        } => {
-            let id = facts
-                .timed("extract", || {
-                    session.provenance_id_with(query, extract_opts(hop_limit))
-                })
-                .map_err(|e| e.to_string())?;
-            facts.note_dnf(&session.dnf(id));
-            let entries = facts.timed("influence", || {
-                session.influence_of(
-                    id,
-                    &InfluenceOptions {
-                        method: *method,
-                        top_k: *top_k,
-                        preprocess_epsilon: *preprocess_epsilon,
-                        restrict_to: None,
-                    },
-                )
-            });
-            let vars = p3.vars();
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
-                (
-                    "entries",
-                    Value::Array(
-                        entries
-                            .iter()
-                            .map(|e| {
-                                Value::object(vec![
-                                    ("var", Value::from(vars.name(e.var).to_string())),
-                                    ("influence", Value::from(e.influence)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]))
-        }
-        Op::Modification {
+            ("probability", Value::from(e.probability)),
+            ("num_derivations", Value::from(e.num_derivations)),
+            (
+                "polynomial",
+                Value::from(p3.render_polynomial(&e.polynomial)),
+            ),
+            ("text", Value::from(e.text)),
+            ("dot", Value::from(e.dot)),
+        ]),
+        (QueryAnswer::Derivation(s), _) => Value::object(vec![
             query,
-            target,
-            tolerance,
-        } => {
-            let plan = facts
-                .timed("modification", || {
-                    session.modification(
-                        query,
-                        *target,
-                        &ModificationOptions {
-                            tolerance: *tolerance,
-                            ..Default::default()
-                        },
-                    )
-                })
-                .map_err(|e| e.to_string())?;
-            let vars = p3.vars();
-            Ok(Value::object(vec![
-                ("query", Value::from(query.clone())),
+            ("kept", Value::from(s.polynomial.len())),
+            ("original", Value::from(s.original_len)),
+            ("probability", Value::from(s.probability)),
+            ("original_probability", Value::from(s.original_probability)),
+            ("error", Value::from(s.error)),
+            ("compression_ratio", Value::from(s.compression_ratio)),
+            (
+                "polynomial",
+                Value::from(p3.render_polynomial(&s.polynomial)),
+            ),
+        ]),
+        (QueryAnswer::Influence(entries), _) => Value::object(vec![
+            query,
+            (
+                "entries",
+                Value::Array(
+                    entries
+                        .iter()
+                        .map(|e| {
+                            Value::object(vec![
+                                ("var", var(e.var)),
+                                ("influence", Value::from(e.influence)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ]),
+        (QueryAnswer::Modification(plan), QueryClass::Modification { target, .. }) => {
+            Value::object(vec![
+                query,
                 ("target", Value::from(*target)),
                 (
                     "steps",
@@ -1475,7 +1319,7 @@ fn execute(
                             .iter()
                             .map(|s| {
                                 Value::object(vec![
-                                    ("var", Value::from(vars.name(s.var).to_string())),
+                                    ("var", var(s.var)),
                                     ("from", Value::from(s.from)),
                                     ("to", Value::from(s.to)),
                                     (
@@ -1494,126 +1338,48 @@ fn execute(
                     Value::from(plan.achieved_probability),
                 ),
                 ("reached_target", Value::from(plan.reached_target)),
-            ]))
+            ])
         }
-        Op::Profile { inner } => {
-            let (query, target) = match &**inner {
-                Op::Probability { query, method } => (query, ProfileTarget::Probability(*method)),
-                Op::Explanation { query, method } => (query, ProfileTarget::Explanation(*method)),
-                Op::Derivation {
-                    query,
-                    eps,
-                    algo,
-                    method,
-                } => (
-                    query,
-                    ProfileTarget::Derivation {
-                        eps: *eps,
-                        algo: *algo,
-                        method: *method,
-                    },
-                ),
-                Op::Influence {
-                    query,
-                    method,
-                    top_k,
-                    preprocess_epsilon,
-                } => (
-                    query,
-                    ProfileTarget::Influence(InfluenceOptions {
-                        method: *method,
-                        top_k: *top_k,
-                        preprocess_epsilon: *preprocess_epsilon,
-                        restrict_to: None,
-                    }),
-                ),
-                Op::Modification {
-                    query,
-                    target,
-                    tolerance,
-                } => (
-                    query,
-                    ProfileTarget::Modification {
-                        target: *target,
-                        opts: ModificationOptions {
-                            tolerance: *tolerance,
-                            ..Default::default()
-                        },
-                    },
-                ),
-                other => return Err(format!("cannot profile op class '{}'", other.class())),
-            };
-            let profile = session
-                .profile(query, &target, extract_opts(hop_limit))
-                .map_err(|e| e.to_string())?;
-            // The profiler already split the run into stages; adopt its
-            // breakdown verbatim for the audit record.
-            facts.stages = profile
-                .stages
-                .iter()
-                .map(|s| StageTiming {
-                    name: s.name.to_string(),
-                    wall_us: s.wall_us,
-                })
-                .collect();
-            Ok(profile_value(&profile))
-        }
-        Op::Explain { query } => {
-            let explained = facts
-                .timed("explain", || session.explain(query))
-                .map_err(|e| e.to_string())?;
-            facts.dnf_monomials = explained.shape.monomials as u64;
-            facts.dnf_literals = explained.shape.literals as u64;
-            // The explain type owns the canonical JSON shape (shared with
-            // `p3 explain --json`); parse it back rather than re-encoding.
-            Value::parse(&explained.to_json_string())
-                .map_err(|e| format!("explain payload encoding: {e}"))
-        }
-        Op::Analyze { query } => {
-            let plan = facts.timed("analyze", || session.analyze(query.as_deref()));
-            // The plan type owns the canonical JSON shape (shared with
-            // `p3 analyze --json`); parse it back rather than re-encoding.
-            Value::parse(&plan.to_json_string())
-                .map_err(|e| format!("analyze payload encoding: {e}"))
-        }
+        (QueryAnswer::Modification(_), _) => unreachable!("run answers the class it is asked"),
     }
 }
 
-/// Renders a [`QueryProfile`] as the `profile` op's result payload.
-fn profile_value(profile: &QueryProfile) -> Value {
+/// The `profile` op's result payload: the query's report, stage by stage.
+fn profile_value(report: &QueryReport, probability: Option<f64>) -> Value {
+    let pair = |hits: u64, misses: u64| {
+        Value::object(vec![
+            ("hits", Value::from(hits)),
+            ("misses", Value::from(misses)),
+        ])
+    };
     Value::object(vec![
-        ("query", Value::from(profile.query.clone())),
-        ("class", Value::from(profile.class.to_string())),
-        ("total_us", Value::from(profile.total_us)),
+        ("query", Value::from(report.query.clone())),
+        ("class", Value::from(report.class.to_string())),
+        ("total_us", Value::from(report.total_us)),
         (
             "probability",
-            profile.probability.map(Value::from).unwrap_or(Value::Null),
+            probability.map(Value::from).unwrap_or(Value::Null),
         ),
         (
             "stages",
             Value::Array(
-                profile
+                report
                     .stages
                     .iter()
                     .map(|s| {
-                        let pair = |hits: u64, misses: u64| {
-                            Value::object(vec![
-                                ("hits", Value::from(hits)),
-                                ("misses", Value::from(misses)),
-                            ])
-                        };
+                        let c = &s.cache;
                         Value::object(vec![
                             ("name", Value::from(s.name.to_string())),
                             ("wall_us", Value::from(s.wall_us)),
-                            ("session", pair(s.session_hits, s.session_misses)),
+                            ("session", pair(c.session_hits, c.session_misses)),
                             (
                                 "store_intern",
-                                pair(s.store_intern_hits, s.store_intern_misses),
+                                pair(c.store_intern_hits, c.store_intern_misses),
                             ),
-                            ("store_ops", pair(s.store_op_hits, s.store_op_misses)),
+                            ("store_ops", pair(c.store_op_hits, c.store_op_misses)),
                             (
                                 "extract_memo",
-                                pair(s.extract_memo_hits, s.extract_memo_misses),
+                                pair(c.extract_memo_hits, c.extract_memo_misses),
                             ),
                         ])
                     })
@@ -1710,7 +1476,7 @@ fn engine_stats_value(session: &QuerySession) -> Value {
         ("evaluations", Value::from(plans.len())),
         (
             "rule_cost_total",
-            Value::from(session.p3().rule_cost_total()),
+            Value::from(plans.iter().map(ExplainPlan::total_cost).sum::<u64>()),
         ),
         ("iterations", Value::from(iterations)),
         ("firings", Value::from(firings)),
@@ -1767,11 +1533,14 @@ pub(crate) fn explain_snapshot(shared: &Shared) -> Value {
             Value::from(session.eval_mode().as_str().to_string()),
         ),
         ("evaluations", Value::from(plans.len())),
-        ("rule_cost_total", Value::from(p3.rule_cost_total())),
+        (
+            "rule_cost_total",
+            Value::from(plans.iter().map(ExplainPlan::total_cost).sum::<u64>()),
+        ),
         (
             "top_rules",
             Value::Array(
-                p3.top_rules(p3_datalog::explain::METRIC_TOP_RULES)
+                p3_datalog::explain::top_rules(&plans, p3_datalog::explain::METRIC_TOP_RULES)
                     .into_iter()
                     .map(|(rule, cost)| {
                         Value::object(vec![
@@ -2686,6 +2455,110 @@ mod tests {
         server.shutdown();
         server.join();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sends one request line and returns its result payload.
+    fn result_of(client: &mut Client, line: &str) -> Value {
+        let resp = client.request(line).unwrap();
+        assert_eq!(resp.status, crate::protocol::Status::Ok, "{line}: {resp:?}");
+        resp.result.unwrap()
+    }
+
+    #[test]
+    fn audit_costs_come_from_the_evaluations_the_request_forced() {
+        let dir = std::env::temp_dir().join(format!("p3-audit-forced-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let server = Server::start(
+            P3::from_source(ACQ).unwrap(),
+            ServerConfig {
+                tcp: Some("127.0.0.1:0".to_string()),
+                workers: 1,
+                audit: Some(p3_audit::AuditConfig::new(&dir)),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+        // Two cold demand queries on different atoms: each forces its own
+        // evaluation, and the second record must carry only its own.
+        let second = r#"know(\"Steve\",\"Elena\")"#;
+        for query in [Q.replace('"', "\\\""), second.to_string()] {
+            result_of(
+                &mut client,
+                &format!(r#"{{"op":"probability","query":"{query}"}}"#),
+            );
+        }
+        let plan = result_of(
+            &mut client,
+            &format!(r#"{{"op":"explain","query":"{second}"}}"#),
+        );
+        let tail = result_of(&mut client, r#"{"op":"audit-tail","n":10}"#);
+        let records = tail.get("records").and_then(Value::as_array).unwrap();
+        // Newest first: explain, then the second probability.
+        let record = &records[1];
+        assert_eq!(record.get("class").unwrap().as_str(), Some("probability"));
+        assert_eq!(
+            record.get("rule_cost").unwrap().as_u64(),
+            plan.get("total_cost").unwrap().as_u64()
+        );
+        let pairs = |v: &Value, name: &str, cost: &str| -> Vec<(String, u64)> {
+            v.as_array()
+                .unwrap()
+                .iter()
+                .map(|r| {
+                    let label = r.get(name).unwrap().as_str().unwrap().to_string();
+                    (label, r.get(cost).unwrap().as_u64().unwrap())
+                })
+                .filter(|&(_, c)| c > 0)
+                .take(p3_audit::MAX_TOP_RULES)
+                .collect()
+        };
+        assert_eq!(
+            pairs(record.get("top_rules").unwrap(), "rule", "cost"),
+            pairs(plan.get("rules").unwrap(), "rule", "cost"),
+        );
+        // The warm explain forced nothing.
+        assert_eq!(records[0].get("rule_cost").unwrap().as_u64(), Some(0));
+        server.shutdown();
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hop_limit_reaches_modification() {
+        let server = start_tcp();
+        let mut client = Client::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+        let q = Q.replace('"', "\\\"");
+        // One hop cannot derive know(Ben,Elena): P = 0 under the limit.
+        let p = result_of(
+            &mut client,
+            &format!(r#"{{"op":"probability","query":"{q}","hop_limit":1}}"#),
+        );
+        assert_eq!(p.get("probability").unwrap().as_f64(), Some(0.0));
+        for line in [
+            format!(r#"{{"op":"modification","query":"{q}","target":0.5,"hop_limit":1}}"#),
+            format!(
+                r#"{{"op":"profile","class":"modification","query":"{q}","target":0.5,"hop_limit":1}}"#
+            ),
+        ] {
+            let result = result_of(&mut client, &line);
+            if let Some(initial) = result.get("initial_probability") {
+                assert_eq!(initial.as_f64(), Some(0.0), "{line}");
+            } else {
+                // The profile reports the plan's achieved probability.
+                assert_eq!(result.get("probability").unwrap().as_f64(), Some(0.0));
+            }
+        }
+        // Without the limit the modification starts from the full answer.
+        let result = result_of(
+            &mut client,
+            &format!(r#"{{"op":"modification","query":"{q}","target":0.5}}"#),
+        );
+        let initial = result.get("initial_probability").unwrap().as_f64().unwrap();
+        assert!((initial - 0.16384).abs() < 1e-12, "{initial}");
+        server.shutdown();
+        server.join();
     }
 
     #[test]

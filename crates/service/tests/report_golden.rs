@@ -64,7 +64,8 @@ fn script() -> Vec<String> {
     lines.push(format!(
         r#"{{"op":"modification","query":"{QUERY}","target":0.5,"hop_limit":1}}"#
     ));
-    lines.push(r#"{"op":"load-program","source":"r 0.5: b(X) :- a(X).\nt 1.0: a(1)."}"#.to_string());
+    lines
+        .push(r#"{"op":"load-program","source":"r 0.5: b(X) :- a(X).\nt 1.0: a(1)."}"#.to_string());
     lines
 }
 

@@ -11,9 +11,8 @@
 //! ```
 
 use p3::core::{
-    influence_query, modification_query, sufficient_provenance, DerivationAlgo, EvalMode,
-    InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod, SessionOptions, Strategy,
-    P3,
+    DerivationAlgo, EvalMode, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod,
+    QueryAnswer, QueryClass, SessionOptions, Strategy, P3,
 };
 use p3::prob::McConfig;
 use p3::provenance::extract::ExtractOptions;
@@ -267,45 +266,56 @@ fn run(opts: &Options) -> Result<(), String> {
     };
 
     // The session resolves --eval-mode against the program and, in demand
-    // mode, magic-transforms per query instead of forcing the whole model.
+    // mode, magic-transforms per query instead of forcing the whole model;
+    // `run` answers every class below from the query's one polynomial.
     let session = system.session_with(SessionOptions {
         eval_mode: opts.eval_mode,
         ..Default::default()
     });
-    let id = session
-        .provenance_id_with(query, extract)
-        .map_err(|e| e.to_string())?;
-    let dnf = (*session.dnf(id)).clone();
-    let p = method.probability(&dnf, system.vars());
-    println!("P[{query}] = {p:.6}   ({} derivations)", dnf.len());
-
-    if opts.explain {
-        let explanation = system
-            .explain_with(query, method, extract)
-            .map_err(|e| e.to_string())?;
-        println!("\nderivations:\n{}", explanation.text);
-        println!("polynomial: {}", system.render_polynomial(&dnf));
+    let run = |class: QueryClass| {
+        session
+            .run(query, &class, extract)
+            .map_err(|e| e.to_string())
+    };
+    if let (QueryAnswer::Probability(p), report) = run(QueryClass::Probability(method))? {
+        println!(
+            "P[{query}] = {p:.6}   ({} derivations)",
+            report.dnf_monomials
+        );
     }
 
-    if let Some(path) = &opts.dot {
-        let tuple = system.tuple(query).map_err(|e| e.to_string())?;
-        let dot =
-            p3::provenance::dot::to_dot(system.graph(), system.database(), system.program(), tuple);
-        std::fs::write(path, dot).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("provenance graph written to {path}");
+    if opts.explain || opts.dot.is_some() {
+        if let (QueryAnswer::Explanation(explanation), _) = run(QueryClass::Explanation(method))? {
+            if opts.explain {
+                println!("\nderivations:\n{}", explanation.text);
+                println!(
+                    "polynomial: {}",
+                    system.render_polynomial(&explanation.polynomial)
+                );
+            }
+            if let Some(path) = &opts.dot {
+                std::fs::write(path, &explanation.dot)
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                println!("provenance graph written to {path}");
+            }
+        }
     }
 
     if let Some(eps) = opts.derivation {
-        let suff = sufficient_provenance(&dnf, system.vars(), eps, opts.algo, method);
-        println!(
-            "\nsufficient provenance (eps = {eps}): kept {}/{} derivations, P = {:.6} \
-             (error {:.6})",
-            suff.polynomial.len(),
-            suff.original_len,
-            suff.probability,
-            suff.error
-        );
-        println!("λS = {}", system.render_polynomial(&suff.polynomial));
+        let algo = opts.algo;
+        if let (QueryAnswer::Derivation(suff), _) =
+            run(QueryClass::Derivation { eps, algo, method })?
+        {
+            println!(
+                "\nsufficient provenance (eps = {eps}): kept {}/{} derivations, P = {:.6} \
+                 (error {:.6})",
+                suff.polynomial.len(),
+                suff.original_len,
+                suff.probability,
+                suff.error
+            );
+            println!("λS = {}", system.render_polynomial(&suff.polynomial));
+        }
     }
 
     let facts_filter = || -> Vec<p3::prob::VarId> {
@@ -322,57 +332,55 @@ fn run(opts: &Options) -> Result<(), String> {
             samples: opts.samples,
             seed: opts.seed,
         };
-        let ranked = influence_query(
-            &dnf,
-            system.vars(),
-            &InfluenceOptions {
-                method: InfluenceMethod::Mc(cfg),
-                top_k: Some(k),
-                restrict_to: opts.facts_only.then(facts_filter),
-                ..Default::default()
-            },
-        );
-        println!("\ntop-{k} influential clauses:");
-        for (i, e) in ranked.iter().enumerate() {
-            let clause = system
-                .program()
-                .clause(p3::provenance::vars::clause_of(e.var));
-            println!(
-                "  {:>2}. {:<12} {}  influence = {:.4}",
-                i + 1,
-                system.vars().name(e.var),
-                clause.head.display(system.program().symbols()),
-                e.influence
-            );
+        let class = QueryClass::Influence(InfluenceOptions {
+            method: InfluenceMethod::Mc(cfg),
+            top_k: Some(k),
+            restrict_to: opts.facts_only.then(facts_filter),
+            ..Default::default()
+        });
+        if let (QueryAnswer::Influence(ranked), _) = run(class)? {
+            println!("\ntop-{k} influential clauses:");
+            for (i, e) in ranked.iter().enumerate() {
+                let clause = system
+                    .program()
+                    .clause(p3::provenance::vars::clause_of(e.var));
+                println!(
+                    "  {:>2}. {:<12} {}  influence = {:.4}",
+                    i + 1,
+                    system.vars().name(e.var),
+                    clause.head.display(system.program().symbols()),
+                    e.influence
+                );
+            }
         }
     }
 
     if let Some(target) = opts.modify {
-        let plan = modification_query(
-            &dnf,
-            system.vars(),
+        let search = ModificationOptions {
+            modifiable: opts.facts_only.then(facts_filter),
+            strategy: opts.strategy,
+            ..Default::default()
+        };
+        if let (QueryAnswer::Modification(plan), _) = run(QueryClass::Modification {
             target,
-            &ModificationOptions {
-                modifiable: opts.facts_only.then(facts_filter),
-                strategy: opts.strategy,
-                ..Default::default()
-            },
-        );
-        println!("\nmodification plan (target P = {target}):");
-        for (i, s) in plan.steps.iter().enumerate() {
+            opts: search,
+        })? {
+            println!("\nmodification plan (target P = {target}):");
+            for (i, s) in plan.steps.iter().enumerate() {
+                println!(
+                    "  step {}: {} {:.4} -> {:.4}   (P = {:.4})",
+                    i + 1,
+                    system.vars().name(s.var),
+                    s.from,
+                    s.to,
+                    s.resulting_probability
+                );
+            }
             println!(
-                "  step {}: {} {:.4} -> {:.4}   (P = {:.4})",
-                i + 1,
-                system.vars().name(s.var),
-                s.from,
-                s.to,
-                s.resulting_probability
+                "  total cost = {:.4}; achieved P = {:.4}; reached target: {}",
+                plan.total_cost, plan.achieved_probability, plan.reached_target
             );
         }
-        println!(
-            "  total cost = {:.4}; achieved P = {:.4}; reached target: {}",
-            plan.total_cost, plan.achieved_probability, plan.reached_target
-        );
     }
 
     if let Some(path) = &opts.trace_out {
