@@ -115,7 +115,7 @@ fn record_json() {
             eval_mode: mode,
             ..Default::default()
         });
-        let explained = session.explain(&query).expect("query explains");
+        let explained = session.explain(&query).0.expect("query explains");
         let measured: Vec<(String, u64)> = explained
             .plan
             .rules

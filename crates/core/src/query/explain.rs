@@ -14,7 +14,7 @@
 //! same caches, DNF interning and journaling, and the same probabilities
 //! downstream) and reads counters the engine maintains anyway.
 
-use crate::report::QueryReport;
+use crate::report::CacheDelta;
 use p3_datalog::diag::Diagnostic;
 use p3_datalog::explain::ExplainPlan;
 use p3_lint::cost::cost_recommendations;
@@ -23,40 +23,38 @@ use p3_prob::DnfShape;
 
 /// One query's cost story: engine plan + answer shape + recommendations.
 ///
-/// Built by `QuerySession::explain`. The report's cache deltas are
-/// measured around this explain call; on a warm session they show the
-/// memo hits that made the query cheap (the plan then describes the
-/// original — cached — evaluation, not new work).
+/// Built by `QuerySession::explain`. The cache deltas are measured
+/// around this explain call; on a warm session they show the memo hits
+/// that made the query cheap (the plan then describes the original —
+/// cached — evaluation, not new work).
 #[derive(Clone, Debug)]
 pub struct QueryExplain {
+    /// The explained ground atom.
+    pub query: String,
     /// Per-rule cost attribution of the evaluation that answers this
     /// query: the naive whole-program run, or the query's demand run
     /// (projected onto source clauses). `plan.mode` says which.
     pub plan: ExplainPlan,
     /// Shape of the answer's provenance polynomial.
     pub shape: DnfShape,
-    /// The explain call's own report: the query, its stages and cache
-    /// deltas, and the evaluations it forced.
-    pub report: QueryReport,
+    /// Cache deltas of the explain call, summed over its report's stages.
+    pub cache: CacheDelta,
     /// Measured lint recommendations (P3603/P3604) the plan justifies.
     pub recommendations: Vec<Diagnostic>,
 }
 
 impl QueryExplain {
-    /// Bundles a plan with the answer's shape and the explain call's
-    /// report, deriving the recommendations the plan justifies.
-    pub fn new(plan: ExplainPlan, shape: DnfShape, report: QueryReport) -> Self {
+    /// Bundles a query's plan with its answer's shape and the explain
+    /// call's cache deltas, deriving the recommendations the plan
+    /// justifies.
+    pub fn new(query: &str, plan: ExplainPlan, shape: DnfShape, cache: CacheDelta) -> Self {
         Self {
+            query: query.to_string(),
             recommendations: cost_recommendations(&plan),
             plan,
             shape,
-            report,
+            cache,
         }
-    }
-
-    /// The explained ground atom.
-    pub fn query(&self) -> &str {
-        &self.report.query
     }
 
     /// The evaluation mode label (`naive` or `demand`).
@@ -70,7 +68,7 @@ impl QueryExplain {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let plan = &self.plan;
-        out.push_str(&format!("explain: {} [{} mode]\n", self.query(), plan.mode));
+        out.push_str(&format!("explain: {} [{} mode]\n", self.query, plan.mode));
         out.push_str(&format!(
             "  evaluation: {} iterations over {} strata, {} tuples, {} rule firings, total cost {}\n",
             plan.stats.iterations,
@@ -129,7 +127,7 @@ impl QueryExplain {
             self.shape.max_width,
             self.shape.distinct_vars,
         ));
-        let c = self.report.cache();
+        let c = &self.cache;
         out.push_str(&format!(
             "  caches: session {}/{}  intern {}/{}  store-ops {}/{}  extract-memo {}/{} (hits/misses)\n",
             c.session_hits,
@@ -177,7 +175,7 @@ impl QueryExplain {
         let plan = &self.plan;
         let mut s = String::with_capacity(512);
         s.push_str("{\"query\":\"");
-        escape_into(&mut s, self.query());
+        escape_into(&mut s, &self.query);
         s.push_str(&format!(
             "\",\"mode\":\"{}\",\"total_cost\":{},\"iterations\":{},\"tuples\":{},\"firings\":{}",
             plan.mode,
@@ -244,7 +242,7 @@ impl QueryExplain {
             self.shape.max_width,
             self.shape.distinct_vars
         ));
-        let c = self.report.cache();
+        let c = &self.cache;
         s.push_str(&format!(
             ",\"caches\":{{\"session_hits\":{},\"session_misses\":{},\"intern_hits\":{},\
              \"intern_misses\":{},\"store_op_hits\":{},\"store_op_misses\":{},\

@@ -156,9 +156,11 @@ pub struct QueryReport {
     pub total_us: u64,
     /// The stages, in execution order. Resolution is `parse`, `transform`
     /// (demand mode only) and `extract` — or `extract` alone when the
-    /// session's warm layer answers.
+    /// session's warm layer answers, after which `explain` looks its
+    /// evaluation up as a `parse` (and `transform`) of its own.
     pub stages: Vec<Stage>,
-    /// The interned polynomial the class was answered from.
+    /// The interned polynomial the class was answered from (index 0, with
+    /// zero width, when the query failed before resolving).
     pub dnf: DnfId,
     /// Monomials in that polynomial.
     pub dnf_monomials: u64,
@@ -172,8 +174,17 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
-    pub(crate) fn new(query: &str, class: &'static str) -> Self {
-        Self {
+    /// Runs `f` against a fresh report for `query` and returns its outcome
+    /// beside the report, stamped with the end-to-end time whether or not
+    /// `f` failed: a failed query still reports the stages it ran and the
+    /// evaluations it forced.
+    pub(crate) fn measure<T>(
+        query: &str,
+        class: &'static str,
+        f: impl FnOnce(&mut QueryReport) -> T,
+    ) -> (T, QueryReport) {
+        let started = Instant::now();
+        let mut report = Self {
             query: query.to_string(),
             class,
             total_us: 0,
@@ -182,12 +193,14 @@ impl QueryReport {
             dnf_monomials: 0,
             dnf_literals: 0,
             evaluations: Vec::new(),
-        }
+        };
+        let out = f(&mut report);
+        report.total_us = micros(started);
+        (out, report)
     }
 
-    /// Stamps the answered polynomial and the end-to-end time.
-    pub(crate) fn finish(&mut self, started: Instant, dnf: DnfId, formula: &Dnf) {
-        self.total_us = micros(started);
+    /// Notes the polynomial the query resolved to.
+    pub(crate) fn resolved(&mut self, dnf: DnfId, formula: &Dnf) {
         self.dnf = dnf;
         self.dnf_monomials = formula.len() as u64;
         self.dnf_literals = formula.literal_occurrences() as u64;
@@ -210,10 +223,6 @@ fn micros(start: Instant) -> u64 {
 /// session methods (no clock reads, no counter snapshots), a
 /// [`QueryReport`] under `run` and `explain`.
 pub(crate) trait Recorder {
-    /// Whether stages are recorded; resolution forces the demand core as a
-    /// `transform` stage of its own only when they are.
-    const RECORDS: bool;
-
     /// Runs `f` as the stage `name`.
     fn stage<R>(&mut self, session: &QuerySession, name: &'static str, f: impl FnOnce() -> R) -> R;
 
@@ -223,8 +232,6 @@ pub(crate) trait Recorder {
 }
 
 impl Recorder for () {
-    const RECORDS: bool = false;
-
     fn stage<R>(&mut self, _: &QuerySession, _: &'static str, f: impl FnOnce() -> R) -> R {
         f()
     }
@@ -233,8 +240,6 @@ impl Recorder for () {
 }
 
 impl Recorder for QueryReport {
-    const RECORDS: bool = true;
-
     fn stage<R>(&mut self, session: &QuerySession, name: &'static str, f: impl FnOnce() -> R) -> R {
         let before = session.cache_counters();
         let start = Instant::now();

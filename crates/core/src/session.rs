@@ -36,9 +36,10 @@ use crate::query::modification::{
     modification_query_with, EvalMethod, ModificationEval, ModificationOptions, ModificationPlan,
 };
 use crate::report::{CacheDelta, QueryAnswer, QueryClass, QueryReport, Recorder};
-use crate::system::P3;
+use crate::system::{DemandCore, FullCore, P3};
 use p3_datalog::ast::Const;
 use p3_datalog::engine::TupleId;
+use p3_datalog::explain::ExplainPlan;
 use p3_datalog::symbol::Symbol;
 use p3_datalog::worlds;
 use p3_prob::store::DnfId;
@@ -48,7 +49,6 @@ use p3_store::{Record, StorageBackend};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 /// Hashable image of [`InfluenceOptions`] (`f64` keyed by bit pattern).
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -125,6 +125,23 @@ pub struct SessionOptions {
 enum DnfKey {
     Full(TupleId),
     Demand(Symbol, Box<[Const]>),
+}
+
+/// The evaluation a query's polynomial is extracted from.
+enum Evaluation<'a> {
+    /// The naive whole-program evaluation.
+    Full(&'a FullCore),
+    /// The query's own demand evaluation.
+    Demand(Arc<DemandCore>),
+}
+
+impl Evaluation<'_> {
+    fn plan(&self) -> &ExplainPlan {
+        match self {
+            Evaluation::Full(full) => &full.plan,
+            Evaluation::Demand(core) => &core.plan,
+        }
+    }
 }
 
 struct SessionCaches {
@@ -447,12 +464,13 @@ impl QuerySession {
     /// canonical polynomial, so downstream `DnfId`-keyed caches are shared
     /// across modes.
     pub fn provenance_id_with(&self, query: &str, opts: ExtractOptions) -> Result<DnfId, P3Error> {
-        self.resolve(query, opts, &mut ())
+        Ok(self.resolve(query, opts, &mut ())?.0)
     }
 
     /// The one query resolver behind every path — plain queries, [`run`]
-    /// and [`explain`]: the warm layer, then the session's eval mode.
-    /// `rec` times the stages and notes the evaluations they force.
+    /// and [`explain`]: the warm layer, then the evaluation the session's
+    /// eval mode reads (`None` when the warm layer answered). `rec` times
+    /// the stages and notes the evaluations they force.
     ///
     /// [`run`]: Self::run
     /// [`explain`]: Self::explain
@@ -461,7 +479,7 @@ impl QuerySession {
         query: &str,
         opts: ExtractOptions,
         rec: &mut R,
-    ) -> Result<DnfId, P3Error> {
+    ) -> Result<(DnfId, Option<Evaluation<'_>>), P3Error> {
         let depth = persist::depth_code(opts);
         // The warm layer answers before any parsing or tuple resolution:
         // entries restored from a store (or journaled earlier this run)
@@ -481,35 +499,19 @@ impl QuerySession {
                     p3_store::warm_boot_hits_metric().inc();
                 }
             });
-            return Ok(id);
+            return Ok((id, None));
         }
-        let id = match self.mode {
-            EvalMode::Demand => {
-                let (pred, args) = rec.stage(self, "parse", || {
-                    worlds::parse_ground_query(self.p3.program(), query)
-                })?;
-                if R::RECORDS {
-                    let (core, forced) =
-                        rec.stage(self, "transform", || self.p3.demand_core(pred, &args))?;
-                    rec.forced(forced, &core.plan);
-                }
-                rec.stage(self, "extract", || {
-                    self.demand_dnf(query, pred, &args, opts)
-                })?
+        let (pred, args, evaluation) = self.evaluation(query, rec)?;
+        let id = rec.stage(self, "extract", || match &evaluation {
+            Evaluation::Demand(core) => self.demand_dnf(query, pred, &args, core, opts),
+            Evaluation::Full(_) => {
+                let tuple = self
+                    .p3
+                    .tuple_of(pred, &args)
+                    .ok_or_else(|| P3Error::NotDerivable(query.to_string()))?;
+                Ok(self.tuple_dnf(tuple, opts))
             }
-            _ => {
-                let (tuple, forced) = rec.stage(self, "parse", || {
-                    let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
-                    let (full, forced) = self.p3.force_full();
-                    match full.db.lookup(pred, &args) {
-                        Some(tuple) => Ok((tuple, forced)),
-                        None => Err(P3Error::NotDerivable(query.to_string())),
-                    }
-                })?;
-                rec.forced(forced, &self.p3.full().plan);
-                rec.stage(self, "extract", || self.tuple_dnf(tuple, opts))
-            }
-        };
+        })?;
         // With persistence on, mirror the memo into the warm layer and the
         // journal so the *next* process boots with it.
         if let Some(backend) = self.caches.persist.read().unwrap().as_ref() {
@@ -528,7 +530,35 @@ impl QuerySession {
                 });
             }
         }
-        Ok(id)
+        Ok((id, Some(evaluation)))
+    }
+
+    /// Parses `query` and forces (or reuses) the evaluation the session's
+    /// eval mode answers it from: the full model, forced inside `parse`,
+    /// or the query's demand core as a `transform` stage. `rec` notes the
+    /// evaluation when this call ran it.
+    fn evaluation<R: Recorder>(
+        &self,
+        query: &str,
+        rec: &mut R,
+    ) -> Result<(Symbol, Vec<Const>, Evaluation<'_>), P3Error> {
+        let (pred, args, evaluation, forced) = match self.mode {
+            EvalMode::Demand => {
+                let (pred, args) = rec.stage(self, "parse", || {
+                    worlds::parse_ground_query(self.p3.program(), query)
+                })?;
+                let (core, forced) =
+                    rec.stage(self, "transform", || self.p3.demand_core(pred, &args))?;
+                (pred, args, Evaluation::Demand(core), forced)
+            }
+            _ => rec.stage(self, "parse", || {
+                let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
+                let (full, forced) = self.p3.force_full();
+                Ok::<_, P3Error>((pred, args, Evaluation::Full(full), forced))
+            })?,
+        };
+        rec.forced(forced, evaluation.plan());
+        Ok((pred, args, evaluation))
     }
 
     /// The interned polynomial of a tuple resolved against the **full**
@@ -551,13 +581,14 @@ impl QuerySession {
     }
 
     /// The interned polynomial of a ground query atom under demand
-    /// evaluation: forces (or reuses) the per-query demand core and
-    /// extracts from its projected provenance graph.
+    /// evaluation, extracted from the projected provenance graph of the
+    /// query's demand `core`.
     fn demand_dnf(
         &self,
         query: &str,
         pred: Symbol,
         args: &[Const],
+        core: &DemandCore,
         opts: ExtractOptions,
     ) -> Result<DnfId, P3Error> {
         let key = (DnfKey::Demand(pred, args.to_vec().into_boxed_slice()), opts);
@@ -568,7 +599,6 @@ impl QuerySession {
         self.miss();
         let mut span = p3_obs::span::span("session.extract");
         span.add_field("mode", "demand");
-        let (core, _) = self.p3.demand_core(pred, args)?;
         let tuple = core
             .tuple
             .ok_or_else(|| P3Error::NotDerivable(query.to_string()))?;
@@ -843,7 +873,9 @@ impl QuerySession {
     /// per-class session method. The [`QueryReport`] times each stage
     /// (`parse`, `transform` in demand mode, `extract`, then the class's
     /// own), takes one [`CacheDelta`] per stage and keeps the plans of the
-    /// evaluations the query forced.
+    /// evaluations the query forced. It comes back whether or not the
+    /// query failed: a query that is not derivable still reports the
+    /// evaluation it forced to find that out.
     ///
     /// The run is a *real* run: results land in (and are served from) the
     /// session caches exactly as they would unreported, so running the
@@ -855,86 +887,78 @@ impl QuerySession {
         query: &str,
         class: &QueryClass,
         opts: ExtractOptions,
-    ) -> Result<(QueryAnswer, QueryReport), P3Error> {
-        let started = Instant::now();
-        let mut report = QueryReport::new(query, class.name());
-        let id = self.resolve(query, opts, &mut report)?;
-        let answer = match class {
-            QueryClass::Probability(method) => {
-                QueryAnswer::Probability(
-                    report.stage(self, "probability", || self.probability_of(id, *method)),
-                )
-            }
-            QueryClass::Explanation(method) => {
-                let probability =
-                    report.stage(self, "probability", || self.probability_of(id, *method));
-                let (explanation, forced) = report.stage(self, "render", || {
-                    let (_, forced) = self.p3.force_full();
-                    let tuple = self.p3.tuple(query)?;
-                    let polynomial = (*self.dnf(id)).clone();
-                    let explanation =
-                        self.p3
-                            .explanation(query, tuple, polynomial, probability, opts);
-                    Ok::<_, P3Error>((explanation, forced))
-                })?;
-                report.forced(forced, &self.p3.full().plan);
-                QueryAnswer::Explanation(explanation)
-            }
-            QueryClass::Derivation { eps, algo, method } => {
-                QueryAnswer::Derivation(report.stage(self, "derivation", || {
-                    self.sufficient_provenance_of(id, *eps, *algo, *method)
-                }))
-            }
-            QueryClass::Influence(influence_opts) => {
-                QueryAnswer::Influence(
-                    report.stage(self, "influence", || self.influence_of(id, influence_opts)),
-                )
-            }
-            QueryClass::Modification {
-                target,
-                opts: mod_opts,
-            } => QueryAnswer::Modification(report.stage(self, "modification", || {
-                self.modification_of(id, *target, mod_opts)
-            })),
-        };
-        report.finish(started, id, &self.dnf(id));
-        Ok((answer, report))
+    ) -> (Result<QueryAnswer, P3Error>, QueryReport) {
+        QueryReport::measure(query, class.name(), |report| {
+            let (id, _) = self.resolve(query, opts, report)?;
+            report.resolved(id, &self.dnf(id));
+            Ok(match class {
+                QueryClass::Probability(method) => {
+                    QueryAnswer::Probability(
+                        report.stage(self, "probability", || self.probability_of(id, *method)),
+                    )
+                }
+                QueryClass::Explanation(method) => {
+                    let probability =
+                        report.stage(self, "probability", || self.probability_of(id, *method));
+                    let (explanation, forced) = report.stage(self, "render", || {
+                        let (_, forced) = self.p3.force_full();
+                        let tuple = self.p3.tuple(query)?;
+                        let polynomial = (*self.dnf(id)).clone();
+                        let explanation =
+                            self.p3
+                                .explanation(query, tuple, polynomial, probability, opts);
+                        Ok::<_, P3Error>((explanation, forced))
+                    })?;
+                    report.forced(forced, &self.p3.full().plan);
+                    QueryAnswer::Explanation(explanation)
+                }
+                QueryClass::Derivation { eps, algo, method } => {
+                    QueryAnswer::Derivation(report.stage(self, "derivation", || {
+                        self.sufficient_provenance_of(id, *eps, *algo, *method)
+                    }))
+                }
+                QueryClass::Influence(influence_opts) => {
+                    QueryAnswer::Influence(
+                        report.stage(self, "influence", || self.influence_of(id, influence_opts)),
+                    )
+                }
+                QueryClass::Modification {
+                    target,
+                    opts: mod_opts,
+                } => QueryAnswer::Modification(report.stage(self, "modification", || {
+                    self.modification_of(id, *target, mod_opts)
+                })),
+            })
+        })
     }
 
     /// Explains a query's evaluation cost: resolves the query through the
     /// same resolver as an unexplained run (same caches, same evaluation
     /// cores, same journaling) and returns the per-rule
     /// [`ExplainPlan`](p3_datalog::explain::ExplainPlan) of the evaluation
-    /// that answers it, the answer's DNF shape, the query's report (stage
-    /// times and cache deltas of this call), and any measured P3603/P3604
-    /// recommendations the numbers justify.
+    /// that answers it, the answer's DNF shape, the call's cache deltas,
+    /// and any measured P3603/P3604 recommendations the numbers justify.
+    /// Like [`Self::run`], it returns its [`QueryReport`] beside the
+    /// outcome, failed or not.
     ///
     /// Observation-only: explaining a query changes no answer — the DnfId
     /// it extracts and any probabilities computed afterwards are
     /// bit-identical with and without the explain call.
-    pub fn explain(&self, query: &str) -> Result<QueryExplain, P3Error> {
-        let started = Instant::now();
-        let mut report = QueryReport::new(query, "explain");
-        let id = self.resolve(query, ExtractOptions::unbounded(), &mut report)?;
-        // The evaluation was forced by resolution unless the warm layer
-        // answered; then looking its plan up forces it here.
-        let (plan, forced, shape) = report.stage(self, "explain", || {
-            let (plan, forced) = match self.mode {
-                EvalMode::Demand => {
-                    let (pred, args) = worlds::parse_ground_query(self.p3.program(), query)?;
-                    let (core, forced) = self.p3.demand_core(pred, &args)?;
-                    (core.plan.clone(), forced)
-                }
-                _ => {
-                    let (full, forced) = self.p3.force_full();
-                    (full.plan.clone(), forced)
-                }
+    pub fn explain(&self, query: &str) -> (Result<QueryExplain, P3Error>, QueryReport) {
+        QueryReport::measure(query, "explain", |report| {
+            let (id, evaluation) = self.resolve(query, ExtractOptions::unbounded(), report)?;
+            report.resolved(id, &self.dnf(id));
+            // The warm layer answers without reading an evaluation; look
+            // it up (forcing it when no query has in this process).
+            let evaluation = match evaluation {
+                Some(evaluation) => evaluation,
+                None => self.evaluation(query, report)?.2,
             };
-            Ok::<_, P3Error>((plan, forced, self.dnf(id).shape()))
-        })?;
-        report.forced(forced, &plan);
-        report.finish(started, id, &self.dnf(id));
-        Ok(QueryExplain::new(plan, shape, report))
+            let (plan, shape) = report.stage(self, "explain", || {
+                (evaluation.plan().clone(), self.dnf(id).shape())
+            });
+            Ok(QueryExplain::new(query, plan, shape, report.cache()))
+        })
     }
 
     /// Statically analyzes this session's program: predicted per-rule
@@ -1216,9 +1240,10 @@ mod tests {
         // ACQ is recursive, so the default session explains in demand mode.
         let session = p3.session();
         assert_eq!(session.eval_mode(), EvalMode::Demand);
-        let ex = session.explain(Q).unwrap();
+        let (ex, ex_report) = session.explain(Q);
+        let ex = ex.unwrap();
         assert_eq!(ex.mode(), "demand");
-        assert_eq!(ex.query(), Q);
+        assert_eq!(ex.query, Q);
         assert!(ex.plan.total_cost() > 0);
         assert!(
             ex.plan.magic.is_some(),
@@ -1238,7 +1263,7 @@ mod tests {
             eval_mode: EvalMode::Naive,
             ..Default::default()
         });
-        let nex = naive.explain(Q).unwrap();
+        let nex = naive.explain(Q).0.unwrap();
         assert_eq!(nex.mode(), "naive");
         assert!(nex.plan.magic.is_none());
         assert_eq!(nex.shape, ex.shape, "shape is mode-independent");
@@ -1256,10 +1281,12 @@ mod tests {
         assert!(json.contains("\"rule\":\"r3\""), "{json}");
         assert!(json.contains("\"magic\":{"), "{json}");
         // Second explain of the same query hits the session caches.
-        let warm = session.explain(Q).unwrap();
-        assert!(warm.report.cache().session_hits > 0, "{warm:?}");
-        assert!(warm.report.evaluations.is_empty(), "nothing forced warm");
-        assert_eq!(ex.report.evaluations.len(), 1, "the cold explain forced it");
+        let (warm, warm_report) = session.explain(Q);
+        let warm = warm.unwrap();
+        assert!(warm.cache.session_hits > 0, "{warm:?}");
+        assert_eq!(warm.cache, warm_report.cache());
+        assert!(warm_report.evaluations.is_empty(), "nothing forced warm");
+        assert_eq!(ex_report.evaluations.len(), 1, "the cold explain forced it");
         assert_eq!(warm.plan.total_cost(), ex.plan.total_cost());
     }
 
@@ -1271,7 +1298,8 @@ mod tests {
         let session = p3.session();
         assert_eq!(session.eval_mode(), EvalMode::Demand);
         let class = QueryClass::Probability(ProbMethod::Exact);
-        let (answer, report) = session.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+        let (answer, report) = session.run(Q, &class, ExtractOptions::unbounded());
+        let answer = answer.unwrap();
         assert_eq!(report.class, "probability");
         assert_eq!(report.query, Q);
         assert!((answer.probability().unwrap() - 0.16384).abs() < 1e-12);
@@ -1287,8 +1315,8 @@ mod tests {
             eval_mode: EvalMode::Naive,
             ..Default::default()
         });
-        let (naive_answer, naive_report) =
-            naive.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+        let (naive_answer, naive_report) = naive.run(Q, &class, ExtractOptions::unbounded());
+        let naive_answer = naive_answer.unwrap();
         let naive_names: Vec<&str> = naive_report.stages.iter().map(|s| s.name).collect();
         assert_eq!(naive_names, ["parse", "extract", "probability"]);
         assert_eq!(naive_answer.probability(), answer.probability());
@@ -1296,7 +1324,8 @@ mod tests {
         // The cold run misses in extract and probability; a second run of
         // the same query is served from the session caches.
         assert!(report.cache().session_misses >= 2, "{report:?}");
-        let (_, warm) = session.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+        let (warm_answer, warm) = session.run(Q, &class, ExtractOptions::unbounded());
+        assert!(warm_answer.is_ok());
         assert_eq!(warm.cache().session_misses, 0, "{warm:?}");
         assert!(warm.cache().session_hits >= 2, "{warm:?}");
         assert!(warm.evaluations.is_empty());
@@ -1342,7 +1371,8 @@ mod tests {
             ),
         ];
         for (class, name, last_stage) in classes {
-            let (answer, report) = session.run(Q, &class, ExtractOptions::unbounded()).unwrap();
+            let (answer, report) = session.run(Q, &class, ExtractOptions::unbounded());
+            let answer = answer.unwrap();
             assert_eq!(report.class, name);
             assert_eq!(report.stages.last().unwrap().name, last_stage, "{name}");
             assert!(report.stages.len() >= 3, "{name}: {report:?}");
@@ -1352,13 +1382,48 @@ mod tests {
         // Rendering an explanation forced the full model, once.
         assert!(p3.fully_evaluated());
         // Bad queries surface the parse error, not a panic.
-        assert!(session
-            .run(
-                "bogus(",
-                &QueryClass::Probability(ProbMethod::Exact),
-                ExtractOptions::unbounded(),
-            )
-            .is_err());
+        let (answer, report) = session.run(
+            "bogus(",
+            &QueryClass::Probability(ProbMethod::Exact),
+            ExtractOptions::unbounded(),
+        );
+        assert!(answer.is_err());
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["parse"]);
+    }
+
+    #[test]
+    fn a_failed_query_still_reports_the_evaluation_it_forced() {
+        // know(Mary,Steve) parses but is not derivable: each mode forces
+        // its evaluation to find that out, and the report keeps it.
+        let query = r#"know("Mary","Steve")"#;
+        let class = QueryClass::Probability(ProbMethod::Exact);
+        for (mode, stages) in [
+            (EvalMode::Demand, &["parse", "transform", "extract"][..]),
+            (EvalMode::Naive, &["parse", "extract"][..]),
+        ] {
+            let p3 = P3::from_source(ACQ).unwrap();
+            let session = p3.session_with(SessionOptions {
+                eval_mode: mode,
+                ..Default::default()
+            });
+            let (answer, report) = session.run(query, &class, ExtractOptions::unbounded());
+            assert!(
+                matches!(answer, Err(P3Error::NotDerivable(_))),
+                "{answer:?}"
+            );
+            let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+            assert_eq!(names, stages, "{mode:?}");
+            assert_eq!(report.evaluations.len(), 1, "{mode:?}");
+            assert!(report.evaluations[0].total_cost() > 0, "{mode:?}");
+            assert_eq!(report.dnf_monomials, 0);
+            // Explaining it fails the same way, after the evaluation that
+            // is now cached: nothing more is forced.
+            let (explained, report) = session.explain(query);
+            assert!(explained.is_err());
+            assert!(report.evaluations.is_empty(), "{mode:?}");
+            assert_eq!(report.stages.last().unwrap().name, "extract");
+        }
     }
 
     #[test]
@@ -1372,17 +1437,15 @@ mod tests {
             .unwrap();
         let plan = session.modification_of(cut, 0.5, &opts);
         assert_eq!(plan.initial_probability, 0.0);
-        let (answer, _) = session
-            .run(
-                Q,
-                &QueryClass::Modification {
-                    target: 0.5,
-                    opts: opts.clone(),
-                },
-                ExtractOptions::with_max_depth(1),
-            )
-            .unwrap();
-        match answer {
+        let (answer, _) = session.run(
+            Q,
+            &QueryClass::Modification {
+                target: 0.5,
+                opts: opts.clone(),
+            },
+            ExtractOptions::with_max_depth(1),
+        );
+        match answer.unwrap() {
             QueryAnswer::Modification(p) => assert_eq!(p.initial_probability, 0.0),
             other => panic!("{other:?}"),
         }

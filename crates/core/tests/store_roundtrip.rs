@@ -229,11 +229,11 @@ fn run_and_explain_journal_the_dnf_memo_like_a_plain_query() {
         assert_eq!(plain.len(), 1, "{mode:?}: {plain:?}");
         let unbounded = p3_provenance::extract::ExtractOptions::unbounded();
         let (ran, ran_records) = journal(&|s| {
-            s.run(query, &class, unbounded).unwrap();
+            s.run(query, &class, unbounded).0.unwrap();
         });
         assert_eq!(ran, plain, "{mode:?}: run journals like a plain query");
         let (explained, _) = journal(&|s| {
-            s.explain(query).unwrap();
+            s.explain(query).0.unwrap();
         });
         assert_eq!(explained, plain, "{mode:?}: explain journals too");
 
@@ -241,10 +241,20 @@ fn run_and_explain_journal_the_dnf_memo_like_a_plain_query() {
         // layer, before any parsing or evaluation.
         let warm = session(RECURSIVE_SRC, mode);
         warm.restore_records(&ran_records);
-        let (_, report) = warm.run(query, &class, unbounded).unwrap();
+        let (answer, report) = warm.run(query, &class, unbounded);
+        answer.unwrap();
         let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
         assert_eq!(names, ["extract", "probability"], "{mode:?}");
         assert_eq!(warm.stats().misses, 0, "{mode:?}");
         assert!(!warm.p3().fully_evaluated() && warm.p3().demand_evaluations() == 0);
+        // Explaining the warm answer looks its evaluation up, forcing it.
+        let (explained, report) = warm.explain(query);
+        let explained = explained.unwrap();
+        assert_eq!(report.evaluations.len(), 1, "{mode:?}");
+        assert_eq!(
+            explained.plan.total_cost(),
+            report.evaluations[0].total_cost()
+        );
+        assert!(explained.plan.total_cost() > 0, "{mode:?}");
     }
 }

@@ -1093,10 +1093,9 @@ fn execute(
         op => (op, false),
     };
     if let Some((query, class)) = asked.query_class() {
-        let (answer, report) = session
-            .run(query, &class, extract_opts(hop_limit))
-            .map_err(|e| e.to_string())?;
+        let (answer, report) = session.run(query, &class, extract_opts(hop_limit));
         audit_report(record, &report);
+        let answer = answer.map_err(|e| e.to_string())?;
         return Ok(if profiled {
             profile_value(&report, answer.probability())
         } else {
@@ -1240,8 +1239,9 @@ fn execute(
             ]))
         }
         Op::Explain { query } => {
-            let explained = session.explain(query).map_err(|e| e.to_string())?;
-            audit_report(record, &explained.report);
+            let (explained, report) = session.explain(query);
+            audit_report(record, &report);
+            let explained = explained.map_err(|e| e.to_string())?;
             // The explain type owns the canonical JSON shape (shared with
             // `p3 explain --json`); parse it back rather than re-encoding.
             Value::parse(&explained.to_json_string())
@@ -2520,6 +2520,63 @@ mod tests {
         );
         // The warm explain forced nothing.
         assert_eq!(records[0].get("rule_cost").unwrap().as_u64(), Some(0));
+        server.shutdown();
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_query_is_charged_for_the_evaluation_it_forced() {
+        let dir = std::env::temp_dir().join(format!("p3-audit-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let server = Server::start(
+            P3::from_source(ACQ).unwrap(),
+            ServerConfig {
+                tcp: Some("127.0.0.1:0".to_string()),
+                workers: 1,
+                audit: Some(p3_audit::AuditConfig::new(&dir)),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+        // Neither atom is derivable, but a cold demand query evaluates
+        // before it can tell: the error is charged that evaluation.
+        for (op, query) in [
+            ("probability", r#"know(\"Mary\",\"Steve\")"#),
+            ("explain", r#"know(\"Steve\",\"Ben\")"#),
+        ] {
+            let resp = client
+                .request(&format!(r#"{{"op":"{op}","query":"{query}"}}"#))
+                .unwrap();
+            assert_eq!(resp.status, crate::protocol::Status::Error, "{resp:?}");
+        }
+        let tail = result_of(&mut client, r#"{"op":"audit-tail","n":2}"#);
+        let records = tail.get("records").and_then(Value::as_array).unwrap();
+        for (record, class) in records.iter().zip(["explain", "probability"]) {
+            assert_eq!(record.get("class").unwrap().as_str(), Some(class));
+            assert_eq!(record.get("outcome").unwrap().as_str(), Some("error"));
+            let stages: Vec<&str> = record
+                .get("stages")
+                .and_then(Value::as_array)
+                .unwrap()
+                .iter()
+                .map(|s| s.get("name").unwrap().as_str().unwrap())
+                .collect();
+            assert_eq!(stages, ["extract"], "{class}");
+            assert!(record.get("rule_cost").unwrap().as_u64().unwrap() > 0);
+            assert!(!record
+                .get("top_rules")
+                .and_then(Value::as_array)
+                .unwrap()
+                .is_empty());
+            assert!(record.get("session_misses").unwrap().as_u64().unwrap() > 0);
+        }
+        // So `audit-top --by rule_cost` ranks the failed requests.
+        let top = result_of(&mut client, r#"{"op":"audit-top","by":"rule_cost","n":1}"#);
+        let records = top.get("records").and_then(Value::as_array).unwrap();
+        assert_eq!(records[0].get("outcome").unwrap().as_str(), Some("error"));
         server.shutdown();
         server.join();
         let _ = std::fs::remove_dir_all(&dir);

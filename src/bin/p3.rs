@@ -272,10 +272,9 @@ fn run(opts: &Options) -> Result<(), String> {
         eval_mode: opts.eval_mode,
         ..Default::default()
     });
-    let run = |class: QueryClass| {
-        session
-            .run(query, &class, extract)
-            .map_err(|e| e.to_string())
+    let run = |class: QueryClass| match session.run(query, &class, extract) {
+        (Ok(answer), report) => Ok((answer, report)),
+        (Err(e), _) => Err(e.to_string()),
     };
     if let (QueryAnswer::Probability(p), report) = run(QueryClass::Probability(method))? {
         println!(
@@ -452,7 +451,7 @@ fn run_explain(opts: &ExplainOptions) -> Result<String, String> {
         eval_mode: opts.eval_mode,
         ..Default::default()
     });
-    let explained = session.explain(&opts.query).map_err(|e| e.to_string())?;
+    let explained = session.explain(&opts.query).0.map_err(|e| e.to_string())?;
     if opts.json {
         let mut out = explained.to_json_string();
         out.push('\n');
@@ -542,7 +541,7 @@ fn run_analyze(opts: &AnalyzeOptions) -> Result<String, String> {
     // --calibrate: run the query the normal way and line the measured
     // rule costs up against the prediction.
     let query = opts.query.as_deref().expect("checked in parse");
-    let explained = session.explain(query).map_err(|e| e.to_string())?;
+    let explained = session.explain(query).0.map_err(|e| e.to_string())?;
     let predicted: Vec<(String, u64)> = plan
         .rules
         .iter()

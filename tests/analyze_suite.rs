@@ -261,7 +261,7 @@ fn trust_top_rule_prediction_matches_explain_in_both_modes() {
         });
         let plan = session.analyze(Some(&query));
         let predicted = plan.top_rule().expect("plan has rules").label.clone();
-        let explained = session.explain(&query).expect("query explains");
+        let explained = session.explain(&query).0.expect("query explains");
         let measured = measured_top(&explained.plan).expect("explain has rules");
         assert_eq!(
             predicted, measured,

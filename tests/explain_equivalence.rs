@@ -40,7 +40,7 @@ fn transcript(
             .unwrap();
         let p = session.probability_of(id, ProbMethod::Exact);
         if explain {
-            let explained = session.explain(query).expect("explainable query");
+            let explained = session.explain(query).0.expect("explainable query");
             assert_eq!(explained.mode(), mode.resolve(program).as_str());
         }
         out.push((id, p.to_bits()));

@@ -59,7 +59,8 @@ fn check_mode(program: &Program, atoms: &[String], mode: EvalMode, label: &str) 
     for atom in atoms {
         let at = format!("{label} {mode:?} {atom}");
         for class in classes() {
-            let (answer, report) = session.run(atom, &class, opts).unwrap();
+            let (answer, report) = session.run(atom, &class, opts);
+            let answer = answer.unwrap();
             let id = report.dnf;
             assert_eq!(id, fresh.provenance_id_with(atom, opts).unwrap(), "{at}");
             match (answer, &class) {
