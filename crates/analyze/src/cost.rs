@@ -7,10 +7,10 @@
 //! columns (the classic System-R selectivity model over the inferred
 //! [`crate::domain::ArgDomain`]s).
 //!
-//! Evaluation order is the topological order of predicate SCCs (strata
-//! in this codebase only split on negation, so positive recursion needs
-//! its own condensation). A recursive SCC is iterated to a local
-//! fixpoint; if cardinalities are still growing after
+//! Evaluation order is the dependencies-first SCC order of the program's
+//! predicate dependency graph ([`Program::graph`]); strata only split on
+//! negation, so positive recursion is iterated here. A recursive SCC is
+//! iterated to a local fixpoint; if cardinalities are still growing after
 //! [`WIDEN_AFTER`] rounds, every predicate in the SCC is widened to its
 //! Cartesian bound (the product of its argument-domain sizes) and the
 //! iteration stops — mirroring how the engine's semi-naive fixpoint is
@@ -57,136 +57,6 @@ fn add(a: u64, b: u64) -> u64 {
     cap(a.saturating_add(b))
 }
 
-/// Predicate SCCs in topological (dependency-first) order.
-///
-/// `recursive[i]` is true when SCC `i` contains a cycle (self-loop or
-/// mutual recursion).
-pub struct Condensation {
-    /// SCC index of each rule-defined or referenced predicate.
-    pub scc_of: HashMap<Symbol, usize>,
-    /// SCC members, in topological order (dependencies first).
-    pub sccs: Vec<Vec<Symbol>>,
-    /// Whether the SCC at the same index contains a cycle.
-    pub recursive: Vec<bool>,
-}
-
-impl Condensation {
-    /// Whether `pred` participates in any recursive cycle.
-    pub fn is_recursive(&self, pred: Symbol) -> bool {
-        self.scc_of
-            .get(&pred)
-            .map(|&i| self.recursive[i])
-            .unwrap_or(false)
-    }
-}
-
-/// Head → body-predicate condensation via iterative Tarjan.
-pub fn condense(program: &Program) -> Condensation {
-    let mut nodes: Vec<Symbol> = Vec::new();
-    let mut seen: HashSet<Symbol> = HashSet::new();
-    let mut edges: HashMap<Symbol, Vec<Symbol>> = HashMap::new();
-    for (_, clause) in program.iter() {
-        for atom in std::iter::once(&clause.head)
-            .chain(clause.body().iter())
-            .chain(clause.negated().iter())
-        {
-            if seen.insert(atom.pred) {
-                nodes.push(atom.pred);
-            }
-        }
-        if clause.is_rule() {
-            let entry = edges.entry(clause.head.pred).or_default();
-            for atom in clause.body().iter().chain(clause.negated().iter()) {
-                entry.push(atom.pred);
-            }
-        }
-    }
-
-    // Iterative Tarjan: explicit stack of (node, next-edge-index) frames.
-    let mut index: HashMap<Symbol, usize> = HashMap::new();
-    let mut lowlink: HashMap<Symbol, usize> = HashMap::new();
-    let mut on_stack: HashSet<Symbol> = HashSet::new();
-    let mut stack: Vec<Symbol> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<Symbol>> = Vec::new();
-    let empty: Vec<Symbol> = Vec::new();
-
-    for &root in &nodes {
-        if index.contains_key(&root) {
-            continue;
-        }
-        let mut frames: Vec<(Symbol, usize)> = vec![(root, 0)];
-        index.insert(root, next_index);
-        lowlink.insert(root, next_index);
-        next_index += 1;
-        stack.push(root);
-        on_stack.insert(root);
-        while let Some(&mut (node, ref mut edge_i)) = frames.last_mut() {
-            let succs = edges.get(&node).unwrap_or(&empty);
-            if *edge_i < succs.len() {
-                let next = succs[*edge_i];
-                *edge_i += 1;
-                if let std::collections::hash_map::Entry::Vacant(e) = index.entry(next) {
-                    e.insert(next_index);
-                    lowlink.insert(next, next_index);
-                    next_index += 1;
-                    stack.push(next);
-                    on_stack.insert(next);
-                    frames.push((next, 0));
-                } else if on_stack.contains(&next) {
-                    let low = lowlink[&node].min(index[&next]);
-                    lowlink.insert(node, low);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    let low = lowlink[&parent].min(lowlink[&node]);
-                    lowlink.insert(parent, low);
-                }
-                if lowlink[&node] == index[&node] {
-                    let mut scc = Vec::new();
-                    while let Some(top) = stack.pop() {
-                        on_stack.remove(&top);
-                        scc.push(top);
-                        if top == node {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-
-    // Tarjan completes an SCC only after everything it points to (its
-    // body dependencies) is complete, so the emission order is already
-    // dependencies-first — exactly the bottom-up evaluation order.
-    let mut scc_of = HashMap::new();
-    for (i, scc) in sccs.iter().enumerate() {
-        for &p in scc {
-            scc_of.insert(p, i);
-        }
-    }
-    let recursive = sccs
-        .iter()
-        .enumerate()
-        .map(|(i, scc)| {
-            scc.len() > 1
-                || scc.iter().any(|&p| {
-                    edges
-                        .get(&p)
-                        .map(|succ| succ.iter().any(|&q| scc_of.get(&q) == Some(&i)))
-                        .unwrap_or(false)
-                })
-        })
-        .collect();
-    Condensation {
-        scc_of,
-        sccs,
-        recursive,
-    }
-}
-
 /// The full static cost model for one program.
 pub struct CostModel {
     /// Predicted cardinality bound per predicate.
@@ -203,8 +73,6 @@ pub struct CostModel {
     pub iterations: HashMap<Symbol, u64>,
     /// `P37xx` diagnostics raised while estimating.
     pub diagnostics: Vec<Diagnostic>,
-    /// The SCC condensation (reused by the mode recommendation).
-    pub condensation: Condensation,
 }
 
 impl CostModel {
@@ -311,7 +179,7 @@ fn greedy_order(clause: &Clause, card: &HashMap<Symbol, u64>, domains: &Domains)
 /// Runs the whole cost analysis: cardinalities, per-rule costs, DNF
 /// widths and the `P37xx` prediction diagnostics.
 pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
-    let condensation = condense(program);
+    let graph = program.graph();
     let mut card: HashMap<Symbol, u64> = HashMap::new();
     let mut widened: HashSet<Symbol> = HashSet::new();
     let mut fan_in: HashMap<Symbol, u64> = HashMap::new();
@@ -326,26 +194,27 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
     }
 
     // Rules grouped by head SCC, processed dependencies-first.
-    let mut rules_of_scc: Vec<Vec<(ClauseId, &Clause)>> = vec![Vec::new(); condensation.sccs.len()];
-    for (id, clause) in program.iter() {
-        if clause.is_rule() {
-            if let Some(&scc) = condensation.scc_of.get(&clause.head.pred) {
-                rules_of_scc[scc].push((id, clause));
-            }
-        }
-    }
+    let rules_of_scc: Vec<Vec<&Clause>> = (0..graph.sccs().len())
+        .map(|k| {
+            graph
+                .rules(k)
+                .iter()
+                .map(|&i| &program.clauses()[i])
+                .collect()
+        })
+        .collect();
 
     let mut iterations: HashMap<Symbol, u64> = HashMap::new();
     for (scc_i, rules) in rules_of_scc.iter().enumerate() {
         if rules.is_empty() {
             continue;
         }
-        let recursive = condensation.recursive[scc_i];
+        let recursive = graph.is_recursive(scc_i);
         let mut rounds = 0usize;
         loop {
             let mut changed = false;
             let mut derived: HashMap<Symbol, u64> = HashMap::new();
-            for &(_, clause) in rules {
+            for &clause in rules {
                 let order: Vec<usize> = (0..clause.body().len()).collect();
                 let (firings, _) = join_estimate(clause, &order, &card, domains);
                 let head_bound = cartesian_bound(clause.head.pred, clause.head.args.len(), domains);
@@ -369,7 +238,7 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
             if rounds >= WIDEN_AFTER {
                 // Still growing: widen every head in the SCC to its
                 // Cartesian bound and stop iterating.
-                for &(_, clause) in rules {
+                for &clause in rules {
                     let pred = clause.head.pred;
                     let bound = cartesian_bound(pred, clause.head.args.len(), domains);
                     let entry = card.entry(pred).or_insert(0);
@@ -384,9 +253,9 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
         if recursive {
             // Fixpoint depth ≈ the longest chain a recursive argument can
             // take, bounded by the widest argument domain in the SCC.
-            let depth = condensation.sccs[scc_i]
-                .iter()
-                .map(|&p| {
+            let members = || graph.sccs()[scc_i].iter().map(|&v| graph.pred(v));
+            let depth = members()
+                .map(|p| {
                     (0..program.arity(p).unwrap_or(0))
                         .map(|i| domains.arg_size(p, i))
                         .max()
@@ -395,7 +264,7 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
                 .max()
                 .unwrap_or(1)
                 .clamp(2, ITER_CAP);
-            for &p in &condensation.sccs[scc_i] {
+            for p in members() {
                 iterations.insert(p, depth);
             }
         }
@@ -415,12 +284,7 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
         // Semi-naive only re-runs a rule when its body reads a delta
         // relation from the head's own SCC; a rule that joins nothing
         // but lower strata fires in round one and never again.
-        let head_scc = condensation.scc_of.get(&head_pred);
-        let in_fixpoint_loop = condensation.is_recursive(head_pred)
-            && clause
-                .body()
-                .iter()
-                .any(|a| condensation.scc_of.get(&a.pred) == head_scc);
+        let in_fixpoint_loop = graph.rule_is_recursive(clause);
         let iters = if in_fixpoint_loop {
             iterations.get(&head_pred).copied().unwrap_or(2)
         } else {
@@ -494,11 +358,11 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
         if rules.is_empty() {
             continue;
         }
-        let recursive = condensation.recursive[scc_i];
+        let recursive = graph.is_recursive(scc_i);
         let mut rounds = 0usize;
         loop {
             let mut changed = false;
-            for &(_, clause) in rules {
+            for &clause in rules {
                 let head = clause.head.pred;
                 let body_width = clause.body().iter().fold(1u64, |acc, atom| {
                     mul(acc, dnf_width.get(&atom.pred).copied().unwrap_or(1))
@@ -508,8 +372,8 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
                 let base = u64::from(fact_preds.contains(&head));
                 let total = rules
                     .iter()
-                    .filter(|&&(_, c)| c.head.pred == head)
-                    .fold(base, |acc, &(_, c)| {
+                    .filter(|c| c.head.pred == head)
+                    .fold(base, |acc, c| {
                         let w = c.body().iter().fold(1u64, |a, atom| {
                             mul(a, dnf_width.get(&atom.pred).copied().unwrap_or(1))
                         });
@@ -528,7 +392,7 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
                 break;
             }
             if recursive && rounds >= WIDEN_AFTER {
-                for &(_, clause) in rules {
+                for clause in rules {
                     dnf_width.insert(clause.head.pred, WIDTH_CAP);
                 }
                 break;
@@ -580,7 +444,6 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
         rules: rules_out,
         iterations,
         diagnostics,
-        condensation,
     }
 }
 
@@ -718,8 +581,8 @@ mod tests {
              r1 1.0: path(X,Y) :- edge(X,Y).\n\
              r2 1.0: path(X,Z) :- edge(X,Y), path(Y,Z).\n",
         );
-        let path = p.symbols().get("path").unwrap();
-        assert!(m.condensation.is_recursive(path));
+        let path = p.graph().scc(p.symbols().get("path").unwrap()).unwrap();
+        assert!(p.graph().is_recursive(path));
         let r2 = m.rules.iter().find(|r| r.label == "r2").unwrap();
         assert!(r2.recursive);
         assert!(r2.iterations >= 2);
@@ -735,11 +598,14 @@ mod tests {
              r2 1.0: a(X) :- b(X).\n\
              r3 1.0: b(X) :- a(X).\n",
         );
-        let a = p.symbols().get("a").unwrap();
-        let b = p.symbols().get("b").unwrap();
-        assert!(m.condensation.is_recursive(a));
-        assert!(m.condensation.is_recursive(b));
-        assert_eq!(m.condensation.scc_of[&a], m.condensation.scc_of[&b]);
+        let scc = |name| p.graph().scc(p.symbols().get(name).unwrap()).unwrap();
+        assert!(p.graph().is_recursive(scc("a")));
+        assert_eq!(scc("a"), scc("b"));
+        let recursive = |label: &str| m.rules.iter().find(|r| r.label == label).unwrap().recursive;
+        assert_eq!(
+            [recursive("r1"), recursive("r2"), recursive("r3")],
+            [false, true, true]
+        );
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct RuleCost {
     pub label: String,
     /// The head predicate's name.
     pub head: String,
-    /// Whether the rule is directly recursive (head predicate appears in
-    /// its own positive body).
+    /// Whether the rule is recursive: its positive body reads a predicate
+    /// in its head's SCC ([`crate::graph::DepGraph::rule_is_recursive`]).
     pub recursive: bool,
     /// Rule firings, including re-derivations.
     pub firings: u64,
@@ -252,12 +252,11 @@ pub fn publish_rule_metrics(plan: &ExplainPlan, top_n: usize) {
 
 fn rule_cost(program: &Program, clause: ClauseId, rs: &RuleStats) -> RuleCost {
     let c = program.clause(clause);
-    let head_pred = c.head.pred;
     RuleCost {
         clause: Some(clause),
         label: c.label.clone(),
-        head: program.symbols().resolve(head_pred).to_string(),
-        recursive: c.body().iter().any(|a| a.pred == head_pred),
+        head: program.symbols().resolve(c.head.pred).to_string(),
+        recursive: program.graph().rule_is_recursive(c),
         firings: rs.firings,
         new_tuples: rs.new_tuples,
         candidates: rs.candidates,

@@ -33,6 +33,7 @@ pub mod ast;
 pub mod diag;
 pub mod engine;
 pub mod explain;
+pub mod graph;
 pub mod parser;
 pub mod program;
 pub mod symbol;

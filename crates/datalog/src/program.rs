@@ -12,6 +12,7 @@
 
 use crate::ast::{Atom, Clause, ClauseId, ClauseKind, CmpOp, Const, Constraint, Term};
 use crate::diag::Diagnostic;
+use crate::graph::DepGraph;
 use crate::parser::{self, ClauseSpans, ParseError, Span};
 use crate::symbol::{Symbol, SymbolTable};
 use std::collections::{HashMap, HashSet};
@@ -25,7 +26,9 @@ pub struct Program {
     symbols: SymbolTable,
     labels: HashMap<String, ClauseId>,
     arities: HashMap<Symbol, usize>,
-    strata: HashMap<Symbol, usize>,
+    graph: DepGraph,
+    /// The stratum of each of `graph`'s SCCs.
+    strata: Vec<usize>,
     /// Byte spans per clause; empty for programmatically built programs.
     spans: Vec<ClauseSpans>,
     /// The original source text, when the program was parsed from text.
@@ -95,9 +98,10 @@ pub enum ProgramError {
     /// Negation occurs inside a recursive cycle, so no stratification
     /// exists.
     NotStratified {
-        /// A predicate on the offending negative cycle.
+        /// The head of the first clause, in source order, that negates a
+        /// predicate of its own SCC.
         pred: String,
-        /// The span of a rule on the cycle, when parsed from source.
+        /// That clause's span, when parsed from source.
         span: Option<Span>,
     },
 }
@@ -354,12 +358,19 @@ impl Program {
             }
         }
 
-        let strata = compute_strata(&clauses, &symbols, &spans)?;
+        let graph = DepGraph::build(&clauses);
+        let strata = graph
+            .strata(&clauses)
+            .map_err(|i| ProgramError::NotStratified {
+                pred: symbols.resolve(clauses[i].head.pred).to_string(),
+                span: spans.get(i).map(|s| s.clause),
+            })?;
         Ok(Self {
             clauses,
             symbols,
             labels,
             arities: arities_final,
+            graph,
             strata,
             spans,
             source,
@@ -424,12 +435,17 @@ impl Program {
     /// negation, a rule's negated predicates always sit in strictly lower
     /// strata than its head.
     pub fn stratum(&self, pred: Symbol) -> usize {
-        self.strata.get(&pred).copied().unwrap_or(0)
+        self.graph.scc(pred).map_or(0, |k| self.strata[k])
     }
 
     /// The number of strata (1 for negation-free programs).
     pub fn num_strata(&self) -> usize {
-        self.strata.values().copied().max().unwrap_or(0) + 1
+        self.strata.iter().copied().max().unwrap_or(0) + 1
+    }
+
+    /// The predicate dependency graph, condensed into SCCs.
+    pub fn graph(&self) -> &DepGraph {
+        &self.graph
     }
 
     /// Whether any rule uses negation.
@@ -466,53 +482,6 @@ impl Program {
     pub fn clause_spans(&self, id: ClauseId) -> Option<&ClauseSpans> {
         self.spans.get(id.index())
     }
-}
-
-/// Assigns each predicate a stratum: `stratum(head) >= stratum(positive
-/// body)` and `stratum(head) > stratum(negated body)`. Iterates to a fixed
-/// point; a stratum exceeding the predicate count certifies a negative
-/// cycle.
-fn compute_strata(
-    clauses: &[Clause],
-    symbols: &SymbolTable,
-    spans: &[ClauseSpans],
-) -> Result<HashMap<Symbol, usize>, ProgramError> {
-    let mut strata: HashMap<Symbol, usize> = HashMap::new();
-    for clause in clauses {
-        strata.entry(clause.head.pred).or_insert(0);
-        for atom in clause.body().iter().chain(clause.negated()) {
-            strata.entry(atom.pred).or_insert(0);
-        }
-    }
-    let num_preds = strata.len().max(1);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (i, clause) in clauses.iter().enumerate() {
-            if clause.is_fact() {
-                continue;
-            }
-            let mut required = 0usize;
-            for atom in clause.body() {
-                required = required.max(strata[&atom.pred]);
-            }
-            for atom in clause.negated() {
-                required = required.max(strata[&atom.pred] + 1);
-            }
-            let head = strata.get_mut(&clause.head.pred).expect("seeded");
-            if *head < required {
-                if required >= num_preds {
-                    return Err(ProgramError::NotStratified {
-                        pred: symbols.resolve(clause.head.pred).to_string(),
-                        span: spans.get(i).map(|s| s.clause),
-                    });
-                }
-                *head = required;
-                changed = true;
-            }
-        }
-    }
-    Ok(strata)
 }
 
 /// Incremental construction of programs without going through source text.
@@ -776,6 +745,18 @@ mod tests {
         assert!(rendered.contains("error[P3101]"), "{rendered}");
         assert!(rendered.contains("bad.pl:3:"), "{rendered}");
         assert!(rendered.contains("^"), "{rendered}");
+    }
+
+    #[test]
+    fn not_stratified_names_the_first_clause_negating_its_own_scc() {
+        // `lose` only reads the cycle through `win`; it is not on it.
+        let src = "t1 1.0: base(a).\n\
+                   r1 1.0: win(X) :- base(X), \\+ win(X).\n\
+                   r2 1.0: lose(X) :- base(X), \\+ win(X).\n";
+        let err = Program::parse(src).unwrap_err();
+        assert_eq!(err.code(), "P3201");
+        assert!(matches!(&err, ProgramError::NotStratified { pred, .. } if pred == "win"));
+        assert_eq!(err.to_diagnostic().locate(src).line, 2);
     }
 
     #[test]

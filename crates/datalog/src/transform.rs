@@ -159,53 +159,6 @@ impl fmt::Display for TransformError {
 
 impl std::error::Error for TransformError {}
 
-/// Whether the program has a recursive rule cycle among IDB predicates —
-/// the workloads where demand evaluation pays off (the `auto` heuristic).
-pub fn has_recursive_idb(program: &Program) -> bool {
-    // head -> body predicate edges, rules only.
-    let mut edges: HashMap<Symbol, HashSet<Symbol>> = HashMap::new();
-    for (_, clause) in program.iter() {
-        if !clause.is_rule() {
-            continue;
-        }
-        let entry = edges.entry(clause.head.pred).or_default();
-        for atom in clause.body().iter().chain(clause.negated()) {
-            entry.insert(atom.pred);
-        }
-    }
-    // Cycle detection restricted to rule-defined predicates.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Grey,
-        Black,
-    }
-    let mut color: HashMap<Symbol, Color> = edges.keys().map(|&p| (p, Color::White)).collect();
-    fn dfs(
-        p: Symbol,
-        edges: &HashMap<Symbol, HashSet<Symbol>>,
-        color: &mut HashMap<Symbol, Color>,
-    ) -> bool {
-        match color.get(&p) {
-            Some(Color::Grey) => return true,
-            Some(Color::White) => {}
-            _ => return false, // Black, or EDB (no entry)
-        }
-        color.insert(p, Color::Grey);
-        if let Some(next) = edges.get(&p) {
-            for &q in next {
-                if dfs(q, edges, color) {
-                    return true;
-                }
-            }
-        }
-        color.insert(p, Color::Black);
-        false
-    }
-    let preds: Vec<Symbol> = edges.keys().copied().collect();
-    preds.into_iter().any(|p| dfs(p, &edges, &mut color))
-}
-
 /// Magic-transforms `program` for the ground query `query_pred(query_args)`.
 pub fn magic_transform(
     program: &Program,
@@ -548,18 +501,5 @@ mod tests {
                 found: 1
             })
         ));
-    }
-
-    #[test]
-    fn recursion_detection() {
-        assert!(has_recursive_idb(&Program::parse(TRUST).unwrap()));
-        let flat = Program::parse("r1 1.0: q(X) :- p(X). t1 1.0: p(a).").unwrap();
-        assert!(!has_recursive_idb(&flat));
-        // Mutual recursion through two predicates.
-        let mutual = Program::parse(
-            "r1 1.0: a(X) :- b(X). r2 1.0: b(X) :- a(X). r3 1.0: a(X) :- base(X). t 1.0: base(c).",
-        )
-        .unwrap();
-        assert!(has_recursive_idb(&mutual));
     }
 }

@@ -27,7 +27,6 @@
 
 pub mod cost;
 mod ctx;
-mod graph;
 pub mod messages;
 mod passes;
 

@@ -4,70 +4,57 @@
 //! persistent-store recommendation (P3604).
 
 use crate::ctx::Ctx;
-use crate::graph::DepGraph;
 use crate::messages::{DEMAND_MODE, WARM_RESTART};
 use p3_datalog::diag::Diagnostic;
+use p3_datalog::graph::DepGraph;
 use p3_datalog::symbol::Symbol;
 use std::collections::HashMap;
 
 pub(crate) fn run(ctx: &mut Ctx<'_>) {
     let graph = DepGraph::build(ctx.clauses);
-    let sccs = graph.sccs();
-    let mut scc_of: HashMap<usize, usize> = HashMap::new();
-    for (k, component) in sccs.iter().enumerate() {
-        for &v in component {
-            scc_of.insert(v, k);
-        }
-    }
-
-    negation(ctx, &graph, &scc_of);
-    recursive_cost(ctx, &graph, &sccs);
+    negation(ctx, &graph);
+    recursive_cost(ctx, &graph);
     let heavy_fan_in = fan_in(ctx);
-    demand_hint(ctx, &graph, &sccs, heavy_fan_in);
-    store_hint(ctx, &graph, &sccs);
+    demand_hint(ctx, &graph, heavy_fan_in);
+    store_hint(ctx, &graph);
 }
 
-fn negation(ctx: &mut Ctx<'_>, graph: &DepGraph, scc_of: &HashMap<usize, usize>) {
-    let mut first_negated: Option<(usize, usize)> = None;
-    let mut unstratified = Vec::new();
-    for (i, clause) in ctx.clauses.iter().enumerate() {
-        for (j, atom) in clause.negated().iter().enumerate() {
-            if first_negated.is_none() {
-                first_negated = Some((i, j));
-            }
-            let head = graph.id(clause.head.pred);
-            let dep = graph.id(atom.pred);
-            if let (Some(h), Some(d)) = (head, dep) {
-                if scc_of.get(&h) == scc_of.get(&d) {
-                    unstratified.push((i, j, atom.pred, clause.label.clone()));
-                }
-            }
+/// The sizes of the graph's recursive SCCs, dependencies first.
+fn recursive_sizes(graph: &DepGraph) -> impl Iterator<Item = usize> + '_ {
+    (0..graph.sccs().len())
+        .filter(|&k| graph.is_recursive(k))
+        .map(|k| graph.sccs()[k].len())
+}
+
+fn negation(ctx: &mut Ctx<'_>, graph: &DepGraph) {
+    let clauses = ctx.clauses;
+    for (i, clause) in clauses.iter().enumerate() {
+        for j in graph.unstratified(clause) {
+            let d = Diagnostic::error(
+                "P3201",
+                format!(
+                    "program is not stratified: predicate '{}' is negated within a recursive \
+                     cycle",
+                    ctx.name(clause.negated()[j].pred)
+                ),
+            )
+            .with_span(ctx.negated_span(i, j))
+            .with_clause(&clause.label)
+            .with_help(
+                "negation through recursion has no least fixpoint; break the cycle or \
+                 move the negated predicate to a lower stratum",
+            );
+            ctx.emit(d);
         }
     }
-    for (i, j, pred, label) in unstratified {
-        let d = Diagnostic::error(
-            "P3201",
-            format!(
-                "program is not stratified: predicate '{}' is negated within a recursive cycle",
-                ctx.name(pred)
-            ),
-        )
-        .with_span(ctx.negated_span(i, j))
-        .with_clause(&label)
-        .with_help(
-            "negation through recursion has no least fixpoint; break the cycle or \
-             move the negated predicate to a lower stratum",
-        );
-        ctx.emit(d);
-    }
-    if let Some((i, j)) = first_negated {
+    if let Some(i) = clauses.iter().position(|c| !c.negated().is_empty()) {
         let d = Diagnostic::warn(
             "P3202",
             "program uses negation: provenance queries will be rejected (the P3 model \
              is negation-free)"
                 .to_string(),
         )
-        .with_span(ctx.negated_span(i, j))
+        .with_span(ctx.negated_span(i, 0))
         .with_help(
             "the engine evaluates stratified negation, but Boolean provenance and all \
              probability computations require a positive program",
@@ -76,24 +63,16 @@ fn negation(ctx: &mut Ctx<'_>, graph: &DepGraph, scc_of: &HashMap<usize, usize>)
     }
 }
 
-fn recursive_cost(ctx: &mut Ctx<'_>, graph: &DepGraph, sccs: &[Vec<usize>]) {
-    for component in sccs {
-        let recursive = component.len() > 1 || graph.self_loop(component[0]);
-        if !recursive {
+fn recursive_cost(ctx: &mut Ctx<'_>, graph: &DepGraph) {
+    for (k, component) in graph.sccs().iter().enumerate() {
+        if !graph.is_recursive(k) {
             continue;
         }
-        let mut names: Vec<&str> = component
-            .iter()
-            .map(|&v| ctx.name(graph.preds[v]))
-            .collect();
+        let mut names: Vec<&str> = component.iter().map(|&v| ctx.name(graph.pred(v))).collect();
         names.sort_unstable();
         let listed = names.join(", ");
         // Anchor the note at the first rule whose head is in this SCC.
-        let anchor = ctx
-            .clauses
-            .iter()
-            .position(|c| c.is_rule() && component.iter().any(|&v| graph.preds[v] == c.head.pred));
-        let (span, label) = match anchor {
+        let (span, label) = match graph.rules(k).first().copied() {
             Some(i) => (ctx.clause_span(i), Some(ctx.clauses[i].label.clone())),
             None => (None, None),
         };
@@ -151,8 +130,8 @@ fn fan_in(ctx: &mut Ctx<'_>) -> bool {
 
 /// P3603: one note per program when its shape (recursive SCCs or heavy rule
 /// fan-in) makes query-directed evaluation pay off.
-fn demand_hint(ctx: &mut Ctx<'_>, graph: &DepGraph, sccs: &[Vec<usize>], heavy_fan_in: bool) {
-    let recursive = sccs.iter().any(|c| c.len() > 1 || graph.self_loop(c[0]));
+fn demand_hint(ctx: &mut Ctx<'_>, graph: &DepGraph, heavy_fan_in: bool) {
+    let recursive = recursive_sizes(graph).next().is_some();
     if !recursive && !heavy_fan_in {
         return;
     }
@@ -181,12 +160,8 @@ fn demand_hint(ctx: &mut Ctx<'_>, graph: &DepGraph, sccs: &[Vec<usize>], heavy_f
 /// recursive SCCs, or one spanning ≥ 3 predicates) that re-deriving
 /// provenance on every process start is the dominant cost of a restart —
 /// recommend the persistent store, mirroring the P3603 demand-mode hint.
-fn store_hint(ctx: &mut Ctx<'_>, graph: &DepGraph, sccs: &[Vec<usize>]) {
-    let recursive: Vec<usize> = sccs
-        .iter()
-        .filter(|c| c.len() > 1 || graph.self_loop(c[0]))
-        .map(|c| c.len())
-        .collect();
+fn store_hint(ctx: &mut Ctx<'_>, graph: &DepGraph) {
+    let recursive: Vec<usize> = recursive_sizes(graph).collect();
     let widest = recursive.iter().copied().max().unwrap_or(0);
     if recursive.len() < 2 && widest < 3 {
         return;

@@ -329,140 +329,42 @@ impl Cx<'_, '_> {
     }
 }
 
-/// Computes the set of tuples whose downward closure is acyclic, via an
-/// iterative Tarjan SCC over the tuple-dependency projection
-/// (`tuple → body tuples of its rule executions`).
+/// Computes the set of tuples whose downward closure is acyclic, from the
+/// SCCs of the tuple-dependency projection (`tuple → body tuples of its
+/// rule executions`) over raw tuple ids.
 fn compute_clean(graph: &ProvGraph) -> HashSet<TupleId> {
-    // Adjacency over tuples appearing in the graph.
-    let mut adj: HashMap<TupleId, Vec<TupleId>> = HashMap::new();
+    let in_graph = |t: TupleId| !graph.derivations(t).is_empty();
+    let n = graph.tuples().last().map_or(0, |t| t.index() + 1);
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
     for t in graph.tuples() {
-        let mut succ: Vec<TupleId> = Vec::new();
+        let children = &mut succ[t.index()];
         for d in graph.derivations(t) {
             if let Derivation::Rule(e) = d {
-                succ.extend(graph.exec(*e).body.iter().copied());
+                // A body tuple with no derivations of its own (impossible
+                // after a run, but robust against partial graphs) is
+                // skipped.
+                let body = graph.exec(*e).body.iter().filter(|&&b| in_graph(b));
+                children.extend(body.map(|b| b.index()));
             }
         }
-        succ.sort_unstable();
-        succ.dedup();
-        adj.insert(t, succ);
+        children.sort_unstable();
+        children.dedup();
     }
 
-    // Iterative Tarjan.
-    #[derive(Clone, Copy)]
-    struct NodeState {
-        index: u32,
-        lowlink: u32,
-        on_stack: bool,
-    }
-    let mut states: HashMap<TupleId, NodeState> = HashMap::new();
-    let mut stack: Vec<TupleId> = Vec::new();
-    let mut next_index = 0u32;
-    // SCCs in emission order (reverse topological: successors first).
-    let mut sccs: Vec<Vec<TupleId>> = Vec::new();
-
-    for &start in adj.keys() {
-        if states.contains_key(&start) {
-            continue;
-        }
-        // Explicit DFS frames: (node, next-child-position).
-        let mut frames: Vec<(TupleId, usize)> = vec![(start, 0)];
-        states.insert(
-            start,
-            NodeState {
-                index: next_index,
-                lowlink: next_index,
-                on_stack: true,
-            },
-        );
-        stack.push(start);
-        next_index += 1;
-
-        while !frames.is_empty() {
-            // Pull the next child (if any) out of the top frame, then release
-            // the frame borrow before mutating `frames` again.
-            let (node, next_child) = {
-                let frame = frames.last_mut().expect("non-empty");
-                let node = frame.0;
-                let children = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-                let next = children.get(frame.1).copied();
-                frame.1 += 1;
-                (node, next)
-            };
-            match next_child {
-                Some(child) => {
-                    // A body tuple with no derivations of its own (impossible
-                    // after a run, but robust against partial graphs) is
-                    // skipped.
-                    if !adj.contains_key(&child) {
-                        continue;
-                    }
-                    match states.get(&child) {
-                        None => {
-                            states.insert(
-                                child,
-                                NodeState {
-                                    index: next_index,
-                                    lowlink: next_index,
-                                    on_stack: true,
-                                },
-                            );
-                            next_index += 1;
-                            stack.push(child);
-                            frames.push((child, 0));
-                        }
-                        Some(s) if s.on_stack => {
-                            let child_index = s.index;
-                            let st = states.get_mut(&node).expect("visited");
-                            st.lowlink = st.lowlink.min(child_index);
-                        }
-                        Some(_) => {}
-                    }
-                }
-                None => {
-                    frames.pop();
-                    let node_state = states[&node];
-                    if let Some(&(parent, _)) = frames.last() {
-                        let pl = states.get_mut(&parent).expect("visited");
-                        pl.lowlink = pl.lowlink.min(node_state.lowlink);
-                    }
-                    if node_state.lowlink == node_state.index {
-                        let mut scc = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("scc stack underflow");
-                            states.get_mut(&w).expect("visited").on_stack = false;
-                            scc.push(w);
-                            if w == node {
-                                break;
-                            }
-                        }
-                        sccs.push(scc);
-                    }
-                }
-            }
+    // Components come out dependencies first, so every child's cleanliness
+    // is known when its parents are processed. Cyclic components, and slots
+    // outside the graph, are never clean.
+    let mut clean = vec![false; n];
+    for scc in p3_datalog::graph::strongly_connected(&succ) {
+        let v = scc[0];
+        if scc.len() == 1 && in_graph(TupleId(v as u32)) && succ[v].binary_search(&v).is_err() {
+            clean[v] = succ[v].iter().all(|&c| clean[c]);
         }
     }
-
-    // Emission order is reverse-topological, so every successor's
-    // cleanliness is known when its predecessors are processed.
-    let mut clean: HashSet<TupleId> = HashSet::new();
-    for scc in &sccs {
-        let cyclic = scc.len() > 1
-            || adj
-                .get(&scc[0])
-                .is_some_and(|succ| succ.binary_search(&scc[0]).is_ok());
-        if cyclic {
-            continue;
-        }
-        let t = scc[0];
-        let all_children_clean = adj[&t]
-            .iter()
-            .filter(|c| adj.contains_key(*c))
-            .all(|c| clean.contains(c));
-        if all_children_clean {
-            clean.insert(t);
-        }
-    }
-    clean
+    (0..n)
+        .filter(|&v| clean[v])
+        .map(|v| TupleId(v as u32))
+        .collect()
 }
 
 #[cfg(test)]

@@ -303,3 +303,87 @@ fn trust_analysis_recommends_demand_and_predicts_recursion() {
     // microseconds, not milliseconds (generous bound for debug builds).
     assert!(plan.analysis_us < 1_000_000, "{}us", plan.analysis_us);
 }
+
+// ---------------------------------------------------------------- recursion
+
+/// Mutual recursion: r1 and r2 form the cycle `a <-> b`; r3 grounds it.
+const MUTUAL: &str = "r1 1.0: a(X) :- b(X).
+r2 1.0: b(X) :- a(X).
+r3 1.0: a(X) :- e(X).
+t1 0.5: e(1).
+t2 0.5: e(2).
+";
+
+fn naive_plan(program: &p3::datalog::program::Program) -> p3::datalog::explain::ExplainPlan {
+    let mut engine = p3::datalog::engine::Engine::new(program);
+    engine.run_plain();
+    p3::datalog::explain::ExplainPlan::from_engine(&engine)
+}
+
+/// Asserts every row of `plan` carries the analyzer's `recursive` flag for
+/// the same label.
+fn assert_flags_agree(
+    what: &str,
+    analyzed: &p3::core::AnalyzePlan,
+    plan: &p3::datalog::explain::ExplainPlan,
+) {
+    for rule in &plan.rules {
+        let predicted = analyzed
+            .rules
+            .iter()
+            .find(|r| r.label == rule.label)
+            .unwrap_or_else(|| panic!("{what}: rule {} not analyzed", rule.label));
+        assert_eq!(
+            rule.recursive, predicted.recursive,
+            "{what}: {} plan marks rule {} recursive={}, analyze says {}",
+            plan.mode, rule.label, rule.recursive, predicted.recursive
+        );
+    }
+}
+
+#[test]
+fn explain_and_analyze_agree_on_which_rules_recurse() {
+    let mut programs = vec![(
+        "mutual recursion".to_string(),
+        p3::datalog::Program::parse(MUTUAL).unwrap(),
+    )];
+    for seed in 0..400u64 {
+        let program = generate(RandomConfig {
+            seed,
+            ..Default::default()
+        });
+        programs.push((format!("seed {seed}"), program));
+    }
+    for (what, program) in &programs {
+        let analyzed = p3::analyze::analyze(program);
+        assert_flags_agree(what, &analyzed, &naive_plan(program));
+        let Some(query) = all_derived_queries(program).into_iter().next() else {
+            continue;
+        };
+        let p3 = P3::from_program(program.clone()).expect("negation-free program");
+        let session = p3.session_with(SessionOptions {
+            eval_mode: EvalMode::Demand,
+            ..Default::default()
+        });
+        let explained = session.explain(&query).0.expect("derived atom explains");
+        assert_eq!(explained.plan.mode, "demand");
+        assert_flags_agree(what, &analyzed, &explained.plan);
+    }
+}
+
+#[test]
+fn measured_demand_advice_fires_inside_a_mutually_recursive_cycle() {
+    let program = p3::datalog::Program::parse(MUTUAL).unwrap();
+    let plan = naive_plan(&program);
+    let recommendations = p3::lint::cost::cost_recommendations(&plan);
+    assert!(
+        recommendations
+            .iter()
+            .any(|d| d.code == "P3603" && d.clause.as_deref() == Some("r2")),
+        "rows {:?}\nrecommendations {recommendations:?}",
+        plan.rules
+            .iter()
+            .map(|r| (&r.label, r.recursive, r.cost()))
+            .collect::<Vec<_>>()
+    );
+}
