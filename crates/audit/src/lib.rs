@@ -30,4 +30,6 @@ pub mod log;
 pub mod record;
 
 pub use log::{read_dir, AuditConfig, AuditLog, AuditStats};
-pub use record::{fnv1a_64, json_escape, AuditRecord, Outcome, StageTiming, MAX_TOP_RULES};
+pub use record::{
+    fnv1a_64, json_escape, AuditKey, AuditRecord, Outcome, StageTiming, MAX_TOP_RULES,
+};

@@ -12,6 +12,7 @@
 //! and hostile query text cannot reach the exposition at all.
 
 pub use p3_store::frame::fnv1a_64;
+use p3_store::frame::{put_str, put_u32, put_u64, Reader};
 
 /// First payload layout (PR: audit plane). Still decodable; `rule_cost`
 /// and `top_rules` default to empty on V1 records.
@@ -157,17 +158,52 @@ impl Default for AuditRecord {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The cost key that ranks audit records: `audit-top`, `GET /audit/top`
+/// and `p3 audit --top` all sort by one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AuditKey {
+    /// Total request latency (queue wait + execute), µs.
+    Latency,
+    /// Derived tuples materialised while answering.
+    Tuples,
+    /// DNF width: total literal count across monomials.
+    DnfWidth,
+    /// Measured rule cost the request added (join candidates + firings +
+    /// derived tuples) — ranks requests that forced evaluations.
+    RuleCost,
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+impl AuditKey {
+    /// Every spelling [`parse`](Self::parse) accepts, for error messages.
+    pub const EXPECTED: &'static str = "latency|tuples|dnf_width|rule_cost";
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    /// Parses the spelling shared by the wire, query strings and the CLI.
+    pub fn parse(s: &str) -> Result<AuditKey, String> {
+        [Self::Latency, Self::Tuples, Self::DnfWidth, Self::RuleCost]
+            .into_iter()
+            .find(|key| key.as_str() == s)
+            .ok_or_else(|| format!("unknown audit key '{s}' (expected {})", Self::EXPECTED))
+    }
+
+    /// The canonical spelling, echoed back in responses.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AuditKey::Latency => "latency",
+            AuditKey::Tuples => "tuples",
+            AuditKey::DnfWidth => "dnf_width",
+            AuditKey::RuleCost => "rule_cost",
+        }
+    }
+
+    /// The value `record` ranks by under this key; larger is costlier.
+    pub fn key(self, record: &AuditRecord) -> u64 {
+        match self {
+            AuditKey::Latency => record.total_us,
+            AuditKey::Tuples => record.derived_tuples,
+            AuditKey::DnfWidth => record.dnf_literals,
+            AuditKey::RuleCost => record.rule_cost,
+        }
+    }
 }
 
 impl AuditRecord {
@@ -217,10 +253,7 @@ impl AuditRecord {
     /// `None` on any malformation (wrong tag, truncation, bad UTF-8,
     /// trailing garbage).
     pub fn decode_payload(payload: &[u8]) -> Option<AuditRecord> {
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
+        let mut r = Reader::new(payload);
         let tag = r.u8()?;
         if tag != TAG_V1 && tag != TAG_V2 {
             return None;
@@ -351,43 +384,6 @@ impl AuditRecord {
 /// JSON string literal (including surrounding quotes) per RFC 8259:
 /// quote, backslash, and all control characters below 0x20 escaped.
 pub use p3_obs::json::quote as json_escape;
-
-/// Little-endian reader with bounds checks; `None` means truncated/corrupt.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let bytes = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
 
 #[cfg(test)]
 mod tests {

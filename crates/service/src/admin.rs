@@ -42,11 +42,11 @@
 //! scrapers and probes. Unknown paths get 404, non-GET methods 405 with
 //! an `Allow: GET` header.
 
-use crate::protocol::AuditKey;
 use crate::server::{
     analyze_snapshot, audit_tail_snapshot, audit_top_snapshot, explain_snapshot, refresh_gauges,
     slo_snapshot, Shared,
 };
+use p3_audit::AuditKey;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -285,8 +285,9 @@ pub(crate) fn respond(method: &str, target: &str, shared: &Shared) -> HttpRespon
                             status: 400,
                             content_type: "application/json",
                             body: format!(
-                                "{{\"error\":\"query parameter 'by' must be \
-                                 latency, tuples, dnf_width or rule_cost\",\"got\":{}}}\n",
+                                "{{\"error\":\"query parameter 'by' must be one of {}\",\
+                                 \"got\":{}}}\n",
+                                AuditKey::EXPECTED,
                                 p3_audit::json_escape(raw)
                             ),
                             allow: None,

@@ -12,7 +12,8 @@
 //! integration tests and benches read them), then serves until
 //! SIGTERM/SIGINT or a client `shutdown` request, draining queued work
 //! before exiting. `--admin-addr` binds the HTTP observability plane:
-//! `/metrics`, `/healthz`, `/readyz`, `/traces`, `/profile`.
+//! `/metrics`, `/healthz`, `/readyz`, `/traces`, `/profile`, `/audit`,
+//! `/audit/top`, `/slo`, `/explain`, `/analyze`.
 
 use p3_service::server::{Server, ServerConfig};
 use std::io::Write;
@@ -30,7 +31,8 @@ OPTIONS:
     --tcp ADDR         TCP bind address, e.g. 127.0.0.1:7033 (port 0 = ephemeral)
     --unix PATH        Unix-domain socket path
     --admin-addr ADDR  HTTP observability plane bind address (GET /metrics,
-                       /healthz, /readyz, /traces?n=N, /profile?secs=S)
+                       /healthz, /readyz, /traces?n=N, /profile?secs=S,
+                       /audit?n=N, /audit/top?by=K&n=N, /slo, /explain, /analyze)
     --workers N        worker pool size; 0 = auto (P3_THREADS env var,
                        else available cores capped at 16) [default: 0]
     --queue-cap N      bounded request queue capacity [default: 256]

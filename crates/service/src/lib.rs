@@ -13,7 +13,8 @@
 //! response envelopes, [`server`] the accept-loop → bounded-queue →
 //! worker-pool machinery (deadlines, graceful shutdown, stats), `admin`
 //! the HTTP observability plane (`/metrics`, `/healthz`, `/readyz`,
-//! `/traces`, `/profile` on `--admin-addr`), and [`client`] a small
+//! `/traces`, `/profile`, `/audit`, `/audit/top`, `/slo`, `/explain`,
+//! `/analyze` on `--admin-addr`), and [`client`] a small
 //! blocking client used by `p3-client`, the tests and the benches.
 //!
 //! ```no_run

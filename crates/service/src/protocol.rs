@@ -10,7 +10,7 @@
 //! op       = "ping" | "stats" | "metrics" | "trace" | "shutdown"
 //!          | "persist" | "warm" | "store-stats"
 //!          | "audit-tail" | "audit-top" | "slo"
-//!          | "load-program"
+//!          | "load-program" | "lint" | "analyze"
 //!          | "probability" | "explanation" | "derivation"
 //!          | "influence" | "modification"
 //!          | "profile"      (wraps a query class, "class": <op>)
@@ -29,6 +29,7 @@
 //! connect/send/recv spans with the server-side execution tree.
 
 use crate::json::Value;
+use p3_audit::AuditKey;
 use p3_core::{
     DerivationAlgo, EvalMode, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod,
     QueryClass,
@@ -152,52 +153,13 @@ pub enum Op {
     },
     /// Worst offenders from the audit ring, ranked by a cost key.
     AuditTop {
-        /// Ranking key: `latency`, `tuples`, or `dnf_width`.
+        /// Ranking key.
         by: AuditKey,
         /// How many records to return.
         n: usize,
     },
     /// SLO burn-rate and error-budget snapshot per request class.
     Slo,
-}
-
-/// Ranking key for `audit-top` / `GET /audit/top`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AuditKey {
-    /// Total request latency (queue wait + execute), µs.
-    Latency,
-    /// Derived tuples materialised while answering.
-    Tuples,
-    /// DNF width: total literal count across monomials.
-    DnfWidth,
-    /// Measured rule cost the request added (join candidates + firings +
-    /// derived tuples) — ranks requests that forced evaluations.
-    RuleCost,
-}
-
-impl AuditKey {
-    /// Parses the wire/query-string spelling.
-    pub fn parse(s: &str) -> Result<AuditKey, String> {
-        match s {
-            "latency" => Ok(AuditKey::Latency),
-            "tuples" => Ok(AuditKey::Tuples),
-            "dnf_width" => Ok(AuditKey::DnfWidth),
-            "rule_cost" => Ok(AuditKey::RuleCost),
-            other => Err(format!(
-                "unknown audit key '{other}' (expected latency|tuples|dnf_width|rule_cost)"
-            )),
-        }
-    }
-
-    /// The canonical spelling, echoed back in responses.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AuditKey::Latency => "latency",
-            AuditKey::Tuples => "tuples",
-            AuditKey::DnfWidth => "dnf_width",
-            AuditKey::RuleCost => "rule_cost",
-        }
-    }
 }
 
 impl Op {

@@ -23,9 +23,9 @@
 //!   and accept loops join, in that order.
 
 use crate::json::Value;
-use crate::protocol::{AuditKey, Op, Request, Response};
+use crate::protocol::{Op, Request, Response};
 use crate::stats::{Outcome, ServiceStats};
-use p3_audit::{AuditLog, AuditRecord, StageTiming};
+use p3_audit::{AuditKey, AuditLog, AuditRecord, StageTiming};
 use p3_core::{
     EvalMode, QueryAnswer, QueryClass, QueryReport, QuerySession, SessionOptions, WarmRestore, P3,
 };
@@ -1694,13 +1694,7 @@ pub(crate) fn audit_top_snapshot(shared: &Shared, by: AuditKey, n: usize) -> Val
     let Some(audit) = &shared.audit else {
         return Value::object(vec![("enabled", Value::from(false))]);
     };
-    let key: fn(&AuditRecord) -> u64 = match by {
-        AuditKey::Latency => |r| r.total_us,
-        AuditKey::Tuples => |r| r.derived_tuples,
-        AuditKey::DnfWidth => |r| r.dnf_literals,
-        AuditKey::RuleCost => |r| r.rule_cost,
-    };
-    let records = audit.top(n, key);
+    let records = audit.top(n, |r| by.key(r));
     Value::object(vec![
         ("enabled", Value::from(true)),
         ("by", Value::from(by.as_str().to_string())),

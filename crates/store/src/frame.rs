@@ -12,8 +12,10 @@
 //! dumb — no compression, no back-references — so a torn or corrupt
 //! frame can never damage anything before it, and replay is a single
 //! forward scan. This module owns the payload-agnostic half: framing,
-//! checksumming, and the forward scan with torn-tail/corruption
-//! classification. Payload vocabularies live with their owners.
+//! checksumming, the forward scan with torn-tail/corruption
+//! classification, and the little-endian field codec ([`put_u32`],
+//! [`put_u64`], [`put_str`], [`Reader`]) both payload vocabularies are
+//! written in. The vocabularies themselves live with their owners.
 
 use std::fmt;
 
@@ -134,6 +136,70 @@ pub fn scan_with(buf: &[u8], mut decode: impl FnMut(&[u8]) -> bool) -> FrameScan
         }
         frames += 1;
         pos = start + len as usize;
+    }
+}
+
+/// Appends `v` little-endian.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `v` little-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `s` as `u32`-length-prefixed UTF-8.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Little-endian payload reader with bounds checks; `None` means
+/// truncated or corrupt.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Reads `buf` from its start.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let bytes = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
+        self.pos += n;
+        Some(bytes)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.take(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.take(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+    }
+
+    /// A string written by [`put_str`].
+    pub fn string(&mut self) -> Option<String> {
+        let n = self.u32()? as usize;
+        String::from_utf8(self.take(n)?.to_vec()).ok()
+    }
+
+    /// Whether every byte has been read.
+    pub fn done(&self) -> bool {
+        self.pos == self.buf.len()
     }
 }
 

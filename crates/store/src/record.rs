@@ -6,7 +6,7 @@
 //! little-endian.
 
 pub use crate::frame::{fnv1a_32, ScanStop, FRAME_HEADER};
-use crate::frame::{scan_with, write_frame};
+use crate::frame::{put_str, put_u32, put_u64, scan_with, write_frame, Reader};
 
 /// Payload tag for [`Record::Intern`].
 const TAG_INTERN: u8 = 1;
@@ -78,14 +78,6 @@ pub fn content_hash(source: &str) -> u64 {
     crate::frame::fnv1a_64(source)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends `record` to `out` as one framed `[len][crc][payload]` unit.
 pub fn encode_frame(record: &Record, out: &mut Vec<u8>) {
     let mut payload = Vec::with_capacity(32);
@@ -104,9 +96,7 @@ pub fn encode_frame(record: &Record, out: &mut Vec<u8>) {
             payload.push(TAG_DNF_MEMO);
             put_u32(&mut payload, *id);
             put_u64(&mut payload, *depth);
-            let bytes = query.as_bytes();
-            put_u32(&mut payload, bytes.len() as u32);
-            payload.extend_from_slice(bytes);
+            put_str(&mut payload, query);
         }
         Record::ProbMemo { id, method, prob } => {
             payload.push(TAG_PROB_MEMO);
@@ -133,47 +123,8 @@ pub struct Scan {
     pub stop: ScanStop,
 }
 
-/// Little-endian reader with bounds checks; `None` means truncated/corrupt.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let bytes = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let bytes = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(bytes)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 fn decode_payload(payload: &[u8]) -> Option<Record> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
+    let mut r = Reader::new(payload);
     let record = match r.u8()? {
         TAG_INTERN => {
             let n = r.u32()? as usize;
@@ -191,8 +142,7 @@ fn decode_payload(payload: &[u8]) -> Option<Record> {
         TAG_DNF_MEMO => {
             let id = r.u32()?;
             let depth = r.u64()?;
-            let n = r.u32()? as usize;
-            let query = String::from_utf8(r.bytes(n)?.to_vec()).ok()?;
+            let query = r.string()?;
             Record::DnfMemo { query, depth, id }
         }
         TAG_PROB_MEMO => {

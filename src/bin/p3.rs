@@ -10,6 +10,7 @@
 //! p3 program.pl --stats
 //! ```
 
+use p3::audit::AuditKey;
 use p3::core::{
     DerivationAlgo, EvalMode, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod,
     QueryAnswer, QueryClass, SessionOptions, Strategy, P3,
@@ -574,14 +575,15 @@ fn run_analyze(opts: &AnalyzeOptions) -> Result<String, String> {
     if opts.json {
         let mut out = String::from("{\"analyze\":");
         out.push_str(&plan.to_json_string());
+        let quote = p3::obs::json::quote;
         out.push_str(&format!(
-            ",\"calibration\":{{\"query\":{:?},\"eval_mode\":\"{}\",\"correlation\":{:.4},\
-             \"top_predicted\":{:?},\"top_measured\":{:?},\"top_match\":{}}}}}\n",
-            query,
+            ",\"calibration\":{{\"query\":{},\"eval_mode\":\"{}\",\"correlation\":{:.4},\
+             \"top_predicted\":{},\"top_measured\":{},\"top_match\":{}}}}}\n",
+            quote(query),
             session.eval_mode().as_str(),
             correlation,
-            top_predicted.as_deref().unwrap_or("-"),
-            top_measured.as_deref().unwrap_or("-"),
+            quote(top_predicted.as_deref().unwrap_or("-")),
+            quote(top_measured.as_deref().unwrap_or("-")),
             top_match,
         ));
         return Ok(out);
@@ -653,7 +655,8 @@ fn lint_one(name: &str, src: &str, json: bool, out: &mut String) -> bool {
     let report = p3::lint::lint_source(src);
     if json {
         out.push_str(&format!(
-            "{{\"file\":{name:?},\"clean\":{},\"findings\":{}}}\n",
+            "{{\"file\":{},\"clean\":{},\"findings\":{}}}\n",
+            p3::obs::json::quote(name),
             report.is_clean(),
             report.to_json()
         ));
@@ -692,7 +695,7 @@ struct AuditOptions {
     dir: String,
     json: bool,
     top: Option<usize>,
-    by: String,
+    by: AuditKey,
 }
 
 fn parse_audit_args(args: &[String]) -> Result<AuditOptions, String> {
@@ -700,7 +703,7 @@ fn parse_audit_args(args: &[String]) -> Result<AuditOptions, String> {
         dir: String::new(),
         json: false,
         top: None,
-        by: "latency".to_string(),
+        by: AuditKey::Latency,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -717,15 +720,9 @@ fn parse_audit_args(args: &[String]) -> Result<AuditOptions, String> {
                 let v = it
                     .next()
                     .ok_or_else(|| "--by requires a value".to_string())?;
-                match v.as_str() {
-                    "latency" | "tuples" | "dnf_width" | "rule_cost" => opts.by = v.clone(),
-                    other => {
-                        return Err(format!(
-                            "unknown --by key '{other}' (expected latency, tuples, dnf_width, \
-                             or rule_cost)"
-                        ))
-                    }
-                }
+                opts.by = AuditKey::parse(v).map_err(|_| {
+                    format!("unknown --by key '{v}' (expected {})", AuditKey::EXPECTED)
+                })?;
             }
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
             path if opts.dir.is_empty() => opts.dir = path.to_string(),
@@ -742,13 +739,7 @@ fn run_audit(opts: &AuditOptions) -> Result<(String, bool), String> {
     let (mut records, dirty) = p3::audit::read_dir(std::path::Path::new(&opts.dir))
         .map_err(|e| format!("cannot read audit dir {}: {e}", opts.dir))?;
     if let Some(n) = opts.top {
-        let key: fn(&p3::audit::AuditRecord) -> u64 = match opts.by.as_str() {
-            "tuples" => |r| r.derived_tuples,
-            "dnf_width" => |r| r.dnf_literals,
-            "rule_cost" => |r| r.rule_cost,
-            _ => |r| r.total_us,
-        };
-        records.sort_by_key(|r| std::cmp::Reverse(key(r)));
+        records.sort_by_key(|r| std::cmp::Reverse(opts.by.key(r)));
         records.truncate(n);
     }
     let mut out = String::new();
@@ -1087,6 +1078,18 @@ mod tests {
     }
 
     #[test]
+    fn lint_json_escapes_control_characters_in_file_names() {
+        let dir = std::env::temp_dir().join("p3_cli_lint_json_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ctl\x01name.pl");
+        std::fs::write(&path, "t1 0.5: p(a).\n").unwrap();
+        let opts = parse_lint_args(&args(&[path.to_str().unwrap(), "--json"])).unwrap();
+        let (out, clean) = run_lint(&opts).unwrap();
+        assert!(clean, "{out}");
+        assert!(out.contains("ctl\\u0001name.pl"), "{out}");
+    }
+
+    #[test]
     fn lint_covers_generated_workloads() {
         let opts = parse_lint_args(&args(&["--workloads", "3"])).unwrap();
         let (out, clean) = run_lint(&opts).unwrap();
@@ -1184,7 +1187,7 @@ mod tests {
         assert_eq!(opts.dir, "/tmp/a");
         assert!(opts.json);
         assert_eq!(opts.top, Some(5));
-        assert_eq!(opts.by, "tuples");
+        assert_eq!(opts.by, AuditKey::Tuples);
         assert!(parse_audit_args(&args(&[])).is_err());
         let err = parse_audit_args(&args(&["/tmp/a", "--by", "bogus"])).unwrap_err();
         assert!(err.contains("unknown --by key"), "{err}");
