@@ -71,24 +71,20 @@ fn recursive_cost(ctx: &mut Ctx<'_>, graph: &DepGraph) {
         let mut names: Vec<&str> = component.iter().map(|&v| ctx.name(graph.pred(v))).collect();
         names.sort_unstable();
         let listed = names.join(", ");
-        // Anchor the note at the first rule whose head is in this SCC.
-        let (span, label) = match graph.rules(k).first().copied() {
-            Some(i) => (ctx.clause_span(i), Some(ctx.clauses[i].label.clone())),
-            None => (None, None),
-        };
+        // Anchor the note at the first rule whose head is in this SCC; a
+        // cycle's edges all come from rules, so there is one.
+        let i = graph.rules(k)[0];
         // Softened since demand evaluation became the default for recursive
         // programs: the full-model cost described here is only paid under
         // --eval-mode naive.
-        let mut d = Diagnostic::info("P3601", format!("recursive cycle through {{{listed}}}"))
-            .with_span(span)
+        let d = Diagnostic::info("P3601", format!("recursive cycle through {{{listed}}}"))
+            .with_span(ctx.clause_span(i))
+            .with_clause(&ctx.clauses[i].label)
             .with_help(
                 "cyclic derivations are cut by the hop-limited cycle elimination of \u{a7}3.3; \
              deep recursion grows grounding time and provenance size under naive \
              evaluation (auto mode already evaluates recursive programs on demand)",
             );
-        if let Some(label) = label {
-            d = d.with_clause(&label);
-        }
         ctx.emit(d);
     }
 }
