@@ -10,12 +10,22 @@
 //!    frequent variable: `P = p·P[λ|x=1] + (1−p)·P[λ|x=0]`, with
 //!    memoization on the restricted formulas.
 //!
+//! The expansion runs on bitsets: the formula's variables are numbered
+//! densely in ascending [`VarId`](crate::VarId) order, each monomial is `⌈V/64⌉` words
+//! with one bit per variable, and a formula is its monomials' words laid
+//! end to end in [`Dnf`]'s canonical order (length first, then literals).
+//! Restriction keeps that order and the absorption-free invariant without
+//! re-sorting, and equal formulas have equal words, so the memo is keyed by
+//! them. The kernel makes the decisions `Dnf` operations would make, in the
+//! same order, so its answers are those of Shannon expansion over [`Dnf`]s
+//! bit for bit.
+//!
 //! A work budget guards against blow-up; [`probability`] panics past it,
 //! [`try_probability`] reports [`ExactError::BudgetExceeded`] so callers can
 //! fall back to Monte-Carlo.
 
 use crate::dnf::Dnf;
-use crate::var::{VarId, VarTable};
+use crate::var::VarTable;
 use std::collections::HashMap;
 
 /// Default work budget (number of Shannon expansion steps).
@@ -59,34 +69,82 @@ pub fn probability(dnf: &Dnf, vars: &VarTable) -> f64 {
 pub fn try_probability(dnf: &Dnf, vars: &VarTable, budget: usize) -> Result<f64, ExactError> {
     let mut span = p3_obs::span::span("prob.exact");
     span.add_field("monomials", dnf.len() as u64);
-    let mut cx = Cx {
-        vars,
-        memo: HashMap::new(),
-        steps: 0,
-        budget,
-    };
-    cx.prob(dnf)
+    if dnf.is_false() {
+        return Ok(0.0);
+    }
+    if dnf.is_true() {
+        return Ok(1.0);
+    }
+    if dnf.len() == 1 {
+        return Ok(dnf.monomials()[0].probability(vars));
+    }
+    let (mut kernel, rows) = Kernel::new(dnf, vars, budget);
+    kernel.prob(rows)
 }
 
-struct Cx<'a> {
-    vars: &'a VarTable,
-    memo: HashMap<Dnf, f64>,
+/// No monomial (an empty [`Kernel::owner`] slot).
+const NONE: u32 = u32::MAX;
+
+/// Shannon expansion over one formula's bitset rows (see the module docs).
+/// A formula is a `Vec<u64>` of `words`-word rows; a row with no bits set
+/// only ever stands alone, as the constant `true`.
+struct Kernel {
+    words: usize,
+    /// Probability of each local variable.
+    probs: Vec<f64>,
+    /// Per variable, the first monomial of the current split to mention it.
+    owner: Vec<u32>,
+    /// Per variable, how many monomials of the current split mention it.
+    counts: Vec<u32>,
+    memo: HashMap<Vec<u64>, f64>,
     steps: usize,
     budget: usize,
 }
 
-impl Cx<'_> {
-    fn prob(&mut self, dnf: &Dnf) -> Result<f64, ExactError> {
-        if dnf.is_false() {
-            return Ok(0.0);
+/// How [`Kernel::split`] decomposes a connected-or-not formula.
+enum Split {
+    /// Independent components, in the order their factors are multiplied.
+    Components(Vec<Vec<u64>>),
+    /// One component: expand on this (most frequent) variable.
+    Expand(usize),
+}
+
+impl Kernel {
+    /// The kernel for `dnf`'s variables and `dnf` as rows.
+    fn new(dnf: &Dnf, vars: &VarTable, budget: usize) -> (Kernel, Vec<u64>) {
+        let ids = dnf.vars();
+        let words = ids.len().div_ceil(64);
+        let mut rows = vec![0u64; dnf.len() * words];
+        for (m, row) in dnf.monomials().iter().zip(rows.chunks_exact_mut(words)) {
+            for lit in m.literals() {
+                let v = ids.binary_search(lit).expect("a variable of the formula");
+                row[v / 64] |= 1 << (v % 64);
+            }
         }
-        if dnf.is_true() {
-            return Ok(1.0);
+        let kernel = Kernel {
+            words,
+            probs: ids.iter().map(|&v| vars.prob(v)).collect(),
+            owner: vec![NONE; ids.len()],
+            counts: vec![0; ids.len()],
+            memo: HashMap::new(),
+            steps: 0,
+            budget,
+        };
+        (kernel, rows)
+    }
+
+    fn prob(&mut self, f: Vec<u64>) -> Result<f64, ExactError> {
+        match f.len() / self.words {
+            0 => return Ok(0.0),
+            // Literals multiplied in ascending order, as `Monomial::probability`.
+            1 => {
+                let mut p = 1.0;
+                for_each_var(&f, |v| p *= self.probs[v]);
+                return Ok(p);
+            }
+            _ => {}
         }
-        if dnf.len() == 1 {
-            return Ok(dnf.monomials()[0].probability(self.vars));
-        }
-        if let Some(&p) = self.memo.get(dnf) {
+        if let Some(&p) = self.memo.get(&f) {
             return Ok(p);
         }
         self.steps += 1;
@@ -95,87 +153,180 @@ impl Cx<'_> {
                 budget: self.budget,
             });
         }
-
-        let components = components(dnf);
-        let p = if components.len() > 1 {
-            // Independent alternatives: P[∪ Ci] = 1 − Π(1 − P[Ci]).
-            let mut q = 1.0f64;
-            for c in components {
-                q *= 1.0 - self.prob(&c)?;
+        let p = match self.split(&f) {
+            Split::Components(components) => {
+                // Independent alternatives: P[∪ Ci] = 1 − Π(1 − P[Ci]).
+                let mut q = 1.0f64;
+                for c in components {
+                    q *= 1.0 - self.prob(c)?;
+                }
+                1.0 - q
             }
-            1.0 - q
-        } else {
-            // Shannon expansion on the most frequent variable.
-            let x = most_frequent_var(dnf);
-            let p_x = self.vars.prob(x);
-            let hi = self.prob(&dnf.restrict(x, true))?;
-            let lo = self.prob(&dnf.restrict(x, false))?;
-            p_x * hi + (1.0 - p_x) * lo
+            Split::Expand(x) => {
+                let p_x = self.probs[x];
+                let hi = self.prob(self.restrict_true(&f, x))?;
+                let lo = self.prob(self.restrict_false(&f, x))?;
+                p_x * hi + (1.0 - p_x) * lo
+            }
         };
-        self.memo.insert(dnf.clone(), p);
+        self.memo.insert(f, p);
         Ok(p)
     }
-}
 
-/// Groups monomials into connected components of the shares-a-variable
-/// relation, returning each component as its own DNF. Components are
-/// mutually independent events.
-fn components(dnf: &Dnf) -> Vec<Dnf> {
-    let n = dnf.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    let mut owner: HashMap<VarId, usize> = HashMap::new();
-    for (i, m) in dnf.monomials().iter().enumerate() {
-        for &lit in m.literals() {
-            match owner.get(&lit) {
-                Some(&j) => {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
+    /// Connected components of the shares-a-variable relation (union-find
+    /// over monomials), or the variable to expand on when there is one.
+    fn split(&mut self, f: &[u64]) -> Split {
+        let w = self.words;
+        let mut parent: Vec<u32> = (0..(f.len() / w) as u32).collect();
+        let mut roots = parent.len();
+        let mut mentioned = vec![0u64; w];
+        for (i, row) in f.chunks_exact(w).enumerate() {
+            let mut root = i;
+            for_each_var(row, |v| {
+                self.counts[v] += 1;
+                match self.owner[v] {
+                    NONE => self.owner[v] = i as u32,
+                    j => {
+                        let other = find(&mut parent, j as usize);
+                        if other != root {
+                            parent[root] = other as u32;
+                            root = other;
+                            roots -= 1;
+                        }
                     }
                 }
-                None => {
-                    owner.insert(lit, i);
-                }
-            }
+            });
+            mentioned.iter_mut().zip(row).for_each(|(m, r)| *m |= r);
         }
+        // Reset the per-variable slots; the most frequent variable wins,
+        // the smallest on a tie.
+        let (mut best, mut best_count) = (0, 0);
+        for_each_var(&mentioned, |v| {
+            self.owner[v] = NONE;
+            let count = std::mem::take(&mut self.counts[v]);
+            if count > best_count {
+                (best, best_count) = (v, count);
+            }
+        });
+        if roots == 1 {
+            return Split::Expand(best);
+        }
+        // One formula per component, its monomials in their order here.
+        // `Dnf` orders disjoint formulas by their first monomials, which
+        // differ in their smallest variable.
+        let mut slot = vec![NONE; parent.len()];
+        let mut components: Vec<(usize, Vec<u64>)> = Vec::with_capacity(roots);
+        for (i, row) in f.chunks_exact(w).enumerate() {
+            let root = find(&mut parent, i);
+            if slot[root] == NONE {
+                slot[root] = components.len() as u32;
+                let mut first = usize::MAX;
+                for_each_var(row, |v| first = first.min(v));
+                components.push((first, Vec::new()));
+            }
+            components[slot[root] as usize].1.extend_from_slice(row);
+        }
+        components.sort_unstable_by_key(|&(first, _)| first);
+        Split::Components(components.into_iter().map(|(_, c)| c).collect())
     }
-    let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(i);
+
+    /// `f | x = false`: the monomials without `x`, already in order and
+    /// absorption-free.
+    fn restrict_false(&self, f: &[u64], x: usize) -> Vec<u64> {
+        let (k, bit) = (x / 64, 1u64 << (x % 64));
+        let mut out = Vec::with_capacity(f.len());
+        for row in f.chunks_exact(self.words).filter(|row| row[k] & bit == 0) {
+            out.extend_from_slice(row);
+        }
+        out
     }
-    let mut out: Vec<Dnf> = groups.into_values().map(|idx| dnf.select(&idx)).collect();
-    // Deterministic order for memo friendliness.
-    out.sort_by(|a, b| a.monomials().cmp(b.monomials()));
-    out
+
+    /// `f | x = true`: `x` cleared. The shrunk monomials stay in order and
+    /// absorb no other one; an untouched monomial is dropped when a shorter
+    /// shrunk one absorbs it. The two ordered runs are then merged.
+    fn restrict_true(&self, f: &[u64], x: usize) -> Vec<u64> {
+        let (w, k, bit) = (self.words, x / 64, 1u64 << (x % 64));
+        let mut shrunk: Vec<u64> = Vec::new();
+        let mut lens: Vec<u32> = Vec::new();
+        for row in f.chunks_exact(w).filter(|row| row[k] & bit != 0) {
+            shrunk.extend_from_slice(row);
+            let at = shrunk.len() - w + k;
+            shrunk[at] &= !bit;
+            lens.push(len(row) - 1);
+        }
+        if lens[0] == 0 {
+            // `x` alone was a monomial: the restriction is `true`.
+            return vec![0; w];
+        }
+        let mut out = Vec::with_capacity(f.len());
+        // Shrunk rows shorter than `row`, and shrunk rows already emitted.
+        let (mut shorter, mut done) = (0, 0);
+        for row in f.chunks_exact(w).filter(|row| row[k] & bit == 0) {
+            let n = len(row);
+            while shorter < lens.len() && lens[shorter] < n {
+                shorter += 1;
+            }
+            if shrunk[..shorter * w]
+                .chunks_exact(w)
+                .any(|s| s.iter().zip(row).all(|(s, r)| s & !r == 0))
+            {
+                continue;
+            }
+            let from = done;
+            while done < lens.len()
+                && (lens[done] < n || lens[done] == n && lex_less(&shrunk[done * w..][..w], row))
+            {
+                done += 1;
+            }
+            out.extend_from_slice(&shrunk[from * w..done * w]);
+            out.extend_from_slice(row);
+        }
+        out.extend_from_slice(&shrunk[done * w..]);
+        out
+    }
 }
 
-/// The variable occurring in the most monomials (ties broken by id).
-fn most_frequent_var(dnf: &Dnf) -> VarId {
-    let mut counts: HashMap<VarId, usize> = HashMap::new();
-    for m in dnf.monomials() {
-        for &lit in m.literals() {
-            *counts.entry(lit).or_default() += 1;
+/// Union-find root of `i`, halving the path on the way.
+fn find(parent: &mut [u32], mut i: usize) -> usize {
+    while parent[i] as usize != i {
+        parent[i] = parent[parent[i] as usize];
+        i = parent[i] as usize;
+    }
+    i
+}
+
+/// Calls `visit` with each variable of `row`, ascending.
+fn for_each_var(row: &[u64], mut visit: impl FnMut(usize)) {
+    for (k, &word) in row.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            visit(k * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
         }
     }
-    counts
-        .into_iter()
-        .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
-        .map(|(v, _)| v)
-        .expect("non-constant DNF has variables")
+}
+
+/// Literals in a row.
+fn len(row: &[u64]) -> u32 {
+    row.iter().map(|word| word.count_ones()).sum()
+}
+
+/// Whether row `a` precedes distinct row `b` of the same length in
+/// lexicographic order of their sorted literals: the smallest variable
+/// they differ in is `a`'s.
+fn lex_less(a: &[u64], b: &[u64]) -> bool {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (a, a ^ b))
+        .find(|&(_, diff)| diff != 0)
+        .is_some_and(|(a, diff)| a & diff & diff.wrapping_neg() != 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dnf::Monomial;
+    use crate::var::VarId;
 
     fn table(probs: &[f64]) -> VarTable {
         let mut t = VarTable::new();
@@ -265,15 +416,18 @@ mod tests {
 
     #[test]
     fn components_split_independent_groups() {
+        let vars = table(&[0.5; 6]);
         let dnf = Dnf::new(vec![m(&[0, 1]), m(&[1, 2]), m(&[3, 4]), m(&[5])]);
-        let comps = components(&dnf);
-        assert_eq!(comps.len(), 3);
-        let sizes: Vec<usize> = {
-            let mut s: Vec<usize> = comps.iter().map(Dnf::len).collect();
-            s.sort_unstable();
-            s
+        let (mut kernel, rows) = Kernel::new(&dnf, &vars, DEFAULT_BUDGET);
+        let Split::Components(comps) = kernel.split(&rows) else {
+            panic!("three independent groups");
         };
-        assert_eq!(sizes, vec![1, 1, 2]);
+        // One word per monomial; ordered by each group's smallest variable.
+        let sizes: Vec<usize> = comps.iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![2, 1, 1]);
+        assert_eq!(comps[0], vec![0b11, 0b110]);
+        // The connected first group expands on its most frequent variable.
+        assert!(matches!(kernel.split(&comps[0]), Split::Expand(1)));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`Dnf`] — the formula representation with the algebra the queries need
 //!   (restriction, absorption, monomial arithmetic);
 //! * [`exact`] — exact success probability by independence decomposition +
-//!   Shannon expansion (the testing oracle and the small-formula fast path);
+//!   Shannon expansion over bitset monomials (the testing oracle and the
+//!   exact backend);
 //! * [`bdd`] — a reduced ordered BDD package with weighted model counting,
 //!   the classic ProbLog inference backend;
 //! * [`mc`] — Monte-Carlo estimators: naive sampling, the Karp–Luby union
