@@ -258,13 +258,20 @@ impl Dnf {
             self.monomials.truncate(1);
             return;
         }
+        // A kept monomial's signature sets bit `v % 64` for each literal `v`;
+        // it can absorb `m` only if its signature's bits are all in `m`'s,
+        // so most merge walks are skipped.
+        let signature = |m: &Monomial| m.lits.iter().fold(0u64, |sig, v| sig | 1 << (v.0 % 64));
         let mut kept: Vec<Monomial> = Vec::with_capacity(self.monomials.len());
+        let mut sigs: Vec<u64> = Vec::with_capacity(self.monomials.len());
         'outer: for m in self.monomials.drain(..) {
-            for k in &kept {
-                if k.subsumes(&m) {
+            let sig = signature(&m);
+            for (k, k_sig) in kept.iter().zip(&sigs) {
+                if k_sig & !sig == 0 && k.subsumes(&m) {
                     continue 'outer;
                 }
             }
+            sigs.push(sig);
             kept.push(m);
         }
         self.monomials = kept;
