@@ -14,7 +14,7 @@
 use crate::ast::{ClauseId, Const};
 use crate::engine::{Engine, NoopSink};
 use crate::program::{Program, ProgramError};
-use crate::symbol::Symbol;
+use crate::symbol::{Symbol, SymbolTable};
 
 /// Upper bound on uncertain clauses accepted by [`success_probability`];
 /// enumeration is `O(2^n)`.
@@ -97,7 +97,9 @@ pub fn parse_ground_query(
     program: &Program,
     query: &str,
 ) -> Result<(Symbol, Vec<Const>), WorldsError> {
-    let mut symbols = program.symbols().clone();
+    // The query's own table holds only its names; each is then looked up in
+    // the program's, which is never copied.
+    let mut symbols = SymbolTable::new();
     let clauses =
         crate::parser::parse_into(&format!("{}.", query.trim_end_matches('.')), &mut symbols)
             .map_err(|e| WorldsError::UnknownQuery(format!("{query}: {e}")))?;
@@ -109,21 +111,24 @@ pub fn parse_ground_query(
             "{query}: not a ground atom"
         )));
     }
-    // Reject queries that introduced brand-new symbols: they cannot denote a
-    // derivable tuple, and their `Symbol`s would be dangling relative to the
-    // program's own table.
-    if symbols.len() != program.symbols().len() {
-        return Err(WorldsError::UnknownQuery(format!(
-            "{query}: mentions symbols absent from the program"
-        )));
-    }
+    // Reject queries that mention brand-new symbols: they cannot denote a
+    // derivable tuple.
+    let own = |sym: Symbol| {
+        program.symbols().get(symbols.resolve(sym)).ok_or_else(|| {
+            WorldsError::UnknownQuery(format!("{query}: mentions symbols absent from the program"))
+        })
+    };
+    let pred = own(clause.head.pred)?;
     let args = clause
         .head
         .args
         .iter()
-        .map(|t| t.as_const().expect("ground atom"))
-        .collect();
-    Ok((clause.head.pred, args))
+        .map(|t| match t.as_const().expect("ground atom") {
+            Const::Sym(sym) => own(sym).map(Const::Sym),
+            int => Ok(int),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((pred, args))
 }
 
 /// Does the subprogram selected by `world` derive `pred(args…)`?
@@ -238,6 +243,76 @@ mod tests {
             success_probability_str(&p, "p(zzz)"),
             Err(WorldsError::UnknownQuery(_))
         ));
+    }
+
+    /// The error text `parse_ground_query` gives for `query` over `src`.
+    fn query_error(src: &str, query: &str) -> String {
+        let p = Program::parse(src).unwrap();
+        match parse_ground_query(&p, query) {
+            Err(WorldsError::UnknownQuery(text)) => text,
+            other => panic!("{query}: expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_query_is_a_parse_error() {
+        let text = query_error("t1 0.3: p(a).", "p(a");
+        assert!(text.starts_with("p(a: "), "{text}");
+        assert!(text.contains("parse error"), "{text}");
+    }
+
+    #[test]
+    fn more_than_one_clause_is_rejected() {
+        assert_eq!(query_error("t1 0.3: p(a).", "p(a). p(a)"), "p(a). p(a)");
+    }
+
+    #[test]
+    fn non_ground_query_is_rejected() {
+        assert_eq!(
+            query_error("t1 0.3: p(a).", "p(X)"),
+            "p(X): not a ground atom"
+        );
+        assert_eq!(
+            query_error("r1 1.0: q(X) :- p(X). t1 0.3: p(a).", "q(a) :- p(a)"),
+            "q(a) :- p(a): not a ground atom"
+        );
+    }
+
+    #[test]
+    fn absent_symbol_is_rejected() {
+        let src = "t1 0.3: p(a).";
+        for query in ["p(zzz)", "nosuch(a)"] {
+            assert_eq!(
+                query_error(src, query),
+                format!("{query}: mentions symbols absent from the program")
+            );
+        }
+    }
+
+    #[test]
+    fn query_resolves_to_the_programs_own_symbols() {
+        let p = Program::parse(r#"t1 0.3: edge(a, 7, "b c"). t2 0.5: edge(b, -2, a)."#).unwrap();
+        let syms = p.symbols();
+        let (pred, args) = parse_ground_query(&p, r#"edge(a, 7, "b c")"#).unwrap();
+        assert_eq!(pred, syms.get("edge").unwrap());
+        assert_eq!(
+            args,
+            vec![
+                Const::Sym(syms.get("a").unwrap()),
+                Const::Int(7),
+                Const::Sym(syms.get("b c").unwrap()),
+            ]
+        );
+        // A trailing full stop is accepted.
+        let (_, args) = parse_ground_query(&p, "edge(b, -2, a).").unwrap();
+        assert_eq!(
+            args,
+            vec![
+                Const::Sym(syms.get("b").unwrap()),
+                Const::Int(-2),
+                Const::Sym(syms.get("a").unwrap()),
+            ]
+        );
     }
 
     #[test]
