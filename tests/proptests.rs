@@ -4,84 +4,186 @@ use p3::core::{sufficient_provenance, DerivationAlgo, ProbMethod};
 use p3::prob::{exact, mc, Dnf, McConfig, Monomial, VarId, VarTable};
 use proptest::prelude::*;
 
-/// Strategy: a variable table of `n` variables with arbitrary probabilities
-/// and a DNF over them.
-fn dnf_and_table(max_vars: usize, max_monomials: usize) -> impl Strategy<Value = (Dnf, VarTable)> {
+/// Variables in the table of a spread-mode formula.
+const SPREAD_VARS: usize = 200;
+
+/// Strategy: a variable table with arbitrary probabilities and monomials
+/// over `nvars ≤ max_vars` of its variables.
+///
+/// Dense mode draws the variables `0..nvars` of an `nvars`-variable table,
+/// so every formula fits in one 64-bit word and no two variables share a
+/// bit modulo 64. Spread mode maps those indices injectively (a random
+/// permutation) into a table of [`SPREAD_VARS`] variables, so formulas span
+/// several words and variables may collide modulo 64.
+fn monomials_and_table(
+    max_vars: usize,
+    max_monomials: usize,
+    spread: bool,
+) -> impl Strategy<Value = (Vec<Monomial>, VarTable)> {
     (2..=max_vars).prop_flat_map(move |nvars| {
-        let probs = proptest::collection::vec(0.0f64..=1.0, nvars);
+        let table_len = if spread { SPREAD_VARS } else { nvars };
+        let probs = proptest::collection::vec(0.0f64..=1.0, table_len);
         let monomials = proptest::collection::vec(
             proptest::collection::vec(0..nvars as u32, 1..=3),
             1..=max_monomials,
         );
-        (probs, monomials).prop_map(|(probs, monomials)| {
+        let keys = proptest::collection::vec(0..u32::MAX, table_len);
+        (probs, monomials, keys).prop_map(move |(probs, monomials, keys)| {
             let mut table = VarTable::new();
             for (i, p) in probs.iter().enumerate() {
                 table.add(format!("x{i}"), *p);
             }
-            let dnf = Dnf::new(
-                monomials
-                    .into_iter()
-                    .map(|lits| Monomial::new(lits.into_iter().map(VarId).collect()))
-                    .collect(),
-            );
-            (dnf, table)
+            let mut var: Vec<u32> = (0..table_len as u32).collect();
+            if spread {
+                var.sort_by_key(|&v| keys[v as usize]);
+            }
+            let monomials = monomials
+                .into_iter()
+                .map(|lits| {
+                    Monomial::new(lits.into_iter().map(|i| VarId(var[i as usize])).collect())
+                })
+                .collect();
+            (monomials, table)
         })
     })
+}
+
+/// Strategy: a variable table and a DNF over it (see
+/// [`monomials_and_table`] for the two modes).
+fn dnf_and_table(
+    max_vars: usize,
+    max_monomials: usize,
+    spread: bool,
+) -> impl Strategy<Value = (Dnf, VarTable)> {
+    monomials_and_table(max_vars, max_monomials, spread)
+        .prop_map(|(monomials, table)| (Dnf::new(monomials), table))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn exact_probability_is_in_unit_interval((dnf, vars) in dnf_and_table(6, 6)) {
-        let p = exact::probability(&dnf, &vars);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&p), "{p}");
+    fn exact_probability_is_in_unit_interval(
+        dense in dnf_and_table(6, 6, false),
+        spread in dnf_and_table(6, 6, true),
+    ) {
+        for (dnf, vars) in [dense, spread] {
+            let p = exact::probability(&dnf, &vars);
+            prop_assert!((0.0..=1.0 + 1e-12).contains(&p), "{p}");
+        }
     }
 
     #[test]
-    fn shannon_identity_holds((dnf, vars) in dnf_and_table(6, 6)) {
+    fn shannon_identity_holds(
+        dense in dnf_and_table(6, 6, false),
+        spread in dnf_and_table(6, 6, true),
+    ) {
         // P[λ] = p(x)·P[λ|x=1] + (1−p(x))·P[λ|x=0] for every variable.
-        let p = exact::probability(&dnf, &vars);
-        for x in dnf.vars() {
-            let px = vars.prob(x);
-            let hi = exact::probability(&dnf.restrict(x, true), &vars);
-            let lo = exact::probability(&dnf.restrict(x, false), &vars);
-            prop_assert!((p - (px * hi + (1.0 - px) * lo)).abs() < 1e-9);
+        for (dnf, vars) in [dense, spread] {
+            let p = exact::probability(&dnf, &vars);
+            for x in dnf.vars() {
+                let px = vars.prob(x);
+                let hi = exact::probability(&dnf.restrict(x, true), &vars);
+                let lo = exact::probability(&dnf.restrict(x, false), &vars);
+                prop_assert!((p - (px * hi + (1.0 - px) * lo)).abs() < 1e-9);
+            }
         }
     }
 
     #[test]
-    fn bdd_wmc_equals_shannon((dnf, vars) in dnf_and_table(7, 7)) {
-        let shannon = exact::probability(&dnf, &vars);
+    fn bdd_wmc_equals_shannon(
+        dense in dnf_and_table(7, 7, false),
+        spread in dnf_and_table(7, 7, true),
+    ) {
+        for (dnf, vars) in [dense, spread] {
+            let shannon = exact::probability(&dnf, &vars);
+            let mut bdd = p3::prob::bdd::Bdd::new();
+            let node = bdd.from_dnf(&dnf);
+            prop_assert!((bdd.wmc(node, &vars) - shannon).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn bdd_wmc_equals_shannon_beyond_one_word((dnf, vars) in dnf_and_table(6, 6, false)) {
+        // Copies of the formula, each sharing its first variable with the
+        // previous copy's last, over 130 variables or more: the Shannon
+        // kernel's monomials span three 64-bit words.
+        let stride = vars.len() as u32 - 1;
+        let copies = 130u32.div_ceil(stride);
+        let mut table = VarTable::new();
+        for v in 0..copies * stride + 1 {
+            table.add(format!("y{v}"), vars.prob(VarId(v % stride)));
+        }
+        let chain = Dnf::new(
+            (0..copies)
+                .flat_map(|c| {
+                    dnf.monomials().iter().map(move |m| {
+                        Monomial::new(m.literals().iter().map(|v| VarId(c * stride + v.0)).collect())
+                    })
+                })
+                .collect(),
+        );
+        let shannon = exact::probability(&chain, &table);
         let mut bdd = p3::prob::bdd::Bdd::new();
-        let node = bdd.from_dnf(&dnf);
-        prop_assert!((bdd.wmc(node, &vars) - shannon).abs() < 1e-9);
+        let node = bdd.from_dnf(&chain);
+        prop_assert!((bdd.wmc(node, &table) - shannon).abs() < 1e-9);
     }
 
     #[test]
-    fn monotonicity_under_or((dnf, vars) in dnf_and_table(6, 5), extra in proptest::collection::vec(0..6u32, 1..=2)) {
-        // Adding a derivation can only increase the probability.
-        let p = exact::probability(&dnf, &vars);
-        let extra: Vec<VarId> = extra.into_iter().filter(|&v| (v as usize) < vars.len()).map(VarId).collect();
-        prop_assume!(!extra.is_empty());
-        let bigger = dnf.or(&Dnf::new(vec![Monomial::new(extra)]));
-        let p2 = exact::probability(&bigger, &vars);
-        prop_assert!(p2 >= p - 1e-12, "{p2} < {p}");
-    }
-
-    #[test]
-    fn restriction_brackets_the_probability((dnf, vars) in dnf_and_table(6, 6)) {
-        // For monotone formulas: P[λ|x=0] ≤ P[λ] ≤ P[λ|x=1].
-        let p = exact::probability(&dnf, &vars);
-        for x in dnf.vars() {
-            let hi = exact::probability(&dnf.restrict(x, true), &vars);
-            let lo = exact::probability(&dnf.restrict(x, false), &vars);
-            prop_assert!(lo <= p + 1e-12 && p <= hi + 1e-12);
+    fn monotonicity_under_or(
+        dense in dnf_and_table(6, 5, false),
+        spread in dnf_and_table(6, 5, true),
+        extra in proptest::collection::vec(0..6usize, 1..=2),
+    ) {
+        // Adding a derivation over the formula's own variables can only
+        // increase the probability.
+        for (dnf, vars) in [dense, spread] {
+            let p = exact::probability(&dnf, &vars);
+            let own = dnf.vars();
+            let extra: Vec<VarId> = extra.iter().map(|&i| own[i % own.len()]).collect();
+            let bigger = dnf.or(&Dnf::new(vec![Monomial::new(extra)]));
+            let p2 = exact::probability(&bigger, &vars);
+            prop_assert!(p2 >= p - 1e-12, "{p2} < {p}");
         }
     }
 
     #[test]
-    fn absorption_preserves_probability((dnf, vars) in dnf_and_table(6, 6)) {
+    fn restriction_brackets_the_probability(
+        dense in dnf_and_table(6, 6, false),
+        spread in dnf_and_table(6, 6, true),
+    ) {
+        // For monotone formulas: P[λ|x=0] ≤ P[λ] ≤ P[λ|x=1].
+        for (dnf, vars) in [dense, spread] {
+            let p = exact::probability(&dnf, &vars);
+            for x in dnf.vars() {
+                let hi = exact::probability(&dnf.restrict(x, true), &vars);
+                let lo = exact::probability(&dnf.restrict(x, false), &vars);
+                prop_assert!(lo <= p + 1e-12 && p <= hi + 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn normalisation_keeps_exactly_the_minimal_monomials(
+        (monomials, _vars) in monomials_and_table(7, 7, true),
+    ) {
+        // Every output is an input, every input is subsumed by an output,
+        // and no output absorbs another: the outputs are the minimal inputs.
+        let dnf = Dnf::new(monomials.clone());
+        for m in dnf.monomials() {
+            prop_assert!(monomials.contains(m), "{m:?} is not an input");
+        }
+        for m in &monomials {
+            prop_assert!(
+                dnf.monomials().iter().any(|k| k.subsumes(m)),
+                "{m:?} is not subsumed"
+            );
+        }
+        prop_assert!(dnf.check_invariants().is_ok(), "{:?}", dnf.check_invariants());
+    }
+
+    #[test]
+    fn absorption_preserves_probability((dnf, vars) in dnf_and_table(6, 6, false)) {
         // Re-normalising an already-normalised formula (or re-adding absorbed
         // monomials) never changes its probability: λ + λ·extra ≡ λ.
         let p = exact::probability(&dnf, &vars);
@@ -97,7 +199,7 @@ proptest! {
 
     #[test]
     fn sufficient_provenance_respects_eps(
-        (dnf, vars) in dnf_and_table(6, 6),
+        (dnf, vars) in dnf_and_table(6, 6, false),
         eps in 0.0f64..0.3,
     ) {
         for algo in [DerivationAlgo::NaiveGreedy, DerivationAlgo::ReSuciu] {
@@ -111,7 +213,7 @@ proptest! {
     }
 
     #[test]
-    fn influence_bounds_hold((dnf, vars) in dnf_and_table(6, 6)) {
+    fn influence_bounds_hold((dnf, vars) in dnf_and_table(6, 6, false)) {
         // 0 ≤ Inf_x ≤ 1 for monotone formulas, and Eq. 16 reconstructs P.
         let p = exact::probability(&dnf, &vars);
         for x in dnf.vars() {
@@ -123,7 +225,7 @@ proptest! {
     }
 
     #[test]
-    fn mc_estimate_brackets_exact((dnf, vars) in dnf_and_table(5, 4)) {
+    fn mc_estimate_brackets_exact((dnf, vars) in dnf_and_table(5, 4, false)) {
         let p = exact::probability(&dnf, &vars);
         let est = mc::estimate(&dnf, &vars, McConfig { samples: 60_000, seed: 1234 });
         // 60k samples: generous 4-sigma band plus slack for tiny p.
@@ -132,7 +234,7 @@ proptest! {
     }
 
     #[test]
-    fn karp_luby_brackets_exact((dnf, vars) in dnf_and_table(5, 4)) {
+    fn karp_luby_brackets_exact((dnf, vars) in dnf_and_table(5, 4, false)) {
         let p = exact::probability(&dnf, &vars);
         let est = mc::karp_luby(&dnf, &vars, McConfig { samples: 60_000, seed: 99 });
         prop_assert!((est - p).abs() < 0.02, "est {est} vs exact {p}");
@@ -169,7 +271,7 @@ proptest! {
 
     #[test]
     fn modification_reaches_reachable_targets(
-        (dnf, vars) in dnf_and_table(5, 4),
+        (dnf, vars) in dnf_and_table(5, 4, false),
         t in 0.05f64..0.95,
     ) {
         use p3::core::{modification_query, ModificationOptions};
