@@ -258,23 +258,25 @@ impl Dnf {
             self.monomials.truncate(1);
             return;
         }
-        // A kept monomial's signature sets bit `v % 64` for each literal `v`;
-        // it can absorb `m` only if its signature's bits are all in `m`'s,
-        // so most merge walks are skipped.
+        // Kept monomials are compacted to the front. A kept monomial's
+        // signature sets bit `v % 64` for each literal `v`; it can absorb `m`
+        // only if its signature's bits are all in `m`'s, so most merge walks
+        // are skipped.
         let signature = |m: &Monomial| m.lits.iter().fold(0u64, |sig, v| sig | 1 << (v.0 % 64));
-        let mut kept: Vec<Monomial> = Vec::with_capacity(self.monomials.len());
         let mut sigs: Vec<u64> = Vec::with_capacity(self.monomials.len());
-        'outer: for m in self.monomials.drain(..) {
-            let sig = signature(&m);
-            for (k, k_sig) in kept.iter().zip(&sigs) {
-                if k_sig & !sig == 0 && k.subsumes(&m) {
-                    continue 'outer;
-                }
+        for i in 0..self.monomials.len() {
+            let m = &self.monomials[i];
+            let sig = signature(m);
+            let absorbed = self.monomials[..sigs.len()]
+                .iter()
+                .zip(&sigs)
+                .any(|(k, k_sig)| k_sig & !sig == 0 && k.subsumes(m));
+            if !absorbed {
+                self.monomials.swap(sigs.len(), i);
+                sigs.push(sig);
             }
-            sigs.push(sig);
-            kept.push(m);
         }
-        self.monomials = kept;
+        self.monomials.truncate(sigs.len());
     }
 
     /// Total number of literal occurrences (the paper's "k-literal" size).
