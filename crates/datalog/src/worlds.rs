@@ -97,8 +97,9 @@ pub fn parse_ground_query(
     program: &Program,
     query: &str,
 ) -> Result<(Symbol, Vec<Const>), WorldsError> {
-    // The query's own table holds only its names; each is then looked up in
-    // the program's, which is never copied.
+    // Parse into a table of the query's names alone, then map each name to
+    // the program's symbol: cloning the program's table would cost two
+    // allocations per program symbol on every query.
     let mut symbols = SymbolTable::new();
     let clauses =
         crate::parser::parse_into(&format!("{}.", query.trim_end_matches('.')), &mut symbols)

@@ -10,15 +10,15 @@
 //!    frequent variable: `P = p·P[λ|x=1] + (1−p)·P[λ|x=0]`, with
 //!    memoization on the restricted formulas.
 //!
-//! The expansion runs on bitsets: the formula's variables are numbered
-//! densely in ascending [`VarId`](crate::VarId) order, each monomial is `⌈V/64⌉` words
-//! with one bit per variable, and a formula is its monomials' words laid
-//! end to end in [`Dnf`]'s canonical order (length first, then literals).
-//! Restriction keeps that order and the absorption-free invariant without
-//! re-sorting, and equal formulas have equal words, so the memo is keyed by
-//! them. The kernel makes the decisions `Dnf` operations would make, in the
-//! same order, so its answers are those of Shannon expansion over [`Dnf`]s
-//! bit for bit.
+//! The expansion runs on bitsets: the formula's `V` variables are numbered
+//! densely in ascending [`VarId`](crate::VarId) order, each monomial is
+//! `⌈V/64⌉` words with one bit per variable, and a formula is its
+//! monomials' words laid end to end in [`Dnf`]'s canonical order (length
+//! first, then literals). Restriction keeps that order and the
+//! absorption-free invariant without re-sorting, and equal formulas have
+//! equal words, so the memo is keyed by them. The kernel makes the
+//! decisions `Dnf` operations would make, in the same order, so its answers
+//! are those of Shannon expansion over [`Dnf`]s bit for bit.
 //!
 //! A work budget guards against blow-up; [`probability`] panics past it,
 //! [`try_probability`] reports [`ExactError::BudgetExceeded`] so callers can
@@ -92,16 +92,18 @@ struct Kernel {
     words: usize,
     /// Probability of each local variable.
     probs: Vec<f64>,
-    /// Per variable, the first monomial of the current split to mention it.
+    /// Per variable, the first monomial to mention it in the split under
+    /// way; [`NONE`] between splits.
     owner: Vec<u32>,
-    /// Per variable, how many monomials of the current split mention it.
+    /// Per variable, how many monomials mention it in the split under way;
+    /// 0 between splits.
     counts: Vec<u32>,
     memo: HashMap<Vec<u64>, f64>,
     steps: usize,
     budget: usize,
 }
 
-/// How [`Kernel::split`] decomposes a connected-or-not formula.
+/// How [`Kernel::split`] decomposes a formula.
 enum Split {
     /// Independent components, in the order their factors are multiplied.
     Components(Vec<Vec<u64>>),
