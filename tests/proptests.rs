@@ -13,8 +13,9 @@ const SPREAD_VARS: usize = 200;
 /// Dense mode draws the variables `0..nvars` of an `nvars`-variable table,
 /// so every formula fits in one 64-bit word and no two variables share a
 /// bit modulo 64. Spread mode maps those indices injectively (a random
-/// permutation) into a table of [`SPREAD_VARS`] variables, so formulas span
-/// several words and variables may collide modulo 64.
+/// permutation) into a table of [`SPREAD_VARS`] variables, so a formula's
+/// ids are sparse and span several 64-id ranges, and two of its variables
+/// may share a bit modulo 64 (the absorption signature's bit).
 fn monomials_and_table(
     max_vars: usize,
     max_monomials: usize,
@@ -107,7 +108,7 @@ proptest! {
     fn bdd_wmc_equals_shannon_beyond_one_word((dnf, vars) in dnf_and_table(6, 6, false)) {
         // Copies of the formula, each sharing its first variable with the
         // previous copy's last, over 130 variables or more: the Shannon
-        // kernel's monomials span three 64-bit words.
+        // kernel's monomials span up to three 64-bit words.
         let stride = vars.len() as u32 - 1;
         let copies = 130u32.div_ceil(stride);
         let mut table = VarTable::new();
