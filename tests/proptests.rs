@@ -7,8 +7,9 @@ use proptest::prelude::*;
 /// Variables in the table of a spread-mode formula.
 const SPREAD_VARS: usize = 200;
 
-/// Strategy: a variable table with arbitrary probabilities and monomials
-/// over `nvars ≤ max_vars` of its variables.
+/// Strategy: a variable table with arbitrary probabilities, monomials over
+/// `nvars ≤ max_vars` of its variables, and those `nvars` variables (the
+/// draw's domain, which the monomials need not all mention).
 ///
 /// Dense mode draws the variables `0..nvars` of an `nvars`-variable table,
 /// so every formula fits in one 64-bit word and no two variables share a
@@ -20,7 +21,7 @@ fn monomials_and_table(
     max_vars: usize,
     max_monomials: usize,
     spread: bool,
-) -> impl Strategy<Value = (Vec<Monomial>, VarTable)> {
+) -> impl Strategy<Value = (Vec<Monomial>, VarTable, Vec<VarId>)> {
     (2..=max_vars).prop_flat_map(move |nvars| {
         let table_len = if spread { SPREAD_VARS } else { nvars };
         let probs = proptest::collection::vec(0.0f64..=1.0, table_len);
@@ -34,17 +35,16 @@ fn monomials_and_table(
             for (i, p) in probs.iter().enumerate() {
                 table.add(format!("x{i}"), *p);
             }
-            let mut var: Vec<u32> = (0..table_len as u32).collect();
+            let mut var: Vec<VarId> = (0..table_len as u32).map(VarId).collect();
             if spread {
-                var.sort_by_key(|&v| keys[v as usize]);
+                var.sort_by_key(|&v| keys[v.0 as usize]);
             }
             let monomials = monomials
                 .into_iter()
-                .map(|lits| {
-                    Monomial::new(lits.into_iter().map(|i| VarId(var[i as usize])).collect())
-                })
+                .map(|lits| Monomial::new(lits.into_iter().map(|i| var[i as usize]).collect()))
                 .collect();
-            (monomials, table)
+            var.truncate(nvars);
+            (monomials, table, var)
         })
     })
 }
@@ -57,7 +57,7 @@ fn dnf_and_table(
     spread: bool,
 ) -> impl Strategy<Value = (Dnf, VarTable)> {
     monomials_and_table(max_vars, max_monomials, spread)
-        .prop_map(|(monomials, table)| (Dnf::new(monomials), table))
+        .prop_map(|(monomials, table, _)| (Dnf::new(monomials), table))
 }
 
 proptest! {
@@ -132,16 +132,17 @@ proptest! {
 
     #[test]
     fn monotonicity_under_or(
-        dense in dnf_and_table(6, 5, false),
-        spread in dnf_and_table(6, 5, true),
+        dense in monomials_and_table(6, 5, false),
+        spread in monomials_and_table(6, 5, true),
         extra in proptest::collection::vec(0..6usize, 1..=2),
     ) {
-        // Adding a derivation over the formula's own variables can only
-        // increase the probability.
-        for (dnf, vars) in [dense, spread] {
+        // Adding a derivation can only increase the probability. Its
+        // variables come from the draw's domain, so it may bring in ones the
+        // formula does not mention.
+        for (monomials, vars, domain) in [dense, spread] {
+            let dnf = Dnf::new(monomials);
             let p = exact::probability(&dnf, &vars);
-            let own = dnf.vars();
-            let extra: Vec<VarId> = extra.iter().map(|&i| own[i % own.len()]).collect();
+            let extra: Vec<VarId> = extra.iter().map(|&i| domain[i % domain.len()]).collect();
             let bigger = dnf.or(&Dnf::new(vec![Monomial::new(extra)]));
             let p2 = exact::probability(&bigger, &vars);
             prop_assert!(p2 >= p - 1e-12, "{p2} < {p}");
@@ -166,7 +167,7 @@ proptest! {
 
     #[test]
     fn normalisation_keeps_exactly_the_minimal_monomials(
-        (monomials, _vars) in monomials_and_table(7, 7, true),
+        (monomials, _, _) in monomials_and_table(7, 7, true),
     ) {
         // Every output is an input, every input is subsumed by an output,
         // and no output absorbs another: the outputs are the minimal inputs.
