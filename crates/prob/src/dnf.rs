@@ -115,6 +115,12 @@ pub struct Dnf {
     monomials: Vec<Monomial>,
 }
 
+/// [`Dnf`]'s canonical monomial order: by length, then lexicographically by
+/// literals.
+fn canonical_order(a: &Monomial, b: &Monomial) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
 /// Shape counters of one DNF: how big the provenance polynomial is, the
 /// number every probability backend's cost scales with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -158,8 +164,10 @@ impl Dnf {
         }
     }
 
-    /// The monomials, each sorted; the list order is unspecified but
-    /// deterministic.
+    /// The monomials, each sorted, in canonical order: shorter first, equal
+    /// lengths by their literals, lexicographically. Every constructor
+    /// guarantees this order, and the bitset kernel of [`crate::exact`]
+    /// relies on it.
     pub fn monomials(&self) -> &[Monomial] {
         &self.monomials
     }
@@ -246,12 +254,19 @@ impl Dnf {
         Dnf::new(indices.iter().map(|&i| self.monomials[i].clone()).collect())
     }
 
-    /// Normalises in place: sorts monomials, removes duplicates and any
-    /// monomial subsumed by a shorter one.
-    fn normalize(&mut self) {
-        // Sort by (length, lits) so potential subsumers precede subsumees.
+    /// Whether the monomials are strictly in canonical order (see
+    /// [`Self::monomials`]).
+    pub(crate) fn is_canonically_ordered(&self) -> bool {
         self.monomials
-            .sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+            .windows(2)
+            .all(|w| canonical_order(&w[0], &w[1]).is_lt())
+    }
+
+    /// Normalises in place: sorts monomials into canonical order, removes
+    /// duplicates and any monomial subsumed by a shorter one.
+    fn normalize(&mut self) {
+        // Canonical order puts potential subsumers before subsumees.
+        self.monomials.sort_unstable_by(canonical_order);
         self.monomials.dedup();
         // `true` absorbs everything.
         if self.monomials.first().is_some_and(Monomial::is_empty) {
@@ -334,6 +349,9 @@ impl Dnf {
             if !seen.insert(m.clone()) {
                 return Err(format!("duplicate monomial {:?}", m.lits));
             }
+        }
+        if !self.is_canonically_ordered() {
+            return Err("monomials not in canonical order".to_string());
         }
         for (i, a) in self.monomials.iter().enumerate() {
             for (j, b) in self.monomials.iter().enumerate() {

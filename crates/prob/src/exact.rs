@@ -114,6 +114,10 @@ enum Split {
 impl Kernel {
     /// The kernel for `dnf`'s variables and `dnf` as rows.
     fn new(dnf: &Dnf, vars: &VarTable, budget: usize) -> (Kernel, Vec<u64>) {
+        debug_assert!(
+            dnf.is_canonically_ordered(),
+            "restriction, the memo and the split rely on Dnf's canonical order"
+        );
         let ids = dnf.vars();
         let words = ids.len().div_ceil(64);
         let mut rows = vec![0u64; dnf.len() * words];
