@@ -37,6 +37,9 @@ pub enum Outcome {
     LintReject,
     /// Any other failure (parse error, unknown op, evaluation error).
     Error,
+    /// The worker failed unexpectedly (a panic caught at the worker
+    /// boundary, or a job dropped without a reply); the worker lives on.
+    Internal,
 }
 
 impl Outcome {
@@ -47,6 +50,7 @@ impl Outcome {
             Outcome::Timeout => "timeout",
             Outcome::LintReject => "lint-reject",
             Outcome::Error => "error",
+            Outcome::Internal => "internal",
         }
     }
 
@@ -56,6 +60,7 @@ impl Outcome {
             Outcome::Timeout => 1,
             Outcome::LintReject => 2,
             Outcome::Error => 3,
+            Outcome::Internal => 4,
         }
     }
 
@@ -65,6 +70,7 @@ impl Outcome {
             1 => Outcome::Timeout,
             2 => Outcome::LintReject,
             3 => Outcome::Error,
+            4 => Outcome::Internal,
             _ => return None,
         })
     }
@@ -515,7 +521,8 @@ mod tests {
         assert_eq!(Outcome::Timeout.label(), "timeout");
         assert_eq!(Outcome::LintReject.label(), "lint-reject");
         assert_eq!(Outcome::Error.label(), "error");
-        for code in 0..4 {
+        assert_eq!(Outcome::Internal.label(), "internal");
+        for code in 0..5 {
             let o = Outcome::from_code(code).unwrap();
             assert_eq!(o.code(), code);
         }

@@ -38,8 +38,8 @@ fn bench_influence(c: &mut Criterion) {
     group.bench_function("single_exact", |b| {
         b.iter(|| exact_influence(&dnf, &vars, x))
     });
-    group.bench_function("single_mc_5k", |b| {
-        b.iter(|| mc::influence(&dnf, &vars, x, cfg))
+    group.bench_function("all_literals_mc_5k", |b| {
+        b.iter(|| mc::influence_all(&dnf, &vars, cfg))
     });
     group.sample_size(10);
     for &threads in &[1usize, 4, 8] {

@@ -24,8 +24,8 @@ pub enum InfluenceMethod {
     Exact,
     /// Sequential paired Monte-Carlo.
     Mc(McConfig),
-    /// Paired Monte-Carlo with literals striped across threads (`0` =
-    /// default thread count).
+    /// Paired Monte-Carlo through the parallel driver (`0` = default thread
+    /// count); its one sampling pass gives [`Self::Mc`]'s answer.
     ParallelMc(McConfig, usize),
 }
 

@@ -112,35 +112,40 @@ pub struct ModificationPlan {
 pub struct ModificationEval<'a> {
     /// Computes `P[λ]` under the given table.
     pub prob: &'a (dyn Fn(&Dnf, &VarTable) -> f64 + 'a),
-    /// Computes `Inf_x(λ)` under the given table.
-    pub influence: &'a (dyn Fn(&Dnf, &VarTable, VarId) -> f64 + 'a),
+    /// Computes `Inf_x(λ)` under the given table for each of a step's
+    /// candidate literals, in their order.
+    pub influence: &'a InfluenceHook<'a>,
 }
 
-impl<'a> ModificationEval<'a> {
-    /// The default hooks implementing an [`EvalMethod`] directly.
-    fn from_method(
-        eval: EvalMethod,
-    ) -> (
-        impl Fn(&Dnf, &VarTable) -> f64 + 'a,
-        impl Fn(&Dnf, &VarTable, VarId) -> f64 + 'a,
-    ) {
-        let prob = move |dnf: &Dnf, vars: &VarTable| -> f64 {
-            match eval {
-                EvalMethod::Exact => exact::probability(dnf, vars),
-                EvalMethod::Mc(cfg) => mc::estimate(dnf, vars, cfg),
-                EvalMethod::McParallel(cfg, threads) => parallel::estimate(dnf, vars, cfg, threads),
-            }
-        };
-        let influence = move |dnf: &Dnf, vars: &VarTable, x: VarId| -> f64 {
-            match eval {
-                EvalMethod::Exact => exact_influence(dnf, vars, x),
-                EvalMethod::Mc(cfg) => mc::influence(dnf, vars, x, cfg),
-                EvalMethod::McParallel(cfg, threads) => {
-                    parallel::influence(dnf, vars, x, cfg, threads)
-                }
-            }
-        };
-        (prob, influence)
+/// The influence hook's signature: formula, table, candidate literals.
+type InfluenceHook<'a> = dyn Fn(&Dnf, &VarTable, &[VarId]) -> Vec<f64> + 'a;
+
+/// The influences of `candidates` on `dnf` under `vars`, as `eval` computes
+/// them: exact influence per candidate, in order; under Monte-Carlo, one
+/// sampling pass (one per worker chunk for [`EvalMethod::McParallel`])
+/// serves every candidate, with the values the per-literal estimators gave.
+pub(crate) fn candidate_influences(
+    eval: EvalMethod,
+    dnf: &Dnf,
+    vars: &VarTable,
+    candidates: &[VarId],
+) -> Vec<f64> {
+    let pick = |all: Vec<(VarId, f64)>| -> Vec<f64> {
+        candidates
+            .iter()
+            .map(|x| {
+                all.binary_search_by_key(x, |&(v, _)| v)
+                    .map_or(0.0, |i| all[i].1)
+            })
+            .collect()
+    };
+    match eval {
+        EvalMethod::Exact => candidates
+            .iter()
+            .map(|&x| exact_influence(dnf, vars, x))
+            .collect(),
+        EvalMethod::Mc(cfg) => pick(mc::influences(dnf, vars, cfg)),
+        EvalMethod::McParallel(cfg, threads) => pick(parallel::influences(dnf, vars, cfg, threads)),
     }
 }
 
@@ -152,7 +157,17 @@ pub fn modification_query(
     target: f64,
     opts: &ModificationOptions,
 ) -> ModificationPlan {
-    let (prob, influence) = ModificationEval::from_method(opts.eval);
+    let eval = opts.eval;
+    let prob = move |dnf: &Dnf, vars: &VarTable| -> f64 {
+        match eval {
+            EvalMethod::Exact => exact::probability(dnf, vars),
+            EvalMethod::Mc(cfg) => mc::estimate(dnf, vars, cfg),
+            EvalMethod::McParallel(cfg, threads) => parallel::estimate(dnf, vars, cfg, threads),
+        }
+    };
+    let influence = move |dnf: &Dnf, vars: &VarTable, candidates: &[VarId]| {
+        candidate_influences(eval, dnf, vars, candidates)
+    };
     modification_query_with(
         dnf,
         vars,
@@ -213,18 +228,21 @@ pub fn modification_query_with(
         // Choose the literal: steepest slope, or random for the baseline.
         // A literal whose probability is already at the useful bound cannot
         // make progress and is dropped from consideration.
-        let usable: Vec<(usize, f64)> = remaining
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &x)| {
-                let p = working.prob(x);
+        let candidates: Vec<usize> = (0..remaining.len())
+            .filter(|&i| {
+                let p = working.prob(remaining[i]);
                 let at_bound = if need_increase { p >= 1.0 } else { p <= 0.0 };
-                if at_bound {
-                    return None;
-                }
-                let inf = influence(dnf, &working, x);
-                (inf > 1e-12).then_some((i, inf))
+                !at_bound
             })
+            .collect();
+        if candidates.is_empty() {
+            break;
+        }
+        let literals: Vec<VarId> = candidates.iter().map(|&i| remaining[i]).collect();
+        let usable: Vec<(usize, f64)> = candidates
+            .into_iter()
+            .zip(influence(dnf, &working, &literals))
+            .filter(|&(_, inf)| inf > 1e-12)
             .collect();
         if usable.is_empty() {
             break;

@@ -30,10 +30,11 @@ use crate::prob_method::ProbMethod;
 use crate::query::derivation::{sufficient_provenance_with, DerivationAlgo, SufficientProvenance};
 use crate::query::explain::QueryExplain;
 use crate::query::influence::{
-    exact_influence, finalize_entries, InfluenceEntry, InfluenceMethod, InfluenceOptions,
+    finalize_entries, InfluenceEntry, InfluenceMethod, InfluenceOptions,
 };
 use crate::query::modification::{
-    modification_query_with, EvalMethod, ModificationEval, ModificationOptions, ModificationPlan,
+    candidate_influences, modification_query_with, EvalMethod, ModificationEval,
+    ModificationOptions, ModificationPlan,
 };
 use crate::report::{CacheDelta, QueryAnswer, QueryClass, QueryReport, Recorder};
 use crate::system::{DemandCore, FullCore, P3};
@@ -828,14 +829,8 @@ impl QuerySession {
                 method.probability(d, vars)
             }
         };
-        let influence = |d: &Dnf, vars: &VarTable, x: VarId| -> f64 {
-            match opts.eval {
-                EvalMethod::Exact => exact_influence(d, vars, x),
-                EvalMethod::Mc(cfg) => mc::influence(d, vars, x, cfg),
-                EvalMethod::McParallel(cfg, threads) => {
-                    parallel::influence(d, vars, x, cfg, threads)
-                }
-            }
+        let influence = |d: &Dnf, vars: &VarTable, candidates: &[VarId]| {
+            candidate_influences(opts.eval, d, vars, candidates)
         };
         modification_query_with(
             &dnf,

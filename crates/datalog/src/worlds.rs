@@ -12,9 +12,10 @@
 //! cycle elimination, DNF probability — is validated.
 
 use crate::ast::{ClauseId, Const};
-use crate::engine::{Engine, NoopSink};
+use crate::engine::{Database, Engine, NoopSink, TupleId};
 use crate::program::{Program, ProgramError};
 use crate::symbol::{Symbol, SymbolTable};
+use std::collections::HashMap;
 
 /// Upper bound on uncertain clauses accepted by [`success_probability`];
 /// enumeration is `O(2^n)`.
@@ -53,6 +54,41 @@ pub fn success_probability(
     pred: Symbol,
     args: &[Const],
 ) -> Result<f64, WorldsError> {
+    let mut total = 0.0f64;
+    for_each_world(program, |weight, db| {
+        if db.lookup(pred, args).is_some() {
+            total += weight;
+        }
+    })?;
+    Ok(total)
+}
+
+/// Computes `P(q | T)` for every ground atom `q` derived in some world, in
+/// one enumeration: each world's weight is added to every tuple its
+/// subprogram derives. Each value equals [`success_probability`]'s bit for
+/// bit (the same weights, added in the same world order). An atom missing
+/// from the map has probability 0.
+pub fn success_probabilities(
+    program: &Program,
+) -> Result<HashMap<(Symbol, Vec<Const>), f64>, WorldsError> {
+    let mut totals: HashMap<(Symbol, Vec<Const>), f64> = HashMap::new();
+    for_each_world(program, |weight, db| {
+        for id in 0..db.len() {
+            let t = db.tuple(TupleId(id as u32));
+            *totals.entry((t.pred, t.args.to_vec())).or_insert(0.0) += weight;
+        }
+    })?;
+    Ok(totals)
+}
+
+/// Calls `visit` with the weight and the derived database of every world
+/// of positive weight, in enumeration order. A world fixes which uncertain
+/// clauses (those with `0 < p < 1`) are present; its weight is the product
+/// of `p` or `1 − p` over them, in clause order.
+fn for_each_world(
+    program: &Program,
+    mut visit: impl FnMut(f64, &Database),
+) -> Result<(), WorldsError> {
     let uncertain: Vec<ClauseId> = program
         .iter()
         .filter(|(_, c)| c.prob > 0.0 && c.prob < 1.0)
@@ -61,8 +97,6 @@ pub fn success_probability(
     if uncertain.len() > MAX_UNCERTAIN_CLAUSES {
         return Err(WorldsError::TooManyUncertainClauses(uncertain.len()));
     }
-
-    let mut total = 0.0f64;
     for world in 0u64..(1u64 << uncertain.len()) {
         let mut weight = 1.0f64;
         for (bit, &id) in uncertain.iter().enumerate() {
@@ -76,11 +110,9 @@ pub fn success_probability(
         if weight == 0.0 {
             continue;
         }
-        if world_derives(program, &uncertain, world, pred, args)? {
-            total += weight;
-        }
+        visit(weight, &world_database(program, &uncertain, world)?);
     }
-    Ok(total)
+    Ok(())
 }
 
 /// Convenience wrapper: the query is given as source text, e.g.
@@ -132,14 +164,12 @@ pub fn parse_ground_query(
     Ok((pred, args))
 }
 
-/// Does the subprogram selected by `world` derive `pred(args…)`?
-fn world_derives(
+/// The database the subprogram selected by `world` derives.
+fn world_database(
     program: &Program,
     uncertain: &[ClauseId],
     world: u64,
-    pred: Symbol,
-    args: &[Const],
-) -> Result<bool, WorldsError> {
+) -> Result<Database, WorldsError> {
     let mut kept = Vec::with_capacity(program.len());
     'clauses: for (id, clause) in program.iter() {
         if clause.prob == 0.0 {
@@ -157,8 +187,7 @@ fn world_derives(
     }
     let sub =
         Program::from_clauses(kept, program.symbols().clone()).map_err(WorldsError::Program)?;
-    let db = Engine::new(&sub).run(&mut NoopSink);
-    Ok(db.lookup(pred, args).is_some())
+    Ok(Engine::new(&sub).run(&mut NoopSink))
 }
 
 #[cfg(test)]
@@ -218,6 +247,34 @@ mod tests {
         let p = Program::parse(src).unwrap();
         let prob = success_probability_str(&p, r#"know("Ben","Elena")"#).unwrap();
         assert!((prob - 0.16384).abs() < 1e-9, "got {prob}");
+    }
+
+    #[test]
+    fn one_enumeration_gives_every_atoms_probability_bit_for_bit() {
+        let p = Program::parse(
+            "r1 0.5: reach(X) :- src(X).
+             r2 0.7: reach(Y) :- reach(X), edge(X,Y).
+             t0 0.9: src(a).
+             e1 0.5: edge(a,b).
+             e2 0.3: edge(b,c).
+             e3 0.6: edge(c,a).
+             e4 1.0: edge(a,d).",
+        )
+        .unwrap();
+        let all = success_probabilities(&p).unwrap();
+        for atom in [
+            "reach(a)",
+            "reach(b)",
+            "reach(c)",
+            "reach(d)",
+            "src(a)",
+            "edge(a,d)",
+        ] {
+            let (pred, args) = parse_ground_query(&p, atom).unwrap();
+            let one = success_probability(&p, pred, &args).unwrap();
+            assert_eq!(all[&(pred, args)].to_bits(), one.to_bits(), "{atom}");
+        }
+        assert_eq!(all.len(), 9, "4 reach, 1 src and 4 edge tuples");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! fall back to Monte-Carlo.
 
 use crate::dnf::Dnf;
-use crate::var::VarTable;
+use crate::var::{VarId, VarTable};
 use std::collections::HashMap;
 
 /// Default work budget (number of Shannon expansion steps).
@@ -120,13 +120,7 @@ impl Kernel {
         );
         let ids = dnf.vars();
         let words = ids.len().div_ceil(64);
-        let mut rows = vec![0u64; dnf.len() * words];
-        for (m, row) in dnf.monomials().iter().zip(rows.chunks_exact_mut(words)) {
-            for lit in m.literals() {
-                let v = ids.binary_search(lit).expect("a variable of the formula");
-                row[v / 64] |= 1 << (v % 64);
-            }
-        }
+        let rows = bit_rows(dnf, &ids, words);
         let kernel = Kernel {
             words,
             probs: ids.iter().map(|&v| vars.prob(v)).collect(),
@@ -301,8 +295,23 @@ fn find(parent: &mut [u32], mut i: usize) -> usize {
     i
 }
 
+/// `dnf`'s monomials as rows of `words` words laid end to end, in
+/// `dnf.monomials()` order, with bit `v` set for the variable `ids[v]`.
+/// `ids` must hold every variable of `dnf` in ascending order and `words`
+/// must be at least one.
+pub(crate) fn bit_rows(dnf: &Dnf, ids: &[VarId], words: usize) -> Vec<u64> {
+    let mut rows = vec![0u64; dnf.len() * words];
+    for (m, row) in dnf.monomials().iter().zip(rows.chunks_exact_mut(words)) {
+        for lit in m.literals() {
+            let v = ids.binary_search(lit).expect("a variable of the formula");
+            row[v / 64] |= 1 << (v % 64);
+        }
+    }
+    rows
+}
+
 /// Calls `visit` with each variable of `row`, ascending.
-fn for_each_var(row: &[u64], mut visit: impl FnMut(usize)) {
+pub(crate) fn for_each_var(row: &[u64], mut visit: impl FnMut(usize)) {
     for (k, &word) in row.iter().enumerate() {
         let mut rest = word;
         while rest != 0 {

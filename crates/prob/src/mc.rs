@@ -7,14 +7,23 @@
 //! * [`estimate`] — the naive sampler: draw a world, evaluate the formula;
 //! * [`karp_luby`] — the Karp–Luby union ("coverage") estimator, whose
 //!   relative error does not degrade when `P[λ]` is small;
-//! * [`influence`] — a paired common-random-numbers estimator that
-//!   evaluates both restrictions `λ|x=1` and `λ|x=0` on the *same* sample,
-//!   cancelling most sampling noise (the formula is monotone, so the paired
-//!   difference is simply an indicator).
+//! * [`influence_all`] — the paired (common-random-numbers) influence
+//!   estimator for every literal at once: both restrictions `λ|x=1` and
+//!   `λ|x=0` are evaluated on the *same* world, and one pass over the worlds
+//!   counts, for every literal, the worlds in which it is critical.
 //!
-//! All estimators are deterministic given [`McConfig::seed`].
+//! All three share one layout, [`CompiledDnf`]: the formula's `V` variables
+//! are slots numbered in ascending [`VarId`] order, each monomial is a row
+//! of `⌈V/64⌉` words with one bit per slot (the exact kernel's layout), and
+//! each sampled world is drawn into words of the same shape. A row holds in
+//! world `w` when `row & !w == 0`, one word operation per 64 slots.
+//!
+//! A world draws one `f64` per slot, in slot order, and sets the slot when
+//! the draw is below its probability. Every estimator is deterministic given
+//! [`McConfig::seed`].
 
 use crate::dnf::Dnf;
+use crate::exact::{bit_rows, for_each_var};
 use crate::var::{VarId, VarTable};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -56,11 +65,15 @@ impl McConfig {
     }
 }
 
-/// A DNF compiled to dense slot indices over exactly the variables it uses.
-/// Sampling then touches only live variables.
+/// A DNF compiled to bitset rows over dense slots, one per variable it
+/// uses (see the module docs). Sampling then touches only live variables.
 #[derive(Clone, Debug)]
 pub struct CompiledDnf {
-    monomials: Vec<Vec<u32>>,
+    /// Words per row and per world; at least one, so that the constant
+    /// `true` (one empty monomial) is one all-zero row that always holds.
+    words: usize,
+    /// Row `i` is `dnf.monomials()[i]`, at `rows[i * words..][..words]`.
+    rows: Vec<u64>,
     slot_probs: Vec<f64>,
     slot_vars: Vec<VarId>,
 }
@@ -69,20 +82,11 @@ impl CompiledDnf {
     /// Compiles `dnf`, reading probabilities from `vars`.
     pub fn compile(dnf: &Dnf, vars: &VarTable) -> Self {
         let slot_vars = dnf.vars();
-        let slot_of = |v: VarId| -> u32 {
-            slot_vars
-                .binary_search(&v)
-                .expect("dnf var missing from its own var list") as u32
-        };
-        let monomials = dnf
-            .monomials()
-            .iter()
-            .map(|m| m.literals().iter().map(|&l| slot_of(l)).collect())
-            .collect();
-        let slot_probs = slot_vars.iter().map(|&v| vars.prob(v)).collect();
+        let words = slot_vars.len().div_ceil(64).max(1);
         Self {
-            monomials,
-            slot_probs,
+            words,
+            rows: bit_rows(dnf, &slot_vars, words),
+            slot_probs: slot_vars.iter().map(|&v| vars.prob(v)).collect(),
             slot_vars,
         }
     }
@@ -102,118 +106,106 @@ impl CompiledDnf {
         self.slot_vars.binary_search(&var).ok()
     }
 
+    fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.rows.chunks_exact(self.words)
+    }
+
+    fn world(&self) -> Vec<u64> {
+        vec![0; self.words]
+    }
+
+    /// Draws the next world of `rng` into `world`.
     #[inline]
-    fn sample_into(&self, bits: &mut [bool], rng: &mut SmallRng) {
-        for (bit, &p) in bits.iter_mut().zip(&self.slot_probs) {
-            *bit = rng.random::<f64>() < p;
-        }
-    }
-
-    #[inline]
-    fn eval(&self, bits: &[bool]) -> bool {
-        self.monomials
-            .iter()
-            .any(|m| m.iter().all(|&s| bits[s as usize]))
-    }
-
-    /// Evaluates with `slot` forced to `value`, ignoring its sampled bit.
-    #[inline]
-    fn eval_forced(&self, bits: &[bool], slot: u32, value: bool) -> bool {
-        self.monomials.iter().any(|m| {
-            m.iter()
-                .all(|&s| if s == slot { value } else { bits[s as usize] })
-        })
-    }
-}
-
-/// A Monte-Carlo estimate together with its sampling uncertainty.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Estimate {
-    /// The point estimate.
-    pub value: f64,
-    /// The standard error `sqrt(p̂(1−p̂)/n)`.
-    pub std_error: f64,
-    /// Samples actually drawn.
-    pub samples: usize,
-}
-
-impl Estimate {
-    /// A 95% confidence interval (normal approximation), clamped to
-    /// `[0, 1]`.
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_error;
-        ((self.value - half).max(0.0), (self.value + half).min(1.0))
-    }
-}
-
-/// Naive estimate with sampling statistics.
-pub fn estimate_with_stats(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> Estimate {
-    let mut span = p3_obs::span::span("prob.mc");
-    span.add_field("samples", cfg.samples as u64);
-    let value = estimate(dnf, vars, cfg);
-    let n = cfg.samples.max(1);
-    Estimate {
-        value,
-        std_error: (value * (1.0 - value) / n as f64).sqrt(),
-        samples: n,
-    }
-}
-
-/// Adaptive naive estimation: draws batches until the 95% confidence
-/// half-width falls below `target_half_width` (or `max_samples` is hit).
-///
-/// Useful when callers need a guaranteed precision rather than a fixed
-/// budget — e.g. Derivation Queries deciding whether a dropped monomial
-/// keeps the error within ε.
-pub fn estimate_adaptive(
-    dnf: &Dnf,
-    vars: &VarTable,
-    seed: u64,
-    target_half_width: f64,
-    max_samples: usize,
-) -> Estimate {
-    assert!(
-        target_half_width > 0.0,
-        "target half-width must be positive"
-    );
-    if dnf.is_false() {
-        return Estimate {
-            value: 0.0,
-            std_error: 0.0,
-            samples: 0,
-        };
-    }
-    if dnf.is_true() {
-        return Estimate {
-            value: 1.0,
-            std_error: 0.0,
-            samples: 0,
-        };
-    }
-    const BATCH: usize = 4096;
-    let compiled = CompiledDnf::compile(dnf, vars);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut bits = vec![false; compiled.num_slots()];
-    let mut hits = 0usize;
-    let mut n = 0usize;
-    loop {
-        for _ in 0..BATCH {
-            compiled.sample_into(&mut bits, &mut rng);
-            if compiled.eval(&bits) {
-                hits += 1;
+    fn sample_into(&self, world: &mut [u64], rng: &mut SmallRng) {
+        for (word, probs) in world.iter_mut().zip(self.slot_probs.chunks(64)) {
+            let mut bits = 0u64;
+            for (bit, &p) in probs.iter().enumerate() {
+                bits |= u64::from(rng.random::<f64>() < p) << bit;
             }
-        }
-        n += BATCH;
-        let p = hits as f64 / n as f64;
-        let se = (p * (1.0 - p) / n as f64).sqrt();
-        if 1.96 * se <= target_half_width || n >= max_samples {
-            return Estimate {
-                value: p,
-                std_error: se,
-                samples: n,
-            };
+            *word = bits;
         }
     }
+
+    #[inline]
+    fn eval(&self, world: &[u64]) -> bool {
+        self.rows().any(|row| holds(row, world))
+    }
+
+    /// Counts, per slot, the first `samples` worlds of the stream seeded
+    /// with `seed` in which the slot's literal `x` is critical: `λ(w[x:=1])`
+    /// holds and `λ(w[x:=0])` fails.
+    ///
+    /// The formula is monotone, so in a world where some row holds, `x` is
+    /// critical exactly when it is in every row that holds (the AND of
+    /// those rows); in a world where none holds, exactly when it is the one
+    /// literal some row lacks (the OR of `row & !w` over such rows).
+    pub(crate) fn critical_counts(&self, seed: u64, samples: usize) -> Vec<u64> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut world = self.world();
+        let mut every = self.world();
+        let mut lone = self.world();
+        let mut hits = vec![0u64; self.num_slots()];
+        for _ in 0..samples {
+            self.sample_into(&mut world, &mut rng);
+            every.fill(!0);
+            lone.fill(0);
+            let mut satisfied = false;
+            for row in self.rows() {
+                match lacking(row, &world) {
+                    Lack::None => {
+                        satisfied = true;
+                        every.iter_mut().zip(row).for_each(|(e, &m)| *e &= m);
+                        if every.iter().all(|&e| e == 0) {
+                            break; // no literal is in every satisfied row
+                        }
+                    }
+                    Lack::One(k, bit) if !satisfied => lone[k] |= bit,
+                    _ => {}
+                }
+            }
+            for_each_var(if satisfied { &every } else { &lone }, |s| hits[s] += 1);
+        }
+        hits
+    }
+
+    /// `(var, hits / samples)` per slot, in slot order.
+    pub(crate) fn hit_ratios(&self, hits: &[u64], samples: usize) -> Vec<(VarId, f64)> {
+        let n = samples.max(1) as f64;
+        self.slot_vars
+            .iter()
+            .zip(hits)
+            .map(|(&v, &h)| (v, h as f64 / n))
+            .collect()
+    }
+}
+
+/// Whether `row` holds in `world`.
+#[inline]
+fn holds(row: &[u64], world: &[u64]) -> bool {
+    row.iter().zip(world).all(|(&m, &w)| m & !w == 0)
+}
+
+/// How many of a row's literals a world lacks.
+enum Lack {
+    None,
+    /// Exactly one: this bit of word `k`.
+    One(usize, u64),
+    More,
+}
+
+#[inline]
+fn lacking(row: &[u64], world: &[u64]) -> Lack {
+    let mut lack = Lack::None;
+    for (k, (&m, &w)) in row.iter().zip(world).enumerate() {
+        let missing = m & !w;
+        if missing != 0 {
+            if !matches!(lack, Lack::None) || missing & (missing - 1) != 0 {
+                return Lack::More;
+            }
+            lack = Lack::One(k, missing);
+        }
+    }
+    lack
 }
 
 /// Naive Monte-Carlo estimate of `P[λ]`.
@@ -231,11 +223,11 @@ pub fn estimate(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> f64 {
 /// Naive estimate over an already-compiled formula.
 pub fn estimate_compiled(compiled: &CompiledDnf, cfg: McConfig) -> f64 {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut bits = vec![false; compiled.num_slots()];
+    let mut world = compiled.world();
     let mut hits = 0usize;
     for _ in 0..cfg.samples {
-        compiled.sample_into(&mut bits, &mut rng);
-        if compiled.eval(&bits) {
+        compiled.sample_into(&mut world, &mut rng);
+        if compiled.eval(&world) {
             hits += 1;
         }
     }
@@ -267,13 +259,13 @@ pub fn karp_luby(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> f64 {
         return 0.0;
     }
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut bits = vec![false; compiled.num_slots()];
+    let mut world = compiled.world();
     let mut acc = 0.0f64;
     for _ in 0..cfg.samples {
         // Weighted monomial choice by cumulative scan; the monomial count is
         // modest so a linear scan beats building an alias table here.
         let mut pick = rng.random::<f64>() * total;
-        let mut chosen = compiled.monomials.len() - 1;
+        let mut chosen = weights.len() - 1;
         for (i, w) in weights.iter().enumerate() {
             pick -= w;
             if pick <= 0.0 {
@@ -282,15 +274,10 @@ pub fn karp_luby(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> f64 {
             }
         }
         // Sample a world conditioned on the chosen monomial being true.
-        compiled.sample_into(&mut bits, &mut rng);
-        for &slot in &compiled.monomials[chosen] {
-            bits[slot as usize] = true;
-        }
-        let satisfied = compiled
-            .monomials
-            .iter()
-            .filter(|m| m.iter().all(|&s| bits[s as usize]))
-            .count();
+        compiled.sample_into(&mut world, &mut rng);
+        let row = &compiled.rows[chosen * compiled.words..][..compiled.words];
+        world.iter_mut().zip(row).for_each(|(w, &m)| *w |= m);
+        let satisfied = compiled.rows().filter(|row| holds(row, &world)).count();
         debug_assert!(satisfied >= 1, "the conditioned monomial is satisfied");
         acc += 1.0 / satisfied as f64;
     }
@@ -298,44 +285,22 @@ pub fn karp_luby(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> f64 {
 }
 
 /// Paired Monte-Carlo estimate of `Inf_x(λ) = P[λ|x=1] − P[λ|x=0]`
-/// (Definition 4.1). For monotone formulas the paired difference is an
-/// indicator, so the estimate is a simple hit ratio.
-pub fn influence(dnf: &Dnf, vars: &VarTable, x: VarId, cfg: McConfig) -> f64 {
+/// (Definition 4.1) for every variable `x` of `dnf`, as `(x, influence)`
+/// pairs in ascending variable order. For monotone formulas the paired
+/// difference is an indicator, so each estimate is a hit ratio, and one
+/// pass over the worlds counts the hits of every variable.
+pub fn influences(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> Vec<(VarId, f64)> {
     let compiled = CompiledDnf::compile(dnf, vars);
-    influence_compiled(&compiled, x, cfg)
+    let hits = compiled.critical_counts(cfg.seed, cfg.samples);
+    compiled.hit_ratios(&hits, cfg.samples)
 }
 
-/// Paired influence estimate over an already-compiled formula. Returns 0
-/// when `x` does not occur in the formula.
-pub fn influence_compiled(compiled: &CompiledDnf, x: VarId, cfg: McConfig) -> f64 {
-    let Some(slot) = compiled.slot_of(x) else {
-        return 0.0;
-    };
-    let slot = slot as u32;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut bits = vec![false; compiled.num_slots()];
-    let mut hits = 0usize;
-    for _ in 0..cfg.samples {
-        compiled.sample_into(&mut bits, &mut rng);
-        let hi = compiled.eval_forced(&bits, slot, true);
-        if hi && !compiled.eval_forced(&bits, slot, false) {
-            hits += 1;
-        }
-    }
-    hits as f64 / cfg.samples.max(1) as f64
-}
-
-/// Influence of every variable occurring in `dnf`, sequentially.
+/// Influence of every variable occurring in `dnf`, from one sampling pass.
 ///
 /// Returns `(var, influence)` pairs sorted by descending influence (ties by
 /// variable id, so the output is deterministic).
 pub fn influence_all(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> Vec<(VarId, f64)> {
-    let compiled = CompiledDnf::compile(dnf, vars);
-    let mut out: Vec<(VarId, f64)> = dnf
-        .vars()
-        .into_iter()
-        .map(|v| (v, influence_compiled(&compiled, v, cfg)))
-        .collect();
+    let mut out = influences(dnf, vars, cfg);
     sort_by_influence(&mut out);
     out
 }
@@ -415,8 +380,8 @@ mod tests {
         assert_eq!(estimate(&dnf, &vars, CFG), estimate(&dnf, &vars, CFG));
         assert_eq!(karp_luby(&dnf, &vars, CFG), karp_luby(&dnf, &vars, CFG));
         assert_eq!(
-            influence(&dnf, &vars, VarId(0), CFG),
-            influence(&dnf, &vars, VarId(0), CFG)
+            influence_all(&dnf, &vars, CFG),
+            influence_all(&dnf, &vars, CFG)
         );
     }
 
@@ -427,28 +392,22 @@ mod tests {
         assert_eq!(estimate(&Dnf::one(), &vars, CFG), 1.0);
         assert_eq!(karp_luby(&Dnf::zero(), &vars, CFG), 0.0);
         assert_eq!(karp_luby(&Dnf::one(), &vars, CFG), 1.0);
+        assert!(influence_all(&Dnf::zero(), &vars, CFG).is_empty());
+        assert!(influence_all(&Dnf::one(), &vars, CFG).is_empty());
     }
 
     #[test]
     fn influence_matches_exact_restrictions() {
         let vars = table(&[0.5, 0.4, 0.2]);
         let dnf = Dnf::new(vec![m(&[0, 1]), m(&[0, 2])]);
-        for x in [VarId(0), VarId(1), VarId(2)] {
+        for (x, est) in influences(&dnf, &vars, CFG) {
             let expected = exact::probability(&dnf.restrict(x, true), &vars)
                 - exact::probability(&dnf.restrict(x, false), &vars);
-            let est = influence(&dnf, &vars, x, CFG);
             assert!(
                 (est - expected).abs() < 0.01,
                 "{x}: est={est} expected={expected}"
             );
         }
-    }
-
-    #[test]
-    fn influence_of_absent_variable_is_zero() {
-        let vars = table(&[0.5, 0.4]);
-        let dnf = Dnf::new(vec![m(&[0])]);
-        assert_eq!(influence(&dnf, &vars, VarId(1), CFG), 0.0);
     }
 
     #[test]
@@ -466,53 +425,6 @@ mod tests {
         assert!((ranked[1].1 - 0.1808).abs() < 0.01);
         assert_eq!(ranked[2].0, VarId(7), "t6 is third");
         assert!((ranked[2].1 - 0.16384).abs() < 0.01);
-    }
-
-    #[test]
-    fn estimate_with_stats_reports_consistent_error() {
-        let vars = table(&[0.5, 0.4]);
-        let dnf = Dnf::new(vec![m(&[0]), m(&[1])]);
-        let e = estimate_with_stats(&dnf, &vars, CFG);
-        assert_eq!(e.samples, CFG.samples);
-        let expected_se = (e.value * (1.0 - e.value) / CFG.samples as f64).sqrt();
-        assert!((e.std_error - expected_se).abs() < 1e-12);
-        let (lo, hi) = e.ci95();
-        assert!(lo <= e.value && e.value <= hi);
-        assert!((hi - lo - 2.0 * 1.96 * e.std_error).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adaptive_estimation_meets_the_precision_target() {
-        let vars = table(&[0.5, 0.4, 0.2]);
-        let dnf = Dnf::new(vec![m(&[0, 1]), m(&[0, 2])]);
-        let exact = crate::exact::probability(&dnf, &vars);
-        let e = estimate_adaptive(&dnf, &vars, 5, 0.005, 10_000_000);
-        assert!(1.96 * e.std_error <= 0.005, "claimed precision met: {e:?}");
-        assert!((e.value - exact).abs() < 0.01, "est {} vs {exact}", e.value);
-        // Tighter target needs more samples.
-        let tight = estimate_adaptive(&dnf, &vars, 5, 0.001, 10_000_000);
-        assert!(tight.samples > e.samples);
-    }
-
-    #[test]
-    fn adaptive_estimation_respects_the_sample_cap() {
-        let vars = table(&[0.5]);
-        let dnf = Dnf::new(vec![m(&[0])]);
-        let e = estimate_adaptive(&dnf, &vars, 1, 1e-9, 10_000);
-        assert!(
-            e.samples <= 12_288,
-            "one batch over the cap at most: {}",
-            e.samples
-        );
-    }
-
-    #[test]
-    fn adaptive_estimation_on_constants_is_free() {
-        let vars = table(&[0.5]);
-        let t = estimate_adaptive(&Dnf::one(), &vars, 1, 0.01, 1000);
-        assert_eq!((t.value, t.samples), (1.0, 0));
-        let f = estimate_adaptive(&Dnf::zero(), &vars, 1, 0.01, 1000);
-        assert_eq!((f.value, f.samples), (0.0, 0));
     }
 
     #[test]

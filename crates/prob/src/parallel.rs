@@ -9,7 +9,9 @@
 //! Determinism: for a fixed `(cfg, threads)` pair results are reproducible;
 //! changing the thread count changes the sample-stream split and therefore
 //! the estimate (within Monte-Carlo error), exactly as on real parallel
-//! hardware.
+//! hardware. [`influence_all`] is the exception: one sampling pass already
+//! serves every literal, so it returns [`mc::influence_all`]'s answer for
+//! every thread count.
 
 use crate::dnf::Dnf;
 use crate::mc::{self, CompiledDnf, McConfig};
@@ -102,22 +104,26 @@ pub fn estimate(dnf: &Dnf, vars: &VarTable, cfg: McConfig, threads: usize) -> f6
     weighted_mean(&estimates)
 }
 
-/// Parallel paired influence estimate for a single variable.
-pub fn influence(dnf: &Dnf, vars: &VarTable, x: VarId, cfg: McConfig, threads: usize) -> f64 {
+/// Every variable's paired influence estimate, as `(var, influence)` pairs
+/// in ascending variable order, with the samples split across `threads`
+/// workers exactly as [`estimate`] splits them: worker `i` runs one pass
+/// over its own chunk with its own seed, and the per-chunk hit ratios are
+/// merged by sample-weighted mean. The answers therefore depend on the
+/// thread count; [`influence_all`] does not.
+pub fn influences(dnf: &Dnf, vars: &VarTable, cfg: McConfig, threads: usize) -> Vec<(VarId, f64)> {
     let compiled = CompiledDnf::compile(dnf, vars);
     let chunks = split(cfg.samples, resolve_threads(threads));
-    let estimates: Vec<(usize, f64)> = crossbeam::thread::scope(|scope| {
+    let per_chunk: Vec<(usize, Vec<(VarId, f64)>)> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .iter()
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| {
                 let compiled = &compiled;
-                let worker_cfg = McConfig {
-                    samples: n,
-                    seed: worker_seed(cfg.seed, i),
-                };
-                scope.spawn(move |_| (n, mc::influence_compiled(compiled, x, worker_cfg)))
+                scope.spawn(move |_| {
+                    let hits = compiled.critical_counts(worker_seed(cfg.seed, i), n);
+                    (n, compiled.hit_ratios(&hits, n))
+                })
             })
             .collect();
         handles
@@ -126,45 +132,30 @@ pub fn influence(dnf: &Dnf, vars: &VarTable, x: VarId, cfg: McConfig, threads: u
             .collect()
     })
     .expect("mc scope panicked");
-    weighted_mean(&estimates)
+    (0..compiled.num_slots())
+        .map(|slot| {
+            let parts: Vec<(usize, f64)> = per_chunk
+                .iter()
+                .map(|(n, ratios)| (*n, ratios[slot].1))
+                .collect();
+            (compiled.slot_var(slot), weighted_mean(&parts))
+        })
+        .collect()
 }
 
-/// Influence of every variable in `dnf`, parallelised **across variables**:
-/// each worker takes a stripe of literals and runs the full paired estimator
-/// for each. This matches the paper's "compute the influence of all
-/// literals" workload (Table 8).
+/// Influence of every variable in `dnf`: [`mc::influence_all`]'s answer,
+/// from its one sampling pass. `threads` is accepted for symmetry with the
+/// other drivers and does not change the answer. (Splitting the worlds of
+/// the one seeded stream across workers, each drawing and skipping the
+/// worlds before its range, measured slower on Table 8's formula on two
+/// cores: drawing the worlds, not counting them, is most of the pass.)
 pub fn influence_all(
     dnf: &Dnf,
     vars: &VarTable,
     cfg: McConfig,
-    threads: usize,
+    _threads: usize,
 ) -> Vec<(VarId, f64)> {
-    let compiled = CompiledDnf::compile(dnf, vars);
-    let all_vars = dnf.vars();
-    let threads = resolve_threads(threads).min(all_vars.len().max(1));
-    let mut out: Vec<(VarId, f64)> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let compiled = &compiled;
-                let all_vars = &all_vars;
-                scope.spawn(move |_| {
-                    all_vars
-                        .iter()
-                        .skip(t)
-                        .step_by(threads)
-                        .map(|&v| (v, mc::influence_compiled(compiled, v, cfg)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("influence worker panicked"))
-            .collect()
-    })
-    .expect("influence scope panicked");
-    mc::sort_by_influence(&mut out);
-    out
+    mc::influence_all(dnf, vars, cfg)
 }
 
 /// Derives a distinct, stable seed for worker `i`.
@@ -239,10 +230,9 @@ mod tests {
             seed: 5,
         };
         let seq = mc::influence_all(&dnf, &vars, cfg);
-        let par = influence_all(&dnf, &vars, cfg, 4);
-        // Stripe-parallel influence uses the same per-variable estimator and
-        // seed, so values agree exactly.
-        assert_eq!(seq, par);
+        for threads in [1, 2, 3, 4] {
+            assert_eq!(seq, influence_all(&dnf, &vars, cfg, threads));
+        }
     }
 
     #[test]

@@ -322,6 +322,17 @@ fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
 }
 
+fn probability_field(v: &Value, key: &str) -> Result<f64, String> {
+    let p = f64_field(v, key)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!(
+            "field '{key}' must be a probability in [0, 1], got {p}"
+        ))
+    }
+}
+
 fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
@@ -407,7 +418,7 @@ fn parse_query_op(name: &str, v: &Value) -> Result<Op, String> {
         }),
         "modification" => Ok(Op::Modification {
             query: str_field(v, "query")?,
-            target: f64_field(v, "target")?,
+            target: probability_field(v, "target")?,
             tolerance: opt_f64(v, "tolerance")?.unwrap_or(1e-6),
         }),
         other => Err(format!(
@@ -744,6 +755,22 @@ mod tests {
         ] {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line} -> {err}");
+        }
+    }
+
+    #[test]
+    fn modification_target_must_be_a_probability() {
+        for target in ["2", "-0.5"] {
+            for op in ["modification", "profile\",\"class\":\"modification"] {
+                let line = format!(r#"{{"op":"{op}","query":"a(1)","target":{target}}}"#);
+                let err = Request::parse(&line).unwrap_err();
+                assert!(err.contains("'target'"), "{line} -> {err}");
+                assert!(err.contains(target), "{line} -> {err}");
+            }
+        }
+        for target in ["0", "1", "0.25"] {
+            let line = format!(r#"{{"op":"modification","query":"a(1)","target":{target}}}"#);
+            assert!(Request::parse(&line).is_ok(), "{line}");
         }
     }
 

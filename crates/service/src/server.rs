@@ -37,9 +37,11 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -990,12 +992,13 @@ fn dispatch(
             }
             // The handler is the watchdog: wait only until the deadline.
             let reply = match deadline {
-                None => reply_rx.recv().map_err(|_| ()),
+                None => reply_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
                 Some(d) => {
                     let left = d.saturating_duration_since(Instant::now());
-                    reply_rx.recv_timeout(left).map_err(|_| ())
+                    reply_rx.recv_timeout(left)
                 }
             };
+            let expired = deadline.is_some_and(|d| Instant::now() >= d);
             match reply {
                 Ok(reply) => {
                     *record = reply.record;
@@ -1004,7 +1007,16 @@ fn dispatch(
                         Err(msg) => Response::error(request.id, msg),
                     }
                 }
-                Err(()) => Response::timeout(
+                // A worker drops a job only once its deadline has passed;
+                // any other lost reply is a failure, never a timeout.
+                Err(RecvTimeoutError::Disconnected) if !expired => {
+                    record.outcome = p3_audit::Outcome::Internal;
+                    Response::error(
+                        request.id,
+                        "internal error: the worker dropped the request without replying",
+                    )
+                }
+                Err(_) => Response::timeout(
                     request.id,
                     format!("deadline of {}ms expired", timeout_ms.unwrap_or(0)),
                 ),
@@ -1039,7 +1051,9 @@ fn worker_loop(shared: Arc<Shared>) {
         let result = {
             let mut span = p3_obs::span::child_of("execute", job.root_span);
             span.add_field("class", job.op.class());
-            let result = execute(&session, &shared, &job.op, job.hop_limit, &mut record);
+            let result = guarded(&mut record, |record| {
+                execute(&session, &shared, &job.op, job.hop_limit, record)
+            });
             span.add_field("ok", result.is_ok());
             result
         };
@@ -1067,6 +1081,26 @@ fn worker_loop(shared: Arc<Shared>) {
         record.execute_us = micros(executing.elapsed());
         // The handler may have timed out and gone; that's fine.
         let _ = job.reply.send(Reply { result, record });
+    }
+}
+
+/// Runs `work`, turning a panic into an internal error: the worker that
+/// caught it lives on, and the audit record says what happened.
+fn guarded(
+    record: &mut AuditRecord,
+    work: impl FnOnce(&mut AuditRecord) -> Result<Value, String>,
+) -> Result<Value, String> {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| work(&mut *record))) {
+        Ok(result) => result,
+        Err(payload) => {
+            record.outcome = p3_audit::Outcome::Internal;
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".to_string());
+            Err(format!("internal error: {message}"))
+        }
     }
 }
 
@@ -1963,6 +1997,21 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn the_worker_guard_turns_a_panic_into_an_internal_error() {
+        let mut record = AuditRecord::default();
+        let result = guarded(&mut record, |_| panic!("target probability 2 out of range"));
+        assert_eq!(
+            result,
+            Err("internal error: target probability 2 out of range".to_string())
+        );
+        assert_eq!(record.outcome, p3_audit::Outcome::Internal);
+        let mut record = AuditRecord::default();
+        let ok = guarded(&mut record, |_| Ok(Value::from(1u64)));
+        assert_eq!(ok, Ok(Value::from(1u64)));
+        assert_eq!(record.outcome, AuditRecord::default().outcome);
     }
 
     #[test]

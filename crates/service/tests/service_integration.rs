@@ -330,6 +330,40 @@ fn timeout_malformed_and_shutdown_paths() {
 }
 
 #[test]
+fn out_of_range_modification_target_is_an_error_and_the_worker_keeps_serving() {
+    let served = Served::spawn(&["--workers", "1"]);
+    let mut client = Client::connect_tcp(&served.tcp).unwrap();
+    for target in ["2", "-0.5"] {
+        let started = Instant::now();
+        let resp = client
+            .request(&format!(
+                r#"{{"op":"modification","query":"{}","target":{target}}}"#,
+                esc(QUERIES[1])
+            ))
+            .unwrap();
+        assert_eq!(resp.status, Status::Error, "{resp:?}");
+        let error = resp.error.unwrap_or_default();
+        assert!(error.contains("target"), "{error}");
+        assert!(started.elapsed() < Duration::from_secs(10));
+    }
+    // The single worker still answers, and still answers modifications.
+    let resp = client
+        .request(&format!(
+            r#"{{"op":"probability","query":"{}"}}"#,
+            esc(QUERIES[1])
+        ))
+        .unwrap();
+    assert_eq!(resp.status, Status::Ok, "{resp:?}");
+    let resp = client
+        .request(&format!(
+            r#"{{"op":"modification","query":"{}","target":0.5}}"#,
+            esc(QUERIES[1])
+        ))
+        .unwrap();
+    assert_eq!(resp.status, Status::Ok, "{resp:?}");
+}
+
+#[test]
 fn lint_op_and_load_program_gate() {
     let served = Served::spawn(&[]);
     let mut client = Client::connect_tcp(&served.tcp).unwrap();

@@ -3,6 +3,8 @@
 use p3::core::{sufficient_provenance, DerivationAlgo, ProbMethod};
 use p3::prob::{exact, mc, Dnf, McConfig, Monomial, VarId, VarTable};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 
 /// Variables in the table of a spread-mode formula.
 const SPREAD_VARS: usize = 200;
@@ -47,6 +49,81 @@ fn monomials_and_table(
             (monomials, table, var)
         })
     })
+}
+
+/// Strategy: a formula whose monomials mention every variable of a table of
+/// 65 to `max_vars` variables, so its compiled rows span two to four 64-slot
+/// words: consecutive runs of one to three variables (some runs cross a
+/// word boundary), plus up to 20 random monomials. Probabilities stay
+/// below 0.1 so that sampled worlds both satisfy and falsify the formula.
+fn wide_dnf_and_table(max_vars: usize) -> impl Strategy<Value = (Dnf, VarTable)> {
+    (65..=max_vars).prop_flat_map(|nvars| {
+        let probs = proptest::collection::vec(0.0f64..0.1, nvars);
+        let runs = proptest::collection::vec(1..=3usize, nvars);
+        let extra =
+            proptest::collection::vec(proptest::collection::vec(0..nvars as u32, 2..=3), 0..=20);
+        (probs, runs, extra).prop_map(move |(probs, runs, extra)| {
+            let mut table = VarTable::new();
+            for (i, p) in probs.iter().enumerate() {
+                table.add(format!("x{i}"), *p);
+            }
+            let mut monomials = Vec::new();
+            let mut start = 0;
+            for len in runs {
+                if start == nvars {
+                    break;
+                }
+                let end = (start + len).min(nvars);
+                monomials.push(Monomial::new(
+                    (start..end).map(|v| VarId(v as u32)).collect(),
+                ));
+                start = end;
+            }
+            monomials.extend(
+                extra
+                    .into_iter()
+                    .map(|lits| Monomial::new(lits.into_iter().map(VarId).collect())),
+            );
+            (Dnf::new(monomials), table)
+        })
+    })
+}
+
+/// The paired influence estimator by Definition 4.1, literal by literal:
+/// replay the seeded draws (one per variable of `dnf.vars()`, in order, per
+/// world), then count, for each literal `x`, the worlds in which
+/// `dnf.restrict(x, true)` holds and `dnf.restrict(x, false)` fails,
+/// evaluated on the formulas' `Monomial` literals.
+fn influence_by_definition(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> Vec<(VarId, f64)> {
+    let ids = dnf.vars();
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let worlds: Vec<Vec<bool>> = (0..cfg.samples)
+        .map(|_| {
+            let mut world = vec![false; vars.len()];
+            for &v in &ids {
+                world[v.0 as usize] = rng.random::<f64>() < vars.prob(v);
+            }
+            world
+        })
+        .collect();
+    let holds = |f: &Dnf, world: &[bool]| {
+        f.monomials()
+            .iter()
+            .any(|m| m.literals().iter().all(|l| world[l.0 as usize]))
+    };
+    let mut out: Vec<(VarId, f64)> = ids
+        .iter()
+        .map(|&x| {
+            let (hi, lo) = (dnf.restrict(x, true), dnf.restrict(x, false));
+            let hits = worlds
+                .iter()
+                .filter(|w| holds(&hi, w) && !holds(&lo, w))
+                .count();
+            (x, hits as f64 / cfg.samples.max(1) as f64)
+        })
+        .collect();
+    mc::sort_by_influence(&mut out);
+    out
 }
 
 /// Strategy: a variable table and a DNF over it (see
@@ -245,6 +322,24 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One sampling pass counts what the per-literal definition counts, on
+    /// dense and spread draws and on formulas of two to four 64-slot words.
+    #[test]
+    fn one_pass_influence_equals_the_definition(
+        dense in dnf_and_table(7, 7, false),
+        spread in dnf_and_table(7, 7, true),
+        wide in wide_dnf_and_table(250),
+        seed in 0u64..1000,
+    ) {
+        let cfg = McConfig { samples: 64, seed };
+        for (dnf, vars) in [dense, spread, wide] {
+            prop_assert_eq!(
+                mc::influence_all(&dnf, &vars, cfg),
+                influence_by_definition(&dnf, &vars, cfg)
+            );
+        }
+    }
 
     #[test]
     fn parser_never_panics_on_arbitrary_input(src in "\\PC{0,200}") {

@@ -139,7 +139,7 @@ fn parallel_influence_agrees_with_sequential_through_the_facade() {
         assert_eq!(a.var, b.var);
         assert!(
             (a.influence - b.influence).abs() < 1e-12,
-            "stripe-parallel is exact-equal"
+            "parallel influence is exact-equal"
         );
     }
 }
