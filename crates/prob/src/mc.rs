@@ -101,11 +101,6 @@ impl CompiledDnf {
         self.slot_vars[slot]
     }
 
-    /// The slot of `var`, if it occurs in the formula.
-    pub fn slot_of(&self, var: VarId) -> Option<usize> {
-        self.slot_vars.binary_search(&var).ok()
-    }
-
     fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
         self.rows.chunks_exact(self.words)
     }
@@ -435,6 +430,5 @@ mod tests {
         assert_eq!(c.num_slots(), 2);
         assert_eq!(c.slot_var(0), VarId(1));
         assert_eq!(c.slot_var(1), VarId(3));
-        assert_eq!(c.slot_of(VarId(0)), None);
     }
 }
