@@ -409,3 +409,139 @@ fn main() -> ExitCode {
     }
     code
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every p3-client command line that the CI workflow, the README and
+    /// the service tests run, plus one per documented option. `FILE`
+    /// stands for a small program file written by the test.
+    const COMMAND_LINES: &[&[&str]] = &[
+        &["ping"],
+        &["probability", r#"know("Steve","Elena")"#],
+        &["explanation", r#"know("Steve","Elena")"#],
+        &["derivation", r#"know("Steve","Elena")"#, "--eps", "0.05"],
+        &["influence", r#"know("Steve","Elena")"#, "--method", "exact"],
+        &["modification", r#"know("Steve","Elena")"#, "0.5"],
+        &["modification", r#"know("Steve","Elena")"#, "2"],
+        &["stats"],
+        &["shutdown"],
+        &["store-stats"],
+        &["warm"],
+        &["persist"],
+        &["metrics"],
+        &["trace"],
+        &["trace", "3"],
+        &["explain", r#"know("Steve","Elena")"#],
+        &["explain", r#"know("Ben","Elena")"#, "--eval-mode", "naive"],
+        &["analyze"],
+        &["analyze", r#"know("Steve","Elena")"#],
+        &["audit-tail", "5"],
+        &["audit-top", "1", "--by", "dnf_width"],
+        &["audit-top", "1", "--by", "rule_cost"],
+        &["audit-top", "10", "--by", "latency"],
+        &["audit-top", "--by", "rule_cost"],
+        &["slo"],
+        &[
+            "influence",
+            r#"know("Ben","Elena")"#,
+            "--method",
+            "exact",
+            "--top-k",
+            "5",
+        ],
+        &["probability", "trustPath(1,13)", "--eval-mode", "naive"],
+        &["profile", r#"know("Ben","Elena")"#],
+        &["profile", r#"know("Ben","Elena")"#, "--class", "influence"],
+        &["profile", r#"know("Ben","Elena")"#, "--class", "derivation"],
+        &[
+            "profile",
+            r#"know("Ben","Elena")"#,
+            "--class",
+            "derivation",
+            "--eps",
+            "0.05",
+        ],
+        &[
+            "profile",
+            r#"know("Ben","Elena")"#,
+            "0.5",
+            "--class",
+            "modification",
+        ],
+        &[
+            "probability",
+            r#"know("Ben","Elena")"#,
+            "--method",
+            "pmc",
+            "--samples",
+            "1000",
+            "--seed",
+            "7",
+            "--threads",
+            "2",
+            "--timeout-ms",
+            "250",
+            "--hop-limit",
+            "3",
+        ],
+        &["derivation", r#"know("Ben","Elena")"#, "--algo", "resuciu"],
+        &[
+            "modification",
+            r#"know("Ben","Elena")"#,
+            "0.5",
+            "--tolerance",
+            "1e-9",
+        ],
+        &["lint", "FILE"],
+        &["load-program", "FILE"],
+        &["load-program", "FILE", "--no-lint"],
+    ];
+
+    /// Where the requests built at the commit that introduced this test
+    /// are kept; `P3_UPDATE_EXPECTED=1` rewrites it.
+    const GOLDEN: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/client_requests.txt"
+    );
+
+    /// A request's fields as a set: one JSON object with sorted keys.
+    fn field_set(request: &str) -> String {
+        match Value::parse(request) {
+            Ok(Value::Object(mut pairs)) => {
+                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                Value::Object(pairs).to_json()
+            }
+            other => panic!("{request}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn requests_match_the_golden_snapshot() {
+        let file = std::env::temp_dir().join(format!("p3-client-{}.pl", std::process::id()));
+        std::fs::write(&file, "t1 0.5: p(a).\nr1 0.9: q(X) :- p(X).\n").unwrap();
+        let mut got = String::new();
+        for words in COMMAND_LINES {
+            let args: Vec<String> = words
+                .iter()
+                .map(|w| match *w {
+                    "FILE" => file.display().to_string(),
+                    w => w.to_string(),
+                })
+                .collect();
+            let request = build_request(&args).unwrap_or_else(|e| panic!("{words:?}: {e}"));
+            got.push_str(&format!("{}\t{}\n", words.join(" "), field_set(&request)));
+        }
+        let _ = std::fs::remove_file(&file);
+        if std::env::var_os("P3_UPDATE_EXPECTED").is_some() {
+            std::fs::write(GOLDEN, &got).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(GOLDEN).unwrap();
+        for (got, want) in got.lines().zip(want.lines()) {
+            assert_eq!(got, want);
+        }
+        assert_eq!(got.lines().count(), want.lines().count());
+    }
+}
