@@ -36,6 +36,22 @@ impl Default for ProbMethod {
 }
 
 impl ProbMethod {
+    /// The method spelled `name` (`exact`, `bdd`, `mc`, `kl` or `pmc`), as
+    /// the CLI and the service take it; the sampled methods use `cfg`, and
+    /// `pmc` runs on `threads` threads.
+    pub fn parse(name: &str, cfg: McConfig, threads: usize) -> Result<ProbMethod, String> {
+        match name {
+            "exact" => Ok(ProbMethod::Exact),
+            "bdd" => Ok(ProbMethod::Bdd),
+            "mc" => Ok(ProbMethod::MonteCarlo(cfg)),
+            "kl" => Ok(ProbMethod::KarpLuby(cfg)),
+            "pmc" => Ok(ProbMethod::ParallelMc(cfg, threads)),
+            other => Err(format!(
+                "unknown method '{other}' (expected exact|bdd|mc|kl|pmc)"
+            )),
+        }
+    }
+
     /// Computes `P[λ]` with this strategy.
     pub fn probability(self, dnf: &Dnf, vars: &VarTable) -> f64 {
         match self {

@@ -31,6 +31,19 @@ pub enum DerivationAlgo {
     ReSuciu,
 }
 
+impl std::str::FromStr for DerivationAlgo {
+    type Err = String;
+
+    /// The CLI and service spelling: `greedy` or `resuciu`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "greedy" => Ok(DerivationAlgo::NaiveGreedy),
+            "resuciu" => Ok(DerivationAlgo::ReSuciu),
+            other => Err(format!("unknown algo '{other}'")),
+        }
+    }
+}
+
 /// The result of a Derivation Query.
 #[derive(Debug, Clone)]
 pub struct SufficientProvenance {

@@ -35,8 +35,23 @@ impl Default for InfluenceMethod {
     }
 }
 
+impl InfluenceMethod {
+    /// The method spelled `name` (`exact`, `mc` or `pmc`), as the service
+    /// takes it; the sampled methods use `cfg`, and `pmc` runs on `threads`.
+    pub fn parse(name: &str, cfg: McConfig, threads: usize) -> Result<Self, String> {
+        match name {
+            "exact" => Ok(InfluenceMethod::Exact),
+            "mc" => Ok(InfluenceMethod::Mc(cfg)),
+            "pmc" => Ok(InfluenceMethod::ParallelMc(cfg, threads)),
+            other => Err(format!(
+                "unknown influence method '{other}' (expected exact|mc|pmc)"
+            )),
+        }
+    }
+}
+
 /// Options for an Influence Query.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct InfluenceOptions {
     /// Estimation backend.
     pub method: InfluenceMethod,

@@ -45,7 +45,7 @@ pub enum EvalMethod {
 }
 
 /// Options for a Modification Query.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModificationOptions {
     /// Literals the query may modify; `None` means every literal in the
     /// polynomial. (§4.4 modifies base tuples; Table 6 modifies `trust`

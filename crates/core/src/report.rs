@@ -24,7 +24,7 @@ use p3_prob::Dnf;
 use std::time::Instant;
 
 /// Which query class a [`QuerySession::run`] answers.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum QueryClass {
     /// `P[query]` under a probability backend.
     Probability(ProbMethod),

@@ -9,7 +9,7 @@
 //!   backends because estimates are deterministic per seed);
 //! * **influence rankings** — `(DnfId, options) → Vec<InfluenceEntry>`,
 //!   with candidate-literal restrictions shared through the hash-consed
-//!   [`DnfStore`] so fifty literals of one base formula normalise their
+//!   [`DnfStore`](p3_prob::store::DnfStore) so fifty literals of one base formula normalise their
 //!   restrictions once, ever;
 //! * **sufficient provenance** — `(DnfId, ε, algorithm, method) → result`.
 //!
@@ -329,7 +329,7 @@ impl QuerySession {
     }
 
     /// Replays records recovered from a persistent store into this session:
-    /// intern records rebuild the shared [`DnfStore`] (in allocation order,
+    /// intern records rebuild the shared [`DnfStore`](p3_prob::store::DnfStore) (in allocation order,
     /// so every persisted `DnfId` stays valid), memo records land in the
     /// warm query layer and the probability cache. Re-interning is
     /// idempotent, so records duplicated between a snapshot and the log
@@ -930,7 +930,7 @@ impl QuerySession {
     /// Explains a query's evaluation cost: resolves the query through the
     /// same resolver as an unexplained run (same caches, same evaluation
     /// cores, same journaling) and returns the per-rule
-    /// [`ExplainPlan`](p3_datalog::explain::ExplainPlan) of the evaluation
+    /// [`ExplainPlan`] of the evaluation
     /// that answers it, the answer's DNF shape, the call's cache deltas,
     /// and any measured P3603/P3604 recommendations the numbers justify.
     /// Like [`Self::run`], it returns its [`QueryReport`] beside the
@@ -963,7 +963,7 @@ impl QuerySession {
     /// per-query-class work for its predicate.
     ///
     /// The returned plan's rule ranking mirrors the EXPLAIN plane's
-    /// measured [`ExplainPlan`](p3_datalog::explain::ExplainPlan) shape,
+    /// measured [`ExplainPlan`] shape,
     /// so `p3 analyze --calibrate` can correlate the two row-for-row.
     /// Observation-only: analysis never touches the evaluation cores or
     /// caches, so DnfIds and probabilities are bit-identical with or

@@ -5,14 +5,15 @@
 //! p3-client (--tcp ADDR | --unix PATH) repl
 //! ```
 //!
-//! Commands build one protocol request, print the response's `result` (or
-//! error) and exit non-zero on `error`/`timeout`. The REPL accepts the
-//! same command syntax line by line, or raw JSON for lines starting
-//! with `{`.
+//! Each command is an op of the protocol's `OPS` table and builds one
+//! request from the op's positional words and the options given; the
+//! client prints the response's `result` (or error) and exits non-zero on
+//! `error`/`timeout`. The REPL accepts the same command syntax line by
+//! line, or raw JSON for lines starting with `{`.
 
 use p3_service::client::Client;
 use p3_service::json::Value;
-use p3_service::protocol::Status;
+use p3_service::protocol::{op_spec, Status};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,8 +38,8 @@ COMMANDS:
     analyze [QUERY]              static cost/cardinality prediction for the
                                  served program (no evaluation; QUERY adds a
                                  per-query-class prediction)
-    load-program FILE            replace the served program (source sent inline;
-                                 --no-lint skips the pre-flight gate)
+    load-program FILE            replace the served program (FILE's text is
+                                 sent inline)
     lint FILE                    static analysis of FILE without loading it
     stats                        server/session/store counters
     metrics                      Prometheus text exposition of all metrics
@@ -55,7 +56,8 @@ COMMANDS:
     raw JSON                     send one raw request line
     repl                         interactive loop (commands or raw JSON lines)
 
-OPTIONS (where applicable):
+OPTIONS (where applicable; each is sent as the request field of the same
+name, dashes as underscores, and the server checks its value):
     --class C           profiled query class: probability|explanation|
                         derivation|influence|modification [default: probability]
     --method M          exact|bdd|mc|kl|pmc     (influence: exact|mc|pmc)
@@ -71,127 +73,88 @@ OPTIONS (where applicable):
     --eval-mode M       evaluation mode override: auto|naive|demand
     --timeout-ms N      per-request deadline
     --hop-limit N       provenance extraction depth cap
+    --no-lint           load-program: skip the lint pre-flight gate
     --trace-out FILE    record client-side spans under a fresh trace id,
                         propagate the id to the server, and write the
                         client's chrome://tracing JSON to FILE on exit
     -h, --help          print this help
 ";
 
-/// Builds one request line from command words (shared by one-shot and REPL).
+/// The options a command may carry, each sent as the request field of the
+/// same name with dashes as underscores.
+const FLAGS: &[&str] = &[
+    "--class",
+    "--method",
+    "--samples",
+    "--seed",
+    "--threads",
+    "--eps",
+    "--algo",
+    "--by",
+    "--top-k",
+    "--tolerance",
+    "--eval-mode",
+    "--timeout-ms",
+    "--hop-limit",
+];
+
+/// A word as a request field: a finite number is sent as a JSON number,
+/// anything else as a string — the server checks each field's type.
+fn scalar(word: &str) -> Value {
+    match word.parse::<f64>() {
+        Ok(x) if x.is_finite() => Value::from(x),
+        _ => Value::from(word),
+    }
+}
+
+/// Builds one request line from command words (shared by one-shot and
+/// REPL). The command is an [`OPS`](p3_service::protocol::OPS) row, whose
+/// `args` name the positional words: `QUERY`, `TARGET` and `N` fill
+/// `query`, `target` and `n`, and `FILE` sends the file's text as `source`.
 fn build_request(words: &[String]) -> Result<String, String> {
-    let cmd = words.first().ok_or("missing command")?.as_str();
-    let mut pairs: Vec<(String, Value)> = Vec::new();
-    let mut positional: Vec<&String> = Vec::new();
+    let cmd = words.first().ok_or("missing command")?;
+    let spec = op_spec(cmd).ok_or_else(|| format!("unknown command '{cmd}'"))?;
+    let mut pairs = vec![("op".to_string(), Value::from(spec.name))];
+    let mut positional = Vec::new();
     let mut iter = words[1..].iter();
     while let Some(word) = iter.next() {
-        let mut take = |name: &str| -> Result<&String, String> {
-            iter.next().ok_or_else(|| format!("{name} needs a value"))
-        };
         match word.as_str() {
-            "--method" => pairs.push(("method".into(), take("--method")?.as_str().into())),
-            "--eval-mode" => pairs.push(("eval_mode".into(), take("--eval-mode")?.as_str().into())),
-            "--algo" => pairs.push(("algo".into(), take("--algo")?.as_str().into())),
-            "--class" => pairs.push(("class".into(), take("--class")?.as_str().into())),
-            "--by" => pairs.push(("by".into(), take("--by")?.as_str().into())),
-            opt @ ("--samples" | "--seed" | "--threads" | "--top-k" | "--timeout-ms"
-            | "--hop-limit") => {
-                let key = match opt {
-                    "--samples" => "samples",
-                    "--seed" => "seed",
-                    "--threads" => "threads",
-                    "--top-k" => "top_k",
-                    "--timeout-ms" => "timeout_ms",
-                    _ => "hop_limit",
-                };
-                let n: u64 = take(opt)?.parse().map_err(|_| format!("bad {opt} value"))?;
-                pairs.push((key.into(), Value::from(n)));
-            }
-            opt @ ("--eps" | "--tolerance") => {
-                let x: f64 = take(opt)?.parse().map_err(|_| format!("bad {opt} value"))?;
-                pairs.push((opt.trim_start_matches('-').into(), Value::from(x)));
-            }
             "--no-lint" => pairs.push(("lint".into(), Value::Bool(false))),
+            flag if FLAGS.contains(&flag) => {
+                let value = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                pairs.push((flag[2..].replace('-', "_"), scalar(value)));
+            }
             other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             _ => positional.push(word),
         }
     }
-
-    let query = |positional: &[&String]| -> Result<Value, String> {
-        positional
-            .first()
-            .map(|q| Value::from(q.as_str()))
-            .ok_or_else(|| format!("{cmd} needs a QUERY argument"))
-    };
-    match cmd {
-        "ping" | "stats" | "metrics" | "shutdown" | "persist" | "warm" | "store-stats" | "slo" => {
-            pairs.insert(0, ("op".into(), cmd.into()))
-        }
-        "trace" | "audit-tail" | "audit-top" => {
-            pairs.insert(0, ("op".into(), cmd.into()));
-            if let Some(n) = positional.first() {
-                let n: u64 = n.parse().map_err(|_| format!("bad {cmd} count"))?;
-                pairs.push(("n".into(), Value::from(n)));
+    let mut positional = positional.into_iter();
+    for slot in spec.args.split_whitespace() {
+        let name = slot.trim_matches(['[', ']']);
+        let Some(word) = positional.next() else {
+            if slot.starts_with('[') {
+                continue;
             }
-        }
-        "probability" | "explanation" | "influence" | "explain" => {
-            pairs.insert(0, ("op".into(), cmd.into()));
-            pairs.insert(1, ("query".into(), query(&positional)?));
-        }
-        "analyze" => {
-            pairs.insert(0, ("op".into(), cmd.into()));
-            if let Some(q) = positional.first() {
-                pairs.insert(1, ("query".into(), Value::from(q.as_str())));
-            }
-        }
-        "derivation" => {
-            pairs.insert(0, ("op".into(), cmd.into()));
-            pairs.insert(1, ("query".into(), query(&positional)?));
-            if !pairs.iter().any(|(k, _)| k == "eps") {
-                pairs.push(("eps".into(), Value::from(0.01)));
-            }
-        }
-        "modification" => {
-            pairs.insert(0, ("op".into(), cmd.into()));
-            pairs.insert(1, ("query".into(), query(&positional)?));
-            let target: f64 = positional
-                .get(1)
-                .ok_or("modification needs QUERY and TARGET")?
-                .parse()
-                .map_err(|_| "bad TARGET value")?;
-            pairs.push(("target".into(), Value::from(target)));
-        }
-        "profile" => {
-            pairs.insert(0, ("op".into(), cmd.into()));
-            pairs.insert(1, ("query".into(), query(&positional)?));
-            let class = pairs
-                .iter()
-                .find(|(k, _)| k == "class")
-                .and_then(|(_, v)| v.as_str())
-                .unwrap_or("probability")
-                .to_string();
-            // The wrapped class keeps its own required fields and defaults.
-            if class == "derivation" && !pairs.iter().any(|(k, _)| k == "eps") {
-                pairs.push(("eps".into(), Value::from(0.01)));
-            }
-            if class == "modification" {
-                let target: f64 = positional
-                    .get(1)
-                    .ok_or("profile --class modification needs QUERY and TARGET")?
-                    .parse()
-                    .map_err(|_| "bad TARGET value")?;
-                pairs.push(("target".into(), Value::from(target)));
-            }
-        }
-        "load-program" | "lint" => {
-            let file = positional
-                .first()
-                .ok_or_else(|| format!("{cmd} needs a FILE"))?;
-            let source = std::fs::read_to_string(file.as_str())
-                .map_err(|e| format!("cannot read {file}: {e}"))?;
-            pairs.insert(0, ("op".into(), cmd.into()));
-            pairs.insert(1, ("source".into(), Value::from(source)));
-        }
-        other => return Err(format!("unknown command '{other}'")),
+            return Err(format!("{cmd} needs a {name} argument"));
+        };
+        pairs.push(match name {
+            "QUERY" => ("query".into(), Value::from(word.as_str())),
+            "FILE" => (
+                "source".into(),
+                Value::from(
+                    std::fs::read_to_string(word)
+                        .map_err(|e| format!("cannot read {word}: {e}"))?,
+                ),
+            ),
+            _ => (name.to_lowercase(), scalar(word)),
+        });
+    }
+    // The one client-side default: a derivation, profiled or not, sent
+    // without --eps gets eps 0.01.
+    let field = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let class = field("class").and_then(Value::as_str).unwrap_or(spec.name);
+    if class == "derivation" && field("eps").is_none() {
+        pairs.push(("eps".into(), Value::from(0.01)));
     }
     Ok(Value::Object(pairs).to_json())
 }
@@ -413,6 +376,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p3_service::protocol::OPS;
 
     /// Every p3-client command line that the CI workflow, the README and
     /// the service tests run, plus one per documented option. `FILE`
@@ -543,5 +507,58 @@ mod tests {
             assert_eq!(got, want);
         }
         assert_eq!(got.lines().count(), want.lines().count());
+    }
+
+    fn words(list: &[&str]) -> Vec<String> {
+        list.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn usage_lists_every_op_and_documents_every_option() {
+        let section = USAGE.split("COMMANDS:\n").nth(1).unwrap();
+        let commands: Vec<&str> = section
+            .split("\n\n")
+            .next()
+            .unwrap()
+            .lines()
+            .filter(|line| !line.starts_with("     "))
+            .map(|line| line.trim().split("  ").next().unwrap())
+            .filter(|command| !["raw JSON", "repl"].contains(command))
+            .collect();
+        for command in &commands {
+            let name = command.split(' ').next().unwrap();
+            let spec = op_spec(name).unwrap_or_else(|| panic!("'{name}' is no OPS row"));
+            assert_eq!(*command, format!("{name} {}", spec.args).trim_end());
+        }
+        for spec in OPS {
+            assert!(
+                commands
+                    .iter()
+                    .any(|c| c.split(' ').next() == Some(spec.name)),
+                "{} has no USAGE line",
+                spec.name
+            );
+        }
+        let options = USAGE.split("\nOPTIONS").nth(1).unwrap();
+        for flag in FLAGS.iter().chain(&["--no-lint"]) {
+            assert!(options.contains(&format!("    {flag} ")), "{flag}");
+        }
+    }
+
+    #[test]
+    fn the_client_checks_words_and_the_server_checks_values() {
+        for (line, needle) in [
+            (&["frobnicate"][..], "unknown command"),
+            (&["probability"], "needs a QUERY"),
+            (&["modification", "a(1)"], "needs a TARGET"),
+            (&["lint"], "needs a FILE"),
+            (&["ping", "--bogus"], "unknown option"),
+            (&["probability", "a(1)", "--samples"], "needs a value"),
+        ] {
+            let err = build_request(&words(line)).unwrap_err();
+            assert!(err.contains(needle), "{line:?} -> {err}");
+        }
+        let request = build_request(&words(&["probability", "a(1)", "--samples", "abc"])).unwrap();
+        assert!(request.contains(r#""samples":"abc""#), "{request}");
     }
 }

@@ -71,144 +71,75 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn main() -> ExitCode {
-    // Span collection is on for the server's lifetime: the ring holds the
-    // most recent spans for `trace` requests at a bounded memory cost.
-    p3_obs::span::set_enabled(true);
-    let mut args = std::env::args().skip(1);
+/// The value of a numeric flag.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} value '{value}'"))
+}
+
+/// What the command line asks for: the program to serve, whether to lint
+/// it first, and the server's configuration. `None` asks for `--help`.
+type Args = Option<(PathBuf, bool, ServerConfig)>;
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut program: Option<PathBuf> = None;
     let mut lint = true;
     let mut config = ServerConfig::default();
     let mut audit: Option<p3_audit::AuditConfig> = None;
-    let mut audit_segment_bytes: Option<u64> = None;
-    let mut audit_max_segments: Option<usize> = None;
-    let mut audit_segment_age_secs: Option<u64> = None;
-
+    let (mut segment_bytes, mut max_segments, mut segment_age_secs) = (None, None, None);
     while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--program" => match take("--program") {
-                Ok(v) => program = Some(PathBuf::from(v)),
-                Err(e) => return fail(&e),
-            },
-            "--tcp" => match take("--tcp") {
-                Ok(v) => config.tcp = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--unix" => match take("--unix") {
-                Ok(v) => config.unix = Some(PathBuf::from(v)),
-                Err(e) => return fail(&e),
-            },
-            "--admin-addr" => match take("--admin-addr") {
-                Ok(v) => config.admin = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--workers" => match take("--workers")
-                .and_then(|v| v.parse().map_err(|_| format!("bad --workers value '{v}'")))
-            {
-                Ok(v) => config.workers = v,
-                Err(e) => return fail(&e),
-            },
-            "--queue-cap" => match take("--queue-cap").and_then(|v| {
-                v.parse()
-                    .map_err(|_| format!("bad --queue-cap value '{v}'"))
-            }) {
-                Ok(v) => config.queue_cap = v,
-                Err(e) => return fail(&e),
-            },
-            "--cache-cap" => match take("--cache-cap").and_then(|v| {
-                v.parse()
-                    .map_err(|_| format!("bad --cache-cap value '{v}'"))
-            }) {
-                Ok(v) => config.cache_cap = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--eval-mode" => match take("--eval-mode").and_then(|v| v.parse()) {
-                Ok(v) => config.eval_mode = v,
-                Err(e) => return fail(&e),
-            },
-            "--timeout-ms" => match take("--timeout-ms").and_then(|v| {
-                v.parse()
-                    .map_err(|_| format!("bad --timeout-ms value '{v}'"))
-            }) {
-                Ok(v) => config.default_timeout_ms = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--slow-ms" => match take("--slow-ms")
-                .and_then(|v| v.parse().map_err(|_| format!("bad --slow-ms value '{v}'")))
-            {
-                Ok(v) => config.slow_ms = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--store-dir" => match take("--store-dir") {
-                Ok(v) => config.store_dir = Some(PathBuf::from(v)),
-                Err(e) => return fail(&e),
-            },
-            "--audit-dir" => match take("--audit-dir") {
-                Ok(v) => audit = Some(p3_audit::AuditConfig::new(v)),
-                Err(e) => return fail(&e),
-            },
-            "--audit-segment-bytes" => match take("--audit-segment-bytes").and_then(|v| {
-                v.parse()
-                    .map_err(|_| format!("bad --audit-segment-bytes value '{v}'"))
-            }) {
-                Ok(v) => audit_segment_bytes = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--audit-max-segments" => match take("--audit-max-segments").and_then(|v| {
-                v.parse()
-                    .map_err(|_| format!("bad --audit-max-segments value '{v}'"))
-            }) {
-                Ok(v) => audit_max_segments = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--audit-segment-age-secs" => match take("--audit-segment-age-secs").and_then(|v| {
-                v.parse()
-                    .map_err(|_| format!("bad --audit-segment-age-secs value '{v}'"))
-            }) {
-                Ok(v) => audit_segment_age_secs = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--slo" => match take("--slo").and_then(|v| p3_obs::slo::SloConfig::parse(&v)) {
-                Ok(v) => config.slos.push(v),
-                Err(e) => return fail(&e),
-            },
+            "-h" | "--help" => return Ok(None),
+            "--program" => program = Some(PathBuf::from(value()?)),
+            "--tcp" => config.tcp = Some(value()?),
+            "--unix" => config.unix = Some(PathBuf::from(value()?)),
+            "--admin-addr" => config.admin = Some(value()?),
+            "--workers" => config.workers = number(&arg, value()?)?,
+            "--queue-cap" => config.queue_cap = number(&arg, value()?)?,
+            "--cache-cap" => config.cache_cap = Some(number(&arg, value()?)?),
+            "--eval-mode" => config.eval_mode = value()?.parse()?,
+            "--timeout-ms" => config.default_timeout_ms = Some(number(&arg, value()?)?),
+            "--slow-ms" => config.slow_ms = Some(number(&arg, value()?)?),
+            "--store-dir" => config.store_dir = Some(PathBuf::from(value()?)),
+            "--audit-dir" => audit = Some(p3_audit::AuditConfig::new(value()?)),
+            "--audit-segment-bytes" => segment_bytes = Some(number(&arg, value()?)?),
+            "--audit-max-segments" => max_segments = Some(number(&arg, value()?)?),
+            "--audit-segment-age-secs" => segment_age_secs = Some(number(&arg, value()?)?),
+            "--slo" => config.slos.push(p3_obs::slo::SloConfig::parse(&value()?)?),
             "--slo-readyz" => config.slo_readyz = true,
             "--no-lint" => lint = false,
-            other => return fail(&format!("unknown argument '{other}'")),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-
-    let Some(program) = program else {
-        return fail("--program is required");
-    };
+    let program = program.ok_or("--program is required")?;
     if config.tcp.is_none() && config.unix.is_none() {
-        return fail("need at least one of --tcp / --unix");
+        return Err("need at least one of --tcp / --unix".to_string());
     }
     if let Some(mut cfg) = audit {
-        if let Some(bytes) = audit_segment_bytes {
-            cfg.max_segment_bytes = bytes;
-        }
-        if let Some(n) = audit_max_segments {
-            cfg.max_segments = n;
-        }
-        if let Some(secs) = audit_segment_age_secs {
-            cfg.max_segment_age_secs = secs;
-        }
+        cfg.max_segment_bytes = segment_bytes.unwrap_or(cfg.max_segment_bytes);
+        cfg.max_segments = max_segments.unwrap_or(cfg.max_segments);
+        cfg.max_segment_age_secs = segment_age_secs.unwrap_or(cfg.max_segment_age_secs);
         config.audit = Some(cfg);
-    } else if audit_segment_bytes.is_some()
-        || audit_max_segments.is_some()
-        || audit_segment_age_secs.is_some()
-    {
-        return fail("--audit-segment-* options need --audit-dir");
+    } else if segment_bytes.is_some() || max_segments.is_some() || segment_age_secs.is_some() {
+        return Err("--audit-segment-* options need --audit-dir".to_string());
     }
+    Ok(Some((program, lint, config)))
+}
 
+fn main() -> ExitCode {
+    // Span collection is on for the server's lifetime: the ring holds the
+    // most recent spans for `trace` requests at a bounded memory cost.
+    p3_obs::span::set_enabled(true);
+    let (program, lint, mut config) = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => return fail(&e),
+    };
     let source = match std::fs::read_to_string(&program) {
         Ok(s) => s,
         Err(e) => return fail(&format!("cannot read {}: {e}", program.display())),
@@ -259,4 +190,106 @@ fn main() -> ExitCode {
     server.serve_until_shutdown(flag);
     p3_obs::info!("server stopped");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<Args, String> {
+        parse_args(list.iter().map(|w| w.to_string()))
+    }
+
+    #[test]
+    fn parses_a_full_command_line() {
+        let (program, lint, config) = parse(&[
+            "--program",
+            "p.pl",
+            "--unix",
+            "/tmp/s.sock",
+            "--workers",
+            "3",
+            "--cache-cap",
+            "64",
+            "--eval-mode",
+            "demand",
+            "--audit-dir",
+            "/tmp/a",
+            "--audit-max-segments",
+            "2",
+            "--slo",
+            "probability:250:0.99",
+            "--no-lint",
+        ])
+        .unwrap()
+        .unwrap();
+        assert_eq!(program, PathBuf::from("p.pl"));
+        assert!(!lint);
+        assert_eq!(config.workers, 3);
+        assert_eq!(config.cache_cap, Some(64));
+        assert_eq!(config.eval_mode, p3_core::EvalMode::Demand);
+        assert_eq!(config.audit.unwrap().max_segments, 2);
+        assert_eq!(config.slos.last().unwrap().target_ms, 250);
+    }
+
+    #[test]
+    fn a_bad_numeric_value_names_its_flag() {
+        for flag in [
+            "--workers",
+            "--queue-cap",
+            "--cache-cap",
+            "--timeout-ms",
+            "--slow-ms",
+            "--audit-segment-bytes",
+            "--audit-max-segments",
+            "--audit-segment-age-secs",
+        ] {
+            let line = [
+                "--program",
+                "p.pl",
+                "--tcp",
+                "127.0.0.1:0",
+                "--audit-dir",
+                "/tmp/a",
+            ];
+            let err = parse(&[&line[..], &[flag, "x"]].concat()).unwrap_err();
+            assert_eq!(err, format!("bad {flag} value 'x'"));
+        }
+        let err = parse(&["--program", "p.pl", "--tcp"]).unwrap_err();
+        assert_eq!(err, "--tcp needs a value");
+    }
+
+    #[test]
+    fn rejects_incomplete_command_lines() {
+        for (line, err) in [
+            (&["--tcp", "127.0.0.1:0"][..], "--program is required"),
+            (
+                &["--program", "p.pl"],
+                "need at least one of --tcp / --unix",
+            ),
+            (
+                &[
+                    "--program",
+                    "p.pl",
+                    "--tcp",
+                    "127.0.0.1:0",
+                    "--audit-segment-bytes",
+                    "9",
+                ],
+                "--audit-segment-* options need --audit-dir",
+            ),
+            (
+                &["--program", "p.pl", "--frobnicate"],
+                "unknown argument '--frobnicate'",
+            ),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), err, "{line:?}");
+        }
+    }
+
+    #[test]
+    fn help_asks_for_the_usage() {
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["--program", "p.pl", "-h"]), Ok(None)));
+    }
 }

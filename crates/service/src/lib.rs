@@ -9,13 +9,15 @@
 //! newline-delimited JSON protocol on TCP and Unix-domain sockets.
 //!
 //! Everything is hand-rolled on `std::net` / `std::os::unix::net`: the
-//! [`json`] module is a minimal JSON codec, [`protocol`] the request and
-//! response envelopes, [`server`] the accept-loop → bounded-queue →
-//! worker-pool machinery (deadlines, graceful shutdown, stats), `admin`
-//! the HTTP observability plane (`/metrics`, `/healthz`, `/readyz`,
-//! `/traces`, `/profile`, `/audit`, `/audit/top`, `/slo`, `/explain`,
-//! `/analyze` on `--admin-addr`), and [`client`] a small
-//! blocking client used by `p3-client`, the tests and the benches.
+//! [`json`] module is a minimal JSON codec, [`protocol`] the op table
+//! ([`protocol::OPS`], which the decoder, the server and `p3-client` all
+//! read) and the request and response envelopes, [`server`] the
+//! accept-loop → bounded-queue → worker-pool machinery (deadlines,
+//! graceful shutdown, stats), `admin` the HTTP observability plane
+//! (`/metrics`, `/healthz`, `/readyz`, `/traces`, `/profile`, `/audit`,
+//! `/audit/top`, `/slo`, `/explain`, `/analyze` on `--admin-addr`), and
+//! [`client`] a small blocking client used by `p3-client`, the tests and
+//! the benches.
 //!
 //! ```no_run
 //! use p3_service::server::{Server, ServerConfig};

@@ -7,23 +7,23 @@
 //! request  = { "op": <op>, ["id": n], ["timeout_ms": n], ["hop_limit": n],
 //!              ["eval_mode": "auto"|"naive"|"demand"],
 //!              ["trace": "32-hex"], ...op fields }
-//! op       = "ping" | "stats" | "metrics" | "trace" | "shutdown"
-//!          | "persist" | "warm" | "store-stats"
-//!          | "audit-tail" | "audit-top" | "slo"
-//!          | "load-program" | "lint" | "analyze"
-//!          | "probability" | "explanation" | "derivation"
-//!          | "influence" | "modification"
-//!          | "profile"      (wraps a query class, "class": <op>)
-//!          | "explain"      (per-rule cost attribution for a query)
+//! op       = the name of an [`OPS`] row
 //! response = { ["id": n], "status": "ok" | "error" | "timeout",
 //!              ["result": {...}], ["error": "..."] }
 //! ```
 //!
-//! `id` is echoed verbatim so clients can pipeline; `timeout_ms` arms the
-//! per-request deadline (see `server`); `hop_limit` caps provenance
-//! extraction depth for the query ops; `eval_mode` overrides the server's
-//! default evaluation strategy (naive whole-model vs query-directed demand,
-//! see `p3_core::EvalMode`) for one request. `trace` is an optional
+//! [`OPS`] declares every op once: its name, whether the server answers it
+//! inline or queues it for a worker, and the positional words `p3-client`
+//! takes for it. The five query classes and `profile` decode to one
+//! [`Op::Query`] carrying a [`QueryClass`]; `profile` names its class in
+//! `"class"` (default `probability`).
+//!
+//! `id` is echoed verbatim so clients can pipeline, also on a rejected
+//! request whose `id` decodes; `timeout_ms` arms the per-request deadline
+//! (see `server`); `hop_limit` caps provenance extraction depth for the
+//! query ops; `eval_mode` overrides the server's default evaluation
+//! strategy (naive whole-model vs query-directed demand, see
+//! `p3_core::EvalMode`) for one request. `trace` is an optional
 //! client-generated 128-bit trace id (lowercase hex): the server adopts
 //! it as a field on the request's root span so one id links client-side
 //! connect/send/recv spans with the server-side execution tree.
@@ -36,7 +36,55 @@ use p3_core::{
 };
 use p3_prob::McConfig;
 
-/// A query-class op, parsed and validated.
+/// One service op, declared once in [`OPS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpSpec {
+    /// The wire name, also the request's stats and audit class.
+    pub name: &'static str,
+    /// Answered on the connection handler, so it works while the queue is
+    /// full; otherwise queued for the worker pool.
+    pub inline: bool,
+    /// The positional words `p3-client` takes: `QUERY`, `TARGET`, `N` or
+    /// `FILE`, in brackets when optional.
+    pub args: &'static str,
+}
+
+const fn op(name: &'static str, inline: bool, args: &'static str) -> OpSpec {
+    OpSpec { name, inline, args }
+}
+
+/// Every op the server answers. Adding one takes a row here, a decode arm
+/// in [`Request::parse`] and a handler arm in the server.
+pub const OPS: &[OpSpec] = &[
+    op("ping", true, ""),
+    op("stats", true, ""),
+    op("metrics", true, ""),
+    op("trace", true, "[N]"),
+    op("shutdown", true, ""),
+    op("warm", true, ""),
+    op("store-stats", true, ""),
+    op("audit-tail", true, "[N]"),
+    op("audit-top", true, "[N]"),
+    op("slo", true, ""),
+    op("persist", false, ""),
+    op("load-program", false, "FILE"),
+    op("lint", false, "FILE"),
+    op("probability", false, "QUERY"),
+    op("explanation", false, "QUERY"),
+    op("derivation", false, "QUERY"),
+    op("influence", false, "QUERY"),
+    op("modification", false, "QUERY TARGET"),
+    op("profile", false, "QUERY [TARGET]"),
+    op("explain", false, "QUERY"),
+    op("analyze", false, "[QUERY]"),
+];
+
+/// The [`OPS`] row named `name`.
+pub fn op_spec(name: &str) -> Option<&'static OpSpec> {
+    OPS.iter().find(|spec| spec.name == name)
+}
+
+/// An op, parsed and validated.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// Liveness check.
@@ -63,73 +111,29 @@ pub enum Op {
     /// Persistent-store backend counters (records written, pending buffer,
     /// snapshot size).
     StoreStats,
-    /// Replace the served program (from inline source or a server-side path).
+    /// Replace the served program with `source`.
     LoadProgram {
-        /// Inline program text (takes precedence over `path`).
-        source: Option<String>,
-        /// Server-side file to load.
-        path: Option<String>,
+        /// Program text.
+        source: String,
         /// Run the lint pre-flight gate (default `true`); error-severity
         /// findings reject the program. `"lint": false` opts out.
         lint: bool,
     },
-    /// Static analysis: lint a program without loading it.
+    /// Static analysis: lint `source` without loading it.
     Lint {
-        /// Inline program text (takes precedence over `path`).
-        source: Option<String>,
-        /// Server-side file to lint.
-        path: Option<String>,
+        /// Program text.
+        source: String,
     },
-    /// `P[query]` under a probability method.
-    Probability {
+    /// One query class answered for `query` by `QuerySession::run`: the
+    /// ops `probability`, `explanation`, `derivation`, `influence` and
+    /// `modification`, or `profile` of any of them.
+    Query {
         /// Ground atom, e.g. `know("Ben","Elena")`.
         query: String,
-        /// Probability backend.
-        method: ProbMethod,
-    },
-    /// Explanation Query (§4.1): derivations + polynomial + probability.
-    Explanation {
-        /// Ground atom.
-        query: String,
-        /// Probability backend.
-        method: ProbMethod,
-    },
-    /// Derivation Query (§4.2): sufficient provenance within `eps`.
-    Derivation {
-        /// Ground atom.
-        query: String,
-        /// Error bound ε.
-        eps: f64,
-        /// Search algorithm.
-        algo: DerivationAlgo,
-        /// Probability backend.
-        method: ProbMethod,
-    },
-    /// Influence Query (§4.3): ranked influential clauses.
-    Influence {
-        /// Ground atom.
-        query: String,
-        /// Influence backend.
-        method: InfluenceMethod,
-        /// Keep only the top K entries.
-        top_k: Option<usize>,
-        /// §6.2 sufficient-provenance preprocessing bound.
-        preprocess_epsilon: Option<f64>,
-    },
-    /// Modification Query (§4.4): reach `target` at minimal cost.
-    Modification {
-        /// Ground atom.
-        query: String,
-        /// Target probability.
-        target: f64,
-        /// Stop once `|P − target| ≤ tolerance`.
-        tolerance: f64,
-    },
-    /// Per-query profile: run `inner` (any query class) and return a
-    /// stage-by-stage breakdown with cache hit/miss deltas.
-    Profile {
-        /// The profiled query op.
-        inner: Box<Op>,
+        /// The class and its parameters.
+        class: QueryClass,
+        /// Answer with the query's stage-by-stage report instead.
+        profile: bool,
     },
     /// Query EXPLAIN plane: per-rule cost attribution of the evaluation
     /// that answers `query` (engine plan, DNF shape, cache deltas,
@@ -163,105 +167,14 @@ pub enum Op {
 }
 
 impl Op {
-    /// The stats bucket this op is accounted under.
-    pub fn class(&self) -> &'static str {
-        match self {
-            Op::Ping => "ping",
-            Op::Stats => "stats",
-            Op::Metrics => "metrics",
-            Op::Trace { .. } => "trace",
-            Op::Shutdown => "shutdown",
-            Op::Persist => "persist",
-            Op::Warm => "warm",
-            Op::StoreStats => "store-stats",
-            Op::LoadProgram { .. } => "load-program",
-            Op::Lint { .. } => "lint",
-            Op::Probability { .. } => "probability",
-            Op::Explanation { .. } => "explanation",
-            Op::Derivation { .. } => "derivation",
-            Op::Influence { .. } => "influence",
-            Op::Modification { .. } => "modification",
-            Op::Profile { .. } => "profile",
-            Op::Explain { .. } => "explain",
-            Op::Analyze { .. } => "analyze",
-            Op::AuditTail { .. } => "audit-tail",
-            Op::AuditTop { .. } => "audit-top",
-            Op::Slo => "slo",
-        }
-    }
-
-    /// The query text carried by this op, when it has one — the five
-    /// query classes plus `profile` (which reports its inner query).
-    /// Used for audit-record query hashing; the text itself is never
-    /// persisted.
+    /// The query text carried by this op, when it has one — the query
+    /// classes, `profile` and `explain`. Used for audit-record query
+    /// hashing; the text itself is never persisted.
     pub fn query_text(&self) -> Option<&str> {
         match self {
-            Op::Probability { query, .. }
-            | Op::Explanation { query, .. }
-            | Op::Derivation { query, .. }
-            | Op::Influence { query, .. }
-            | Op::Modification { query, .. }
-            | Op::Explain { query } => Some(query),
-            Op::Profile { inner } => inner.query_text(),
+            Op::Query { query, .. } | Op::Explain { query } => Some(query),
             _ => None,
         }
-    }
-
-    /// The query atom and [`QueryClass`] of the five query-class ops — the
-    /// one mapping from the wire onto `QuerySession::run`, shared by the
-    /// ops themselves and by `profile`.
-    pub fn query_class(&self) -> Option<(&str, QueryClass)> {
-        let class = match self {
-            Op::Probability { method, .. } => QueryClass::Probability(*method),
-            Op::Explanation { method, .. } => QueryClass::Explanation(*method),
-            Op::Derivation {
-                eps, algo, method, ..
-            } => QueryClass::Derivation {
-                eps: *eps,
-                algo: *algo,
-                method: *method,
-            },
-            Op::Influence {
-                method,
-                top_k,
-                preprocess_epsilon,
-                ..
-            } => QueryClass::Influence(InfluenceOptions {
-                method: *method,
-                top_k: *top_k,
-                preprocess_epsilon: *preprocess_epsilon,
-                restrict_to: None,
-            }),
-            Op::Modification {
-                target, tolerance, ..
-            } => QueryClass::Modification {
-                target: *target,
-                opts: ModificationOptions {
-                    tolerance: *tolerance,
-                    ..Default::default()
-                },
-            },
-            _ => return None,
-        };
-        Some((self.query_text()?, class))
-    }
-
-    /// Whether this op runs on the worker pool (vs. inline on the
-    /// connection handler).
-    pub fn is_query(&self) -> bool {
-        !matches!(
-            self,
-            Op::Ping
-                | Op::Stats
-                | Op::Metrics
-                | Op::Trace { .. }
-                | Op::Shutdown
-                | Op::Warm
-                | Op::StoreStats
-                | Op::AuditTail { .. }
-                | Op::AuditTop { .. }
-                | Op::Slo
-        )
     }
 }
 
@@ -280,6 +193,8 @@ pub struct Request {
     /// Client-generated trace id (lowercase hex), adopted on the
     /// server-side root span for cross-process trace assembly.
     pub trace: Option<String>,
+    /// The op's [`OPS`] row.
+    pub spec: &'static OpSpec,
     /// The operation.
     pub op: Op,
 }
@@ -333,24 +248,40 @@ fn probability_field(v: &Value, key: &str) -> Result<f64, String> {
     }
 }
 
-fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
+/// Reads the optional field `key` with `read`: absent or `null` is `None`,
+/// and a value `read` rejects is an error saying the field must be
+/// `expected`.
+fn opt<'v, T>(
+    v: &'v Value,
+    key: &str,
+    expected: &str,
+    read: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<Option<T>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
-        Some(field) => field
-            .as_u64()
+        Some(field) => read(field)
             .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be a non-negative integer")),
+            .ok_or_else(|| format!("field '{key}' must be {expected}")),
     }
 }
 
+fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
+    opt(v, key, "a non-negative integer", Value::as_u64)
+}
+
 fn opt_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(field) => field
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be a number")),
-    }
+    opt(v, key, "a number", Value::as_f64)
+}
+
+fn opt_str<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, String> {
+    opt(v, key, "a string", Value::as_str)
+}
+
+/// A non-empty string field, when present.
+fn opt_text(v: &Value, key: &str) -> Result<Option<String>, String> {
+    opt(v, key, "a non-empty string", |f| {
+        f.as_str().filter(|s| !s.is_empty()).map(str::to_string)
+    })
 }
 
 /// Shared Monte-Carlo knobs: `samples`, `seed`, `threads` (0 = auto).
@@ -363,73 +294,51 @@ fn mc_config(v: &Value) -> Result<(McConfig, usize), String> {
 
 fn prob_method(v: &Value) -> Result<ProbMethod, String> {
     let (cfg, threads) = mc_config(v)?;
-    match v.get("method").and_then(Value::as_str).unwrap_or("exact") {
-        "exact" => Ok(ProbMethod::Exact),
-        "bdd" => Ok(ProbMethod::Bdd),
-        "mc" => Ok(ProbMethod::MonteCarlo(cfg)),
-        "kl" => Ok(ProbMethod::KarpLuby(cfg)),
-        "pmc" => Ok(ProbMethod::ParallelMc(cfg, threads)),
-        other => Err(format!(
-            "unknown method '{other}' (expected exact|bdd|mc|kl|pmc)"
-        )),
-    }
+    ProbMethod::parse(opt_str(v, "method")?.unwrap_or("exact"), cfg, threads)
 }
 
-fn influence_method(v: &Value) -> Result<InfluenceMethod, String> {
-    let (cfg, threads) = mc_config(v)?;
-    match v.get("method").and_then(Value::as_str).unwrap_or("exact") {
-        "exact" => Ok(InfluenceMethod::Exact),
-        "mc" => Ok(InfluenceMethod::Mc(cfg)),
-        "pmc" => Ok(InfluenceMethod::ParallelMc(cfg, threads)),
-        other => Err(format!(
-            "unknown influence method '{other}' (expected exact|mc|pmc)"
-        )),
-    }
-}
-
-/// Parses one of the five query-class ops from the fields of `v`.
-/// Shared by the top-level dispatch and the `profile` wrapper (which
-/// profiles exactly these classes).
-fn parse_query_op(name: &str, v: &Value) -> Result<Op, String> {
-    match name {
-        "probability" => Ok(Op::Probability {
-            query: str_field(v, "query")?,
-            method: prob_method(v)?,
-        }),
-        "explanation" => Ok(Op::Explanation {
-            query: str_field(v, "query")?,
-            method: prob_method(v)?,
-        }),
-        "derivation" => Ok(Op::Derivation {
-            query: str_field(v, "query")?,
+/// Reads the query class `name` and its parameters from `v` — one reader
+/// for the five query ops and `profile`.
+fn query_class(name: &str, v: &Value) -> Result<QueryClass, String> {
+    Ok(match name {
+        "probability" => QueryClass::Probability(prob_method(v)?),
+        "explanation" => QueryClass::Explanation(prob_method(v)?),
+        "derivation" => QueryClass::Derivation {
             eps: f64_field(v, "eps")?,
-            algo: match v.get("algo").and_then(Value::as_str).unwrap_or("greedy") {
-                "greedy" => DerivationAlgo::NaiveGreedy,
-                "resuciu" => DerivationAlgo::ReSuciu,
-                other => return Err(format!("unknown algo '{other}'")),
-            },
+            algo: opt_str(v, "algo")?
+                .map_or(Ok(DerivationAlgo::NaiveGreedy), str::parse)?,
             method: prob_method(v)?,
-        }),
-        "influence" => Ok(Op::Influence {
-            query: str_field(v, "query")?,
-            method: influence_method(v)?,
-            top_k: opt_u64(v, "top_k")?.map(|n| n as usize),
-            preprocess_epsilon: opt_f64(v, "preprocess_epsilon")?,
-        }),
-        "modification" => Ok(Op::Modification {
-            query: str_field(v, "query")?,
+        },
+        "influence" => {
+            let (cfg, threads) = mc_config(v)?;
+            QueryClass::Influence(InfluenceOptions {
+                method: InfluenceMethod::parse(
+                    opt_str(v, "method")?.unwrap_or("exact"),
+                    cfg,
+                    threads,
+                )?,
+                top_k: opt_u64(v, "top_k")?.map(|n| n as usize),
+                preprocess_epsilon: opt_f64(v, "preprocess_epsilon")?,
+                restrict_to: None,
+            })
+        }
+        "modification" => QueryClass::Modification {
             target: probability_field(v, "target")?,
-            tolerance: opt_f64(v, "tolerance")?.unwrap_or(1e-6),
-        }),
-        other => Err(format!(
+            opts: ModificationOptions {
+                tolerance: opt_f64(v, "tolerance")?.unwrap_or(1e-6),
+                ..Default::default()
+            },
+        },
+        other => return Err(format!(
             "unknown query class '{other}' (expected probability|explanation|derivation|influence|modification)"
         )),
-    }
+    })
 }
 
 impl Request {
     /// Parses one request line. Errors are protocol-level (malformed JSON,
-    /// unknown op, missing fields) and never tear down the connection.
+    /// unknown op, missing or wrong-typed fields) and never tear down the
+    /// connection.
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = Value::parse(line.trim()).map_err(|e| format!("malformed JSON: {e}"))?;
         if !matches!(v, Value::Object(_)) {
@@ -438,96 +347,55 @@ impl Request {
         let id = opt_u64(&v, "id")?;
         let timeout_ms = opt_u64(&v, "timeout_ms")?;
         let hop_limit = opt_u64(&v, "hop_limit")?.map(|n| n as usize);
-        let eval_mode = match v.get("eval_mode") {
-            None | Some(Value::Null) => None,
-            Some(field) => match field.as_str() {
-                Some(s) => Some(
-                    s.parse::<EvalMode>()
-                        .map_err(|e| format!("eval_mode: {e}"))?,
-                ),
-                None => return Err("field 'eval_mode' must be a string".to_string()),
-            },
-        };
-        let trace = match v.get("trace") {
-            None | Some(Value::Null) => None,
-            Some(field) => match field.as_str() {
-                Some(s) if !s.is_empty() => Some(s.to_string()),
-                _ => return Err("field 'trace' must be a non-empty string".to_string()),
-            },
-        };
-        let op_name = str_field(&v, "op")?;
-        let op = match op_name.as_str() {
+        let eval_mode = opt_str(&v, "eval_mode")?
+            .map(|s| s.parse().map_err(|e| format!("eval_mode: {e}")))
+            .transpose()?;
+        let trace = opt_text(&v, "trace")?;
+        let name = str_field(&v, "op")?;
+        let spec = op_spec(&name).ok_or_else(|| format!("unknown op '{name}'"))?;
+        let n = |default: u64| opt_u64(&v, "n").map(|n| n.unwrap_or(default) as usize);
+        let op = match spec.name {
             "ping" => Op::Ping,
             "stats" => Op::Stats,
             "metrics" => Op::Metrics,
-            "trace" => Op::Trace {
-                n: opt_u64(&v, "n")?.unwrap_or(10) as usize,
-            },
+            "trace" => Op::Trace { n: n(10)? },
             "shutdown" => Op::Shutdown,
-            "persist" => Op::Persist,
             "warm" => Op::Warm,
             "store-stats" => Op::StoreStats,
-            "audit-tail" => Op::AuditTail {
-                n: opt_u64(&v, "n")?.unwrap_or(20) as usize,
-            },
+            "audit-tail" => Op::AuditTail { n: n(20)? },
             "audit-top" => Op::AuditTop {
-                by: match v.get("by") {
-                    None | Some(Value::Null) => AuditKey::Latency,
-                    Some(field) => match field.as_str() {
-                        Some(s) => AuditKey::parse(s)?,
-                        None => return Err("field 'by' must be a string".to_string()),
-                    },
-                },
-                n: opt_u64(&v, "n")?.unwrap_or(10) as usize,
+                by: opt_str(&v, "by")?.map_or(Ok(AuditKey::Latency), AuditKey::parse)?,
+                n: n(10)?,
             },
             "slo" => Op::Slo,
-            "load-program" => {
-                let source = v.get("source").and_then(Value::as_str).map(str::to_string);
-                let path = v.get("path").and_then(Value::as_str).map(str::to_string);
-                if source.is_none() && path.is_none() {
-                    return Err("load-program needs 'source' or 'path'".to_string());
-                }
-                let lint = match v.get("lint") {
-                    None | Some(Value::Null) => true,
-                    Some(Value::Bool(b)) => *b,
-                    Some(_) => return Err("field 'lint' must be a boolean".to_string()),
-                };
-                Op::LoadProgram { source, path, lint }
-            }
-            "lint" => {
-                let source = v.get("source").and_then(Value::as_str).map(str::to_string);
-                let path = v.get("path").and_then(Value::as_str).map(str::to_string);
-                if source.is_none() && path.is_none() {
-                    return Err("lint needs 'source' or 'path'".to_string());
-                }
-                Op::Lint { source, path }
-            }
-            "profile" => {
-                let class = v
-                    .get("class")
-                    .and_then(Value::as_str)
-                    .unwrap_or("probability");
-                Op::Profile {
-                    inner: Box::new(parse_query_op(class, &v)?),
-                }
-            }
+            "persist" => Op::Persist,
+            "load-program" => Op::LoadProgram {
+                source: str_field(&v, "source")?,
+                lint: opt(&v, "lint", "a boolean", Value::as_bool)?.unwrap_or(true),
+            },
+            "lint" => Op::Lint {
+                source: str_field(&v, "source")?,
+            },
             "explain" => Op::Explain {
                 query: str_field(&v, "query")?,
             },
             "analyze" => Op::Analyze {
-                query: match v.get("query") {
-                    None | Some(Value::Null) => None,
-                    Some(Value::String(s)) if !s.is_empty() => Some(s.clone()),
-                    Some(_) => return Err("field 'query' must be a non-empty string".to_string()),
-                },
+                query: opt_text(&v, "query")?,
             },
-            other => parse_query_op(other, &v).map_err(|e| {
-                if e.starts_with("unknown query class") {
-                    format!("unknown op '{other}'")
+            // The query classes, and `profile` of one named in "class".
+            name => {
+                let profile = name == "profile";
+                let class = if profile {
+                    opt_str(&v, "class")?.unwrap_or("probability")
                 } else {
-                    e
+                    name
+                };
+                Op::Query {
+                    class: query_class(class, &v)?,
+                    query: str_field(&v, "query")?,
+                    profile,
                 }
-            })?,
+            }
         };
         Ok(Request {
             id,
@@ -535,6 +403,7 @@ impl Request {
             hop_limit,
             eval_mode,
             trace,
+            spec,
             op,
         })
     }
@@ -688,7 +557,20 @@ mod tests {
         ];
         for (line, class) in cases {
             let req = Request::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!(req.op.class(), class, "{line}");
+            assert_eq!(req.spec.name, class, "{line}");
+        }
+    }
+
+    #[test]
+    fn every_op_row_decodes_to_its_own_spec() {
+        for spec in OPS {
+            let line = format!(
+                r#"{{"op":"{}","query":"a(1)","source":"t 1.0: a(1).","eps":0.01,"target":0.5}}"#,
+                spec.name
+            );
+            let req = Request::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(req.spec, spec, "{line}");
+            assert_eq!(op_spec(spec.name), Some(spec));
         }
     }
 
@@ -703,7 +585,11 @@ mod tests {
         assert_eq!(req.hop_limit, Some(3));
         assert_eq!(req.eval_mode, Some(EvalMode::Demand));
         match req.op {
-            Op::Probability { ref query, method } => {
+            Op::Query {
+                ref query,
+                class: QueryClass::Probability(method),
+                profile: false,
+            } => {
                 assert_eq!(query, "a(1)");
                 assert_eq!(
                     method,
@@ -752,6 +638,35 @@ mod tests {
                 r#"{"op":"probability","query":"a(1)","eval_mode":7}"#,
                 "eval_mode",
             ),
+            // A wrong-typed optional field is rejected, not defaulted.
+            (
+                r#"{"op":"probability","query":"a(1)","method":5}"#,
+                "field 'method' must be a string",
+            ),
+            (
+                r#"{"op":"probability","query":"a(1)","method":["mc"]}"#,
+                "field 'method' must be a string",
+            ),
+            (
+                r#"{"op":"influence","query":"a(1)","method":5}"#,
+                "field 'method' must be a string",
+            ),
+            (
+                r#"{"op":"derivation","query":"a(1)","eps":0.01,"algo":false}"#,
+                "field 'algo' must be a string",
+            ),
+            (
+                r#"{"op":"profile","class":7,"query":"a(1)"}"#,
+                "field 'class' must be a string",
+            ),
+            (
+                r#"{"op":"probability","query":"a(1)","samples":"abc"}"#,
+                "field 'samples' must be a non-negative integer",
+            ),
+            // Programs come inline: a server-side `path` is not read.
+            (r#"{"op":"load-program","source":5}"#, "source"),
+            (r#"{"op":"load-program","path":"x.pl"}"#, "source"),
+            (r#"{"op":"lint","path":"x.pl"}"#, "source"),
         ] {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line} -> {err}");
@@ -802,19 +717,16 @@ mod tests {
     #[test]
     fn profile_wraps_a_query_class() {
         // Defaults to profiling a probability query.
-        match Request::parse(r#"{"op":"profile","query":"a(1)"}"#)
-            .unwrap()
-            .op
-        {
-            Op::Profile { inner } => assert_eq!(
-                *inner,
-                Op::Probability {
-                    query: "a(1)".to_string(),
-                    method: ProbMethod::Exact,
-                }
-            ),
-            ref other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            Request::parse(r#"{"op":"profile","query":"a(1)"}"#)
+                .unwrap()
+                .op,
+            Op::Query {
+                query: "a(1)".to_string(),
+                class: QueryClass::Probability(ProbMethod::Exact),
+                profile: true,
+            }
+        );
         // Inner-class fields are parsed from the same envelope.
         match Request::parse(
             r#"{"op":"profile","class":"derivation","query":"a(1)","eps":0.05,"algo":"resuciu"}"#,
@@ -822,18 +734,19 @@ mod tests {
         .unwrap()
         .op
         {
-            Op::Profile { inner } => match *inner {
-                Op::Derivation { eps, algo, .. } => {
-                    assert_eq!(eps, 0.05);
-                    assert_eq!(algo, DerivationAlgo::ReSuciu);
-                }
-                other => panic!("{other:?}"),
-            },
+            Op::Query {
+                class: QueryClass::Derivation { eps, algo, .. },
+                profile: true,
+                ..
+            } => {
+                assert_eq!(eps, 0.05);
+                assert_eq!(algo, DerivationAlgo::ReSuciu);
+            }
             ref other => panic!("{other:?}"),
         }
         let req = Request::parse(r#"{"op":"profile","query":"a(1)"}"#).unwrap();
-        assert_eq!(req.op.class(), "profile");
-        assert!(req.op.is_query());
+        assert_eq!(req.spec.name, "profile");
+        assert!(!req.spec.inline);
         // Only query classes can be profiled.
         for line in [
             r#"{"op":"profile","class":"ping"}"#,
@@ -906,47 +819,32 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// The [`OPS`] row a request line names.
+    fn spec_of(line: &str) -> &'static OpSpec {
+        let v = Value::parse(line).unwrap();
+        op_spec(v.get("op").and_then(Value::as_str).unwrap()).unwrap()
+    }
+
     #[test]
     fn query_vs_admin_split() {
-        assert!(!Request::parse(r#"{"op":"ping"}"#).unwrap().op.is_query());
-        assert!(!Request::parse(r#"{"op":"stats"}"#).unwrap().op.is_query());
-        assert!(!Request::parse(r#"{"op":"metrics"}"#).unwrap().op.is_query());
-        assert!(!Request::parse(r#"{"op":"trace"}"#).unwrap().op.is_query());
-        assert!(!Request::parse(r#"{"op":"warm"}"#).unwrap().op.is_query());
-        assert!(!Request::parse(r#"{"op":"store-stats"}"#)
-            .unwrap()
-            .op
-            .is_query());
-        assert!(!Request::parse(r#"{"op":"audit-tail"}"#)
-            .unwrap()
-            .op
-            .is_query());
-        assert!(!Request::parse(r#"{"op":"audit-top"}"#)
-            .unwrap()
-            .op
-            .is_query());
-        assert!(!Request::parse(r#"{"op":"slo"}"#).unwrap().op.is_query());
-        assert!(Request::parse(r#"{"op":"persist"}"#).unwrap().op.is_query());
-        assert!(Request::parse(r#"{"op":"probability","query":"a(1)"}"#)
-            .unwrap()
-            .op
-            .is_query());
-        assert!(Request::parse(r#"{"op":"load-program","path":"x.pl"}"#)
-            .unwrap()
-            .op
-            .is_query());
-        assert!(Request::parse(r#"{"op":"lint","path":"x.pl"}"#)
-            .unwrap()
-            .op
-            .is_query());
+        assert!(spec_of(r#"{"op":"ping"}"#).inline);
+        assert!(spec_of(r#"{"op":"stats"}"#).inline);
+        assert!(spec_of(r#"{"op":"metrics"}"#).inline);
+        assert!(spec_of(r#"{"op":"trace"}"#).inline);
+        assert!(spec_of(r#"{"op":"warm"}"#).inline);
+        assert!(spec_of(r#"{"op":"store-stats"}"#).inline);
+        assert!(spec_of(r#"{"op":"audit-tail"}"#).inline);
+        assert!(spec_of(r#"{"op":"audit-top"}"#).inline);
+        assert!(spec_of(r#"{"op":"slo"}"#).inline);
+        assert!(!spec_of(r#"{"op":"persist"}"#).inline);
+        assert!(!spec_of(r#"{"op":"probability","query":"a(1)"}"#).inline);
+        assert!(!spec_of(r#"{"op":"load-program","path":"x.pl"}"#).inline);
+        assert!(!spec_of(r#"{"op":"lint","path":"x.pl"}"#).inline);
         // Explain forces an evaluation, so it runs on the worker pool.
-        assert!(Request::parse(r#"{"op":"explain","query":"a(1)"}"#)
-            .unwrap()
-            .op
-            .is_query());
+        assert!(!spec_of(r#"{"op":"explain","query":"a(1)"}"#).inline);
         // Analyze evaluates nothing but walks the whole program, so it
         // also runs on the worker pool rather than inline.
-        assert!(Request::parse(r#"{"op":"analyze"}"#).unwrap().op.is_query());
+        assert!(!spec_of(r#"{"op":"analyze"}"#).inline);
     }
 
     #[test]

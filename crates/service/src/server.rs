@@ -6,13 +6,14 @@
 //!
 //! * **accept loops** (one thread per listener) hand each connection to a
 //!   handler thread;
-//! * **handlers** parse request lines and *admin* ops (`ping`, `stats`,
-//!   `shutdown`) are answered inline — they must work even when the queue
-//!   is saturated;
-//! * **query ops** go through a bounded [`JobQueue`] drained by a fixed
-//!   worker pool (size from `P3_THREADS` when not configured) whose workers
-//!   share the session's memo tables, so one client's computation warms
-//!   every other client's cache;
+//! * **handlers** parse request lines and answer the ops whose
+//!   [`OPS`](crate::protocol::OPS) row is `inline` (`ping`, `stats`,
+//!   `shutdown`, …) themselves — they must work even when the queue is
+//!   saturated;
+//! * **every other op** goes through a bounded `JobQueue` drained by a
+//!   fixed worker pool (size from `P3_THREADS` when not configured) whose
+//!   workers share the session's memo tables, so one client's computation
+//!   warms every other client's cache;
 //! * **deadlines**: a request's `timeout_ms` arms a per-request deadline.
 //!   The handler acts as the watchdog — it waits for the worker's answer
 //!   only until the deadline and then reports `"timeout"` instead of
@@ -151,6 +152,8 @@ fn unix_ms() -> u64 {
 /// One unit of queued work.
 struct Job {
     op: Op,
+    /// The op's name, for the worker's `execute` span.
+    class: &'static str,
     hop_limit: Option<usize>,
     eval_mode: Option<EvalMode>,
     deadline: Option<Instant>,
@@ -850,6 +853,11 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
     let request = match Request::parse(line) {
         Ok(req) => req,
         Err(msg) => {
+            // Echo the id of a rejected request when it decodes, so a
+            // pipelining client can still match the answer.
+            let id = Value::parse(line.trim())
+                .ok()
+                .and_then(|v| v.get("id").and_then(Value::as_u64));
             let elapsed = start.elapsed();
             shared.stats.record("malformed", elapsed, Outcome::Error);
             record_request_metrics("malformed", elapsed);
@@ -860,10 +868,10 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
                 ..Default::default()
             };
             audit_request(shared, record, elapsed);
-            return Response::error(None, msg);
+            return Response::error(id, msg);
         }
     };
-    let class = request.op.class();
+    let class = request.spec.name;
     let mut record = AuditRecord::default();
     let response = dispatch(&request, shared, start, &mut record);
     let outcome = match response.status {
@@ -927,7 +935,7 @@ fn dispatch(
     // The root span covers the request's whole server-side life: parse is
     // already done, so this is queue wait + execution + reply marshalling.
     let mut span = p3_obs::span::span("request");
-    span.add_field("class", request.op.class());
+    span.add_field("class", request.spec.name);
     if let Some(id) = request.id {
         span.add_field("request_id", id);
     }
@@ -936,92 +944,94 @@ fn dispatch(
     if let Some(trace) = &request.trace {
         span.add_field("trace", trace);
     }
-    match &request.op {
-        // Admin ops answer inline: they must work while the queue is full.
-        Op::Ping => Response::ok(request.id, Value::object(vec![("pong", Value::from(true))])),
-        Op::Stats => Response::ok(request.id, stats_snapshot(shared)),
-        Op::Metrics => Response::ok(request.id, metrics_snapshot(shared)),
-        Op::Trace { n } => Response::ok(request.id, trace_snapshot(*n)),
-        Op::Warm => Response::ok(request.id, warm_snapshot(shared)),
-        Op::StoreStats => Response::ok(request.id, store_stats_snapshot(shared)),
-        Op::AuditTail { n } => Response::ok(request.id, audit_tail_snapshot(shared, *n)),
-        Op::AuditTop { by, n } => Response::ok(request.id, audit_top_snapshot(shared, *by, *n)),
-        Op::Slo => Response::ok(request.id, slo_snapshot(shared)),
-        Op::Shutdown => {
-            shared.initiate_shutdown();
-            Response::ok(
+    if request.spec.inline {
+        return Response::ok(request.id, inline_answer(&request.op, shared));
+    }
+    let timeout_ms = request.timeout_ms.or(shared.default_timeout_ms);
+    let deadline = timeout_ms.map(|ms| received + Duration::from_millis(ms));
+    if let Some(d) = deadline {
+        if Instant::now() >= d {
+            return Response::timeout(
                 request.id,
-                Value::object(vec![("shutting_down", Value::from(true))]),
+                format!("deadline of {}ms expired", timeout_ms.unwrap_or(0)),
+            );
+        }
+    }
+    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+    let job = Job {
+        op: request.op.clone(),
+        class: request.spec.name,
+        hop_limit: request.hop_limit,
+        eval_mode: request.eval_mode,
+        deadline,
+        enqueued: Instant::now(),
+        root_span: span.id(),
+        reply: reply_tx,
+    };
+    match shared.queue.push(job) {
+        Err(PushError::Closed) => return Response::error(request.id, "server is shutting down"),
+        Err(PushError::DeadlineExpired) => {
+            return Response::timeout(
+                request.id,
+                format!(
+                    "deadline of {}ms expired while queued",
+                    timeout_ms.unwrap_or(0)
+                ),
             )
         }
-        op => {
-            let timeout_ms = request.timeout_ms.or(shared.default_timeout_ms);
-            let deadline = timeout_ms.map(|ms| received + Duration::from_millis(ms));
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Response::timeout(
-                        request.id,
-                        format!("deadline of {}ms expired", timeout_ms.unwrap_or(0)),
-                    );
-                }
-            }
-            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-            let job = Job {
-                op: op.clone(),
-                hop_limit: request.hop_limit,
-                eval_mode: request.eval_mode,
-                deadline,
-                enqueued: Instant::now(),
-                root_span: span.id(),
-                reply: reply_tx,
-            };
-            match shared.queue.push(job) {
-                Err(PushError::Closed) => {
-                    return Response::error(request.id, "server is shutting down")
-                }
-                Err(PushError::DeadlineExpired) => {
-                    return Response::timeout(
-                        request.id,
-                        format!(
-                            "deadline of {}ms expired while queued",
-                            timeout_ms.unwrap_or(0)
-                        ),
-                    )
-                }
-                Ok(()) => {}
-            }
-            // The handler is the watchdog: wait only until the deadline.
-            let reply = match deadline {
-                None => reply_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    reply_rx.recv_timeout(left)
-                }
-            };
-            let expired = deadline.is_some_and(|d| Instant::now() >= d);
-            match reply {
-                Ok(reply) => {
-                    *record = reply.record;
-                    match reply.result {
-                        Ok(result) => Response::ok(request.id, result),
-                        Err(msg) => Response::error(request.id, msg),
-                    }
-                }
-                // A worker drops a job only once its deadline has passed;
-                // any other lost reply is a failure, never a timeout.
-                Err(RecvTimeoutError::Disconnected) if !expired => {
-                    record.outcome = p3_audit::Outcome::Internal;
-                    Response::error(
-                        request.id,
-                        "internal error: the worker dropped the request without replying",
-                    )
-                }
-                Err(_) => Response::timeout(
-                    request.id,
-                    format!("deadline of {}ms expired", timeout_ms.unwrap_or(0)),
-                ),
+        Ok(()) => {}
+    }
+    // The handler is the watchdog: wait only until the deadline.
+    let reply = match deadline {
+        None => reply_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        Some(d) => {
+            let left = d.saturating_duration_since(Instant::now());
+            reply_rx.recv_timeout(left)
+        }
+    };
+    let expired = deadline.is_some_and(|d| Instant::now() >= d);
+    match reply {
+        Ok(reply) => {
+            *record = reply.record;
+            match reply.result {
+                Ok(result) => Response::ok(request.id, result),
+                Err(msg) => Response::error(request.id, msg),
             }
         }
+        // A worker drops a job only once its deadline has passed;
+        // any other lost reply is a failure, never a timeout.
+        Err(RecvTimeoutError::Disconnected) if !expired => {
+            record.outcome = p3_audit::Outcome::Internal;
+            Response::error(
+                request.id,
+                "internal error: the worker dropped the request without replying",
+            )
+        }
+        Err(_) => Response::timeout(
+            request.id,
+            format!("deadline of {}ms expired", timeout_ms.unwrap_or(0)),
+        ),
+    }
+}
+
+/// The answer to an op whose [`OPS`](crate::protocol::OPS) row is
+/// `inline`: these must work while the queue is full.
+fn inline_answer(op: &Op, shared: &Shared) -> Value {
+    match op {
+        Op::Ping => Value::object(vec![("pong", Value::from(true))]),
+        Op::Stats => stats_snapshot(shared),
+        Op::Metrics => metrics_snapshot(shared),
+        Op::Trace { n } => trace_snapshot(*n),
+        Op::Warm => warm_snapshot(shared),
+        Op::StoreStats => store_stats_snapshot(shared),
+        Op::AuditTail { n } => audit_tail_snapshot(shared, *n),
+        Op::AuditTop { by, n } => audit_top_snapshot(shared, *by, *n),
+        Op::Slo => slo_snapshot(shared),
+        Op::Shutdown => {
+            shared.initiate_shutdown();
+            Value::object(vec![("shutting_down", Value::from(true))])
+        }
+        op => unreachable!("OPS queues {op:?}"),
     }
 }
 
@@ -1050,7 +1060,7 @@ fn worker_loop(shared: Arc<Shared>) {
         let mut record = AuditRecord::default();
         let result = {
             let mut span = p3_obs::span::child_of("execute", job.root_span);
-            span.add_field("class", job.op.class());
+            span.add_field("class", job.class);
             let result = guarded(&mut record, |record| {
                 execute(&session, &shared, &job.op, job.hop_limit, record)
             });
@@ -1121,40 +1131,22 @@ fn execute(
     hop_limit: Option<usize>,
     record: &mut AuditRecord,
 ) -> Result<Value, String> {
-    // The query classes and `profile` all answer through one `run`.
-    let (asked, profiled) = match op {
-        Op::Profile { inner } => (inner.as_ref(), true),
-        op => (op, false),
-    };
-    if let Some((query, class)) = asked.query_class() {
-        let (answer, report) = session.run(query, &class, extract_opts(hop_limit));
-        audit_report(record, &report);
-        let answer = answer.map_err(|e| e.to_string())?;
-        return Ok(if profiled {
-            profile_value(&report, answer.probability())
-        } else {
-            answer_value(session.p3(), &class, answer, &report)
-        });
-    }
     match op {
-        Op::Ping
-        | Op::Stats
-        | Op::Metrics
-        | Op::Trace { .. }
-        | Op::Shutdown
-        | Op::Warm
-        | Op::StoreStats
-        | Op::AuditTail { .. }
-        | Op::AuditTop { .. }
-        | Op::Slo => {
-            unreachable!("admin ops answer inline")
+        // The query classes and `profile` all answer through one `run`.
+        Op::Query {
+            query,
+            class,
+            profile,
+        } => {
+            let (answer, report) = session.run(query, class, extract_opts(hop_limit));
+            audit_report(record, &report);
+            let answer = answer.map_err(|e| e.to_string())?;
+            Ok(if *profile {
+                profile_value(&report, answer.probability())
+            } else {
+                answer_value(session.p3(), class, answer, &report)
+            })
         }
-        Op::Probability { .. }
-        | Op::Explanation { .. }
-        | Op::Derivation { .. }
-        | Op::Influence { .. }
-        | Op::Modification { .. } => unreachable!("query classes are answered by `run` above"),
-        Op::Profile { inner } => Err(format!("cannot profile op class '{}'", inner.class())),
         Op::Persist => {
             let store = shared.active_store().ok_or_else(|| {
                 "no active store: start the server with --store-dir \
@@ -1178,18 +1170,11 @@ fn execute(
                 ("snapshot_bytes", Value::from(stats.snapshot_bytes)),
             ]))
         }
-        Op::LoadProgram { source, path, lint } => {
-            let text = match (source, path) {
-                (Some(src), _) => src.clone(),
-                (None, Some(p)) => {
-                    std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?
-                }
-                (None, None) => unreachable!("validated at parse time"),
-            };
+        Op::LoadProgram { source: text, lint } => {
             // Pre-flight lint: findings go to the structured log either
             // way; error-severity findings reject the program unless the
             // request opted out with `"lint": false`.
-            let report = timed(record, "lint", || p3_lint::lint_source(&text));
+            let report = timed(record, "lint", || p3_lint::lint_source(text));
             for d in &report.diagnostics {
                 p3_obs::info!(
                     "lint finding on load-program",
@@ -1209,7 +1194,7 @@ fn execute(
                 return Err(msg);
             }
             let fresh =
-                timed(record, "load", || P3::from_source(&text)).map_err(|e| e.to_string())?;
+                timed(record, "load", || P3::from_source(text)).map_err(|e| e.to_string())?;
             let clauses = fresh.program().len();
             let new_session = fresh.session_with(SessionOptions {
                 max_entries: shared.cache_cap,
@@ -1247,16 +1232,8 @@ fn execute(
                 ("lint_notes", Value::from(report.info_count())),
             ]))
         }
-        Op::Lint { source, path } => {
-            let (text, name) = match (source, path) {
-                (Some(src), _) => (src.clone(), "<inline>".to_string()),
-                (None, Some(p)) => (
-                    std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?,
-                    p.clone(),
-                ),
-                (None, None) => unreachable!("validated at parse time"),
-            };
-            let report = timed(record, "lint", || p3_lint::lint_source(&text));
+        Op::Lint { source: text } => {
+            let report = timed(record, "lint", || p3_lint::lint_source(text));
             let findings = Value::parse(&report.to_json())
                 .map_err(|e| format!("internal: bad findings JSON: {e}"))?;
             Ok(Value::object(vec![
@@ -1269,7 +1246,10 @@ fn execute(
                     "content_type",
                     Value::from("text/plain; lint=p3".to_string()),
                 ),
-                ("text", Value::from(report.render(Some(&text), Some(&name)))),
+                (
+                    "text",
+                    Value::from(report.render(Some(text), Some("<inline>"))),
+                ),
             ]))
         }
         Op::Explain { query } => {
@@ -1288,6 +1268,7 @@ fn execute(
             Value::parse(&plan.to_json_string())
                 .map_err(|e| format!("analyze payload encoding: {e}"))
         }
+        op => unreachable!("OPS answers {op:?} inline"),
     }
 }
 
@@ -1955,6 +1936,7 @@ impl Shared {
             self.queue
                 .push(Job {
                     op: Op::Ping,
+                    class: "ping",
                     hop_limit: None,
                     eval_mode: None,
                     deadline: Some(Instant::now()),

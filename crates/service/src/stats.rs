@@ -2,7 +2,7 @@
 //! quantiles, cheap enough to update on every request.
 //!
 //! Latencies are kept in a [`RingHistogram`] window of the most recent
-//! [`RING`] samples per query class; quantiles are computed over that
+//! `RING` samples per query class; quantiles are computed over that
 //! window on demand (`stats` requests are rare, so the snapshot sorts a
 //! copy). Counters are lifetime totals.
 

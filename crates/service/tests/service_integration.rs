@@ -6,7 +6,7 @@
 
 use p3_core::{DerivationAlgo, InfluenceOptions, ProbMethod, P3};
 use p3_service::client::Client;
-use p3_service::protocol::Status;
+use p3_service::protocol::{op_spec, Status, OPS};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -310,6 +310,17 @@ fn timeout_malformed_and_shutdown_paths() {
     assert_eq!(resp.status, Status::Error);
     let resp = client.request(r#"{"op":"probability"}"#).unwrap();
     assert_eq!(resp.status, Status::Error);
+    // A rejected request still gets its id back, so pipelining clients
+    // can match the answer.
+    let resp = client.request(r#"{"op":"probability","id":7}"#).unwrap();
+    assert_eq!((resp.status, resp.id), (Status::Error, Some(7)));
+    let resp = client
+        .request(&format!(
+            r#"{{"op":"probability","query":"{}","id":8,"method":"magic"}}"#,
+            esc(QUERIES[0])
+        ))
+        .unwrap();
+    assert_eq!((resp.status, resp.id), (Status::Error, Some(8)));
 
     // Still serving after all that.
     let resp = client
@@ -430,6 +441,75 @@ fn lint_op_and_load_program_gate() {
         .and_then(p3_service::json::Value::as_u64)
         .unwrap();
     assert!(warnings >= 1, "duplicate fact should warn: {result:?}");
+}
+
+#[test]
+fn lint_and_load_program_never_read_a_server_side_path() {
+    let served = Served::spawn(&[]);
+    let mut client = Client::connect_tcp(&served.tcp).unwrap();
+    let file = std::env::temp_dir().join(format!("p3-it-private-{}.txt", std::process::id()));
+    std::fs::write(&file, "t1 0.5: p(a).\nTOKEN=p3-private-marker\n").unwrap();
+    let path = file.display().to_string();
+    for op in ["lint", "load-program"] {
+        let resp = client
+            .request(&format!(r#"{{"op":"{op}","path":"{}"}}"#, esc(&path)))
+            .unwrap();
+        let line = resp.to_line();
+        assert_eq!(resp.status, Status::Error, "{op}: {line}");
+        assert!(resp.error.unwrap().contains("source"), "{op}: {line}");
+        assert!(!line.contains("p3-private-marker"), "{op}: {line}");
+    }
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
+fn the_client_binary_runs_every_op_row() {
+    let dir = std::env::temp_dir().join(format!("p3-it-ops-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (store, audit) = (dir.join("store"), dir.join("audit"));
+    let mut served = Served::spawn(&[
+        "--store-dir",
+        store.to_str().unwrap(),
+        "--audit-dir",
+        audit.to_str().unwrap(),
+    ]);
+    let file = dir.join("served.pl");
+    std::fs::write(&file, ACQ).unwrap();
+    // load-program detaches the store that persist needs, and shutdown
+    // stops the server: those two run last.
+    let last = ["load-program", "shutdown"];
+    let rows = OPS
+        .iter()
+        .filter(|spec| !last.contains(&spec.name))
+        .chain(last.iter().map(|name| op_spec(name).unwrap()));
+    for spec in rows {
+        let words: Vec<String> = spec
+            .args
+            .split_whitespace()
+            .map(|slot| match slot.trim_matches(['[', ']']) {
+                "QUERY" => QUERIES[0].to_string(),
+                "TARGET" => "0.5".to_string(),
+                "N" => "3".to_string(),
+                "FILE" => file.display().to_string(),
+                other => panic!("{}: no word for {other}", spec.name),
+            })
+            .collect();
+        let output = Command::new(env!("CARGO_BIN_EXE_p3-client"))
+            .arg("--tcp")
+            .arg(&served.tcp)
+            .arg(spec.name)
+            .args(&words)
+            .output()
+            .unwrap();
+        assert!(
+            output.status.success(),
+            "{} {words:?}: {output:?}",
+            spec.name
+        );
+    }
+    assert!(served.wait_for_exit().success());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Requests the `metrics` op and returns the Prometheus exposition text.

@@ -134,75 +134,36 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         stats: false,
     };
     let mut it = args.iter().peekable();
-    let value = |it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-                 flag: &str|
-     -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return Err(USAGE.to_string()),
-            "--query" => opts.query = Some(value(&mut it, "--query")?),
+            "--query" => opts.query = Some(value(&mut it, arg)?.clone()),
             "--explain" => opts.explain = true,
-            "--dot" => opts.dot = Some(value(&mut it, "--dot")?),
-            "--prob" => opts.prob = Some(value(&mut it, "--prob")?),
-            "--derivation" => {
-                let v = value(&mut it, "--derivation")?;
-                opts.derivation = Some(v.parse().map_err(|_| format!("bad epsilon '{v}'"))?);
-            }
-            "--algo" => {
-                opts.algo = match value(&mut it, "--algo")?.as_str() {
-                    "greedy" => DerivationAlgo::NaiveGreedy,
-                    "resuciu" => DerivationAlgo::ReSuciu,
-                    other => return Err(format!("unknown algorithm '{other}'")),
-                }
-            }
-            "--influence" => {
-                // Optional numeric argument.
-                let k = match it.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        v.parse().map_err(|_| format!("bad top-K '{v}'"))?
-                    }
-                    _ => 10,
-                };
-                opts.influence = Some(k);
-            }
-            "--modify" => {
-                let v = value(&mut it, "--modify")?;
-                opts.modify = Some(v.parse().map_err(|_| format!("bad target '{v}'"))?);
-            }
+            "--dot" => opts.dot = Some(value(&mut it, arg)?.clone()),
+            "--prob" => opts.prob = Some(value(&mut it, arg)?.clone()),
+            "--derivation" => opts.derivation = Some(parsed(value(&mut it, arg)?, "epsilon")?),
+            "--algo" => opts.algo = value(&mut it, arg)?.parse()?,
+            // An optional top-K, 10 when no number follows.
+            "--influence" => match it.next_if(|next| !next.starts_with("--")) {
+                Some(k) => opts.influence = Some(parsed(k, "top-K")?),
+                None => opts.influence = Some(10),
+            },
+            "--modify" => opts.modify = Some(parsed(value(&mut it, arg)?, "target")?),
             "--facts-only" => opts.facts_only = true,
+            // The random strategy's seed is `--seed`, wherever it appears.
             "--strategy" => {
-                opts.strategy = match value(&mut it, "--strategy")?.as_str() {
+                opts.strategy = match value(&mut it, arg)?.as_str() {
                     "greedy" => Strategy::Greedy,
-                    "random" => Strategy::Random { seed: opts.seed },
+                    "random" => Strategy::Random { seed: 0 },
                     other => return Err(format!("unknown strategy '{other}'")),
                 }
             }
-            "--hop-limit" => {
-                let v = value(&mut it, "--hop-limit")?;
-                opts.hop_limit = Some(v.parse().map_err(|_| format!("bad hop limit '{v}'"))?);
-            }
-            "--eval-mode" => {
-                let v = value(&mut it, "--eval-mode")?;
-                opts.eval_mode = v.parse()?;
-            }
-            "--samples" => {
-                let v = value(&mut it, "--samples")?;
-                opts.samples = v.parse().map_err(|_| format!("bad sample count '{v}'"))?;
-            }
-            "--seed" => {
-                let v = value(&mut it, "--seed")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
-            }
-            "--threads" => {
-                let v = value(&mut it, "--threads")?;
-                opts.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
-            }
-            "--trace-out" => opts.trace_out = Some(value(&mut it, "--trace-out")?),
+            "--hop-limit" => opts.hop_limit = Some(parsed(value(&mut it, arg)?, "hop limit")?),
+            "--eval-mode" => opts.eval_mode = value(&mut it, arg)?.parse()?,
+            "--samples" => opts.samples = parsed(value(&mut it, arg)?, "sample count")?,
+            "--seed" => opts.seed = parsed(value(&mut it, arg)?, "seed")?,
+            "--threads" => opts.threads = parsed(value(&mut it, arg)?, "thread count")?,
+            "--trace-out" => opts.trace_out = Some(value(&mut it, arg)?.clone()),
             "--stats" => opts.stats = true,
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
             path => {
@@ -217,22 +178,32 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.program_path.is_empty() {
         return Err("no program file given\n\n".to_string() + USAGE);
     }
+    if let Strategy::Random { seed } = &mut opts.strategy {
+        *seed = opts.seed;
+    }
     Ok(opts)
 }
 
-fn prob_method(opts: &Options) -> Result<ProbMethod, String> {
-    let cfg = McConfig {
+/// The value after `flag`.
+fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<&'a String, String> {
+    it.next().ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// `v` parsed as a `what`.
+fn parsed<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {what} '{v}'"))
+}
+
+fn mc_config(opts: &Options) -> McConfig {
+    McConfig {
         samples: opts.samples,
         seed: opts.seed,
-    };
-    match opts.prob.as_deref().unwrap_or("exact") {
-        "exact" => Ok(ProbMethod::Exact),
-        "bdd" => Ok(ProbMethod::Bdd),
-        "mc" => Ok(ProbMethod::MonteCarlo(cfg)),
-        "kl" => Ok(ProbMethod::KarpLuby(cfg)),
-        "pmc" => Ok(ProbMethod::ParallelMc(cfg, opts.threads)),
-        other => Err(format!("unknown probability method '{other}'")),
     }
+}
+
+fn prob_method(opts: &Options) -> Result<ProbMethod, String> {
+    let name = opts.prob.as_deref().unwrap_or("exact");
+    ProbMethod::parse(name, mc_config(opts), opts.threads)
 }
 
 fn run(opts: &Options) -> Result<(), String> {
@@ -328,12 +299,8 @@ fn run(opts: &Options) -> Result<(), String> {
     };
 
     if let Some(k) = opts.influence {
-        let cfg = McConfig {
-            samples: opts.samples,
-            seed: opts.seed,
-        };
         let class = QueryClass::Influence(InfluenceOptions {
-            method: InfluenceMethod::Mc(cfg),
+            method: InfluenceMethod::Mc(mc_config(opts)),
             top_k: Some(k),
             restrict_to: opts.facts_only.then(facts_filter),
             ..Default::default()
@@ -413,18 +380,8 @@ fn parse_explain_args(args: &[String]) -> Result<ExplainOptions, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return Err(USAGE.to_string()),
-            "--query" => {
-                opts.query = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| "--query requires a value".to_string())?;
-            }
-            "--eval-mode" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--eval-mode requires a value".to_string())?;
-                opts.eval_mode = v.parse()?;
-            }
+            "--query" => opts.query = value(&mut it, arg)?.clone(),
+            "--eval-mode" => opts.eval_mode = value(&mut it, arg)?.parse()?,
             "--json" => opts.json = true,
             "--folded" => opts.folded = true,
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
@@ -486,19 +443,8 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeOptions, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return Err(USAGE.to_string()),
-            "--query" => {
-                opts.query = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| "--query requires a value".to_string())?,
-                );
-            }
-            "--eval-mode" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--eval-mode requires a value".to_string())?;
-                opts.eval_mode = v.parse()?;
-            }
+            "--query" => opts.query = Some(value(&mut it, arg)?.clone()),
+            "--eval-mode" => opts.eval_mode = value(&mut it, arg)?.parse()?,
             "--json" => opts.json = true,
             "--calibrate" => opts.calibrate = true,
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
@@ -633,12 +579,7 @@ fn parse_lint_args(args: &[String]) -> Result<LintOptions, String> {
         match arg.as_str() {
             "--help" | "-h" => return Err(USAGE.to_string()),
             "--json" => opts.json = true,
-            "--workloads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--workloads requires a value".to_string())?;
-                opts.workloads = v.parse().map_err(|_| format!("bad workload count '{v}'"))?;
-            }
+            "--workloads" => opts.workloads = parsed(value(&mut it, arg)?, "workload count")?,
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
             path => opts.paths.push(path.to_string()),
         }
@@ -710,16 +651,9 @@ fn parse_audit_args(args: &[String]) -> Result<AuditOptions, String> {
         match arg.as_str() {
             "--help" | "-h" => return Err(USAGE.to_string()),
             "--json" => opts.json = true,
-            "--top" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--top requires a value".to_string())?;
-                opts.top = Some(v.parse().map_err(|_| format!("bad --top value '{v}'"))?);
-            }
+            "--top" => opts.top = Some(parsed(value(&mut it, arg)?, "--top value")?),
             "--by" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--by requires a value".to_string())?;
+                let v = value(&mut it, arg)?;
                 opts.by = AuditKey::parse(v).map_err(|_| {
                     format!("unknown --by key '{v}' (expected {})", AuditKey::EXPECTED)
                 })?;
@@ -774,104 +708,27 @@ fn run_audit(opts: &AuditOptions) -> Result<(String, bool), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("explain") {
-        let opts = match parse_explain_args(&args[1..]) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match run_explain(&opts) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        let opts = match parse_analyze_args(&args[1..]) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match run_analyze(&opts) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("audit") {
-        let opts = match parse_audit_args(&args[1..]) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match run_audit(&opts) {
-            Ok((out, clean)) => {
-                print!("{out}");
-                if clean {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("lint") {
-        let opts = match parse_lint_args(&args[1..]) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match run_lint(&opts) {
-            Ok((out, clean)) => {
-                print!("{out}");
-                if clean {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+    let rest = args.get(1..).unwrap_or_default();
+    // Each command parses its arguments (a usage error), then runs (an
+    // error), giving its output and whether it exits successfully.
+    let outcome = match args.first().map(String::as_str) {
+        Some("explain") => parse_explain_args(rest).map(|o| run_explain(&o).map(|out| (out, true))),
+        Some("analyze") => parse_analyze_args(rest).map(|o| run_analyze(&o).map(|out| (out, true))),
+        Some("audit") => parse_audit_args(rest).map(|o| run_audit(&o)),
+        Some("lint") => parse_lint_args(rest).map(|o| run_lint(&o)),
+        _ => parse_args(&args).map(|o| run(&o).map(|()| (String::new(), true))),
     };
-    match run(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
+    match outcome {
+        Err(usage) => eprintln!("{usage}"),
+        Ok(Err(msg)) => eprintln!("error: {msg}"),
+        Ok(Ok((out, success))) => {
+            print!("{out}");
+            if success {
+                return ExitCode::SUCCESS;
+            }
         }
     }
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
@@ -1238,5 +1095,18 @@ mod tests {
         }
         let opts = parse_args(&args(&["p.pl", "--prob", "nope"])).unwrap();
         assert!(prob_method(&opts).is_err());
+    }
+
+    #[test]
+    fn random_strategy_takes_the_seed_in_either_flag_order() {
+        for line in [
+            ["p.pl", "--strategy", "random", "--seed", "9"],
+            ["p.pl", "--seed", "9", "--strategy", "random"],
+        ] {
+            let opts = parse_args(&args(&line)).unwrap();
+            assert_eq!(opts.strategy, Strategy::Random { seed: 9 }, "{line:?}");
+        }
+        let opts = parse_args(&args(&["p.pl", "--strategy", "greedy", "--seed", "9"])).unwrap();
+        assert_eq!(opts.strategy, Strategy::Greedy);
     }
 }
