@@ -10,7 +10,7 @@ use crate::{time, Scale};
 use p3_core::{sufficient_provenance, DerivationAlgo, ProbMethod};
 use p3_prob::McConfig;
 
-/// The ε sweep, as fractions of `P[λ]` (the paper's "X% of P[λ]").
+/// The ε sweep, as fractions of `P[λ]` (the paper's "X% of `P[λ]`").
 pub const EPS_SWEEP: [f64; 8] = [0.001, 0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.1];
 
 /// Runs the experiment.

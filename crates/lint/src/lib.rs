@@ -19,7 +19,7 @@
 //!    persistent-store recommendation for recursion-heavy programs whose
 //!    provenance is worth journaling across restarts (`P3604`).
 //!
-//! Unlike [`Program`](p3_datalog::Program) validation — which stops at the
+//! Unlike [`Program`] validation — which stops at the
 //! first error — a lint run reports *every* finding, each with a source
 //! span, a severity, and a stable `P3xxx` code. [`LintReport::render`]
 //! produces rustc-style text; [`LintReport::to_json`] a machine-readable

@@ -1,7 +1,7 @@
 //! The shared message table for recommendations that two planes emit.
 //!
 //! `P3603` (demand mode) and `P3604` (persistent store) are raised both
-//! statically — from program shape, in [`crate::passes`] — and from
+//! statically — from program shape, in `crate::passes` — and from
 //! measured evaluation cost in [`crate::cost`]. Each plane supplies its
 //! own *evidence* clause, but the code, the recommendation phrase it
 //! leads into, and the `= help:` text come from this one table, so the

@@ -4,7 +4,7 @@
 //! dependency-free `p3-datalog` — can link it without cycles. Three
 //! layers, each usable on its own:
 //!
-//! * [`log`]: a leveled logger controlled by the `P3_LOG` environment
+//! * [`mod@log`]: a leveled logger controlled by the `P3_LOG` environment
 //!   variable, emitting structured `key=value` lines to stderr via the
 //!   [`error!`], [`warn!`], [`info!`] and [`debug!`] macros.
 //! * [`metrics`]: a process-global registry of relaxed-atomic counters,

@@ -11,7 +11,7 @@
 //!    memoization on the restricted formulas.
 //!
 //! The expansion runs on bitsets: the formula's `V` variables are numbered
-//! densely in ascending [`VarId`](crate::VarId) order, each monomial is
+//! densely in ascending [`VarId`] order, each monomial is
 //! `⌈V/64⌉` words with one bit per variable, and a formula is its
 //! monomials' words laid end to end in [`Dnf`]'s canonical order (length
 //! first, then literals). Restriction keeps that order and the

@@ -201,7 +201,7 @@ impl<'g> Extractor<'g> {
 }
 
 /// Current process-global extraction-memo tallies as `(hits, misses)` —
-/// the same counters [`Cx::flush_counters`] publishes, read back so
+/// the same counters `Cx::flush_counters` publishes, read back so
 /// stage profilers can report per-stage deltas without re-deriving the
 /// counter names. Global (not per-call): deltas taken around a stage
 /// are approximate under concurrent extraction.

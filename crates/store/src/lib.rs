@@ -13,7 +13,7 @@
 //!   double for journaling call sites.
 //! * [`FileBackend`] — an append-only, checksummed intern log plus
 //!   periodic compacted snapshots in one directory, std-only (no serde,
-//!   no mmap). See [`file`] for the layout and crash-safety argument.
+//!   no mmap). See [`mod@file`] for the layout and crash-safety argument.
 //!
 //! Staleness is decided by a program [`content_hash`]: a store written
 //! for one program text is never replayed against another.
