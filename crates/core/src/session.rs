@@ -9,8 +9,8 @@
 //!   backends because estimates are deterministic per seed);
 //! * **influence rankings** — `(DnfId, options) → Vec<InfluenceEntry>`,
 //!   with candidate-literal restrictions shared through the hash-consed
-//!   [`DnfStore`](p3_prob::store::DnfStore) so fifty literals of one base formula normalise their
-//!   restrictions once, ever;
+//!   [`DnfStore`](p3_prob::store::DnfStore) so fifty literals of one base
+//!   formula normalise their restrictions once, ever;
 //! * **sufficient provenance** — `(DnfId, ε, algorithm, method) → result`.
 //!
 //! Because the core a session caches over is immutable ([`P3`] never
@@ -329,8 +329,9 @@ impl QuerySession {
     }
 
     /// Replays records recovered from a persistent store into this session:
-    /// intern records rebuild the shared [`DnfStore`](p3_prob::store::DnfStore) (in allocation order,
-    /// so every persisted `DnfId` stays valid), memo records land in the
+    /// intern records rebuild the shared
+    /// [`DnfStore`](p3_prob::store::DnfStore) (in allocation order, so
+    /// every persisted `DnfId` stays valid), memo records land in the
     /// warm query layer and the probability cache. Re-interning is
     /// idempotent, so records duplicated between a snapshot and the log
     /// tail are harmless.
