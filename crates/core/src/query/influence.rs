@@ -6,11 +6,14 @@
 //! Monte-Carlo (sequential or parallel) or computes it exactly, optionally
 //! preprocessing `λ` down to a sufficient provenance first (§6.2's
 //! optimisation: most literals have negligible influence, so rank on the
-//! compressed polynomial).
+//! compressed polynomial). Exact influence compiles `λ` once into a
+//! [`Circuit`] and takes every literal's derivative in one backward pass;
+//! [`exact_influence`] keeps the definition's two expansions as the
+//! reference the tests and benches compare against.
 
 use crate::prob_method::ProbMethod;
 use crate::query::derivation::{sufficient_provenance, DerivationAlgo};
-use p3_prob::{exact, mc, parallel, Dnf, McConfig, VarId, VarTable};
+use p3_prob::{exact, mc, parallel, Circuit, Dnf, McConfig, VarId, VarTable};
 
 /// How influence values are computed.
 ///
@@ -20,7 +23,8 @@ use p3_prob::{exact, mc, parallel, Dnf, McConfig, VarId, VarTable};
 /// "use [`p3_prob::parallel::default_threads`]".
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InfluenceMethod {
-    /// Exact: two Shannon computations per literal.
+    /// Exact: the formula compiled once into a [`Circuit`], one backward
+    /// pass for every literal.
     Exact,
     /// Sequential paired Monte-Carlo.
     Mc(McConfig),
@@ -46,6 +50,16 @@ impl InfluenceMethod {
             other => Err(format!(
                 "unknown influence method '{other}' (expected exact|mc|pmc)"
             )),
+        }
+    }
+
+    /// The probability backend matching this method: exact stays exact,
+    /// Monte-Carlo stays Monte-Carlo.
+    pub(crate) fn prob_method(self) -> ProbMethod {
+        match self {
+            InfluenceMethod::Exact => ProbMethod::Exact,
+            InfluenceMethod::Mc(cfg) => ProbMethod::MonteCarlo(cfg),
+            InfluenceMethod::ParallelMc(cfg, threads) => ProbMethod::ParallelMc(cfg, threads),
         }
     }
 }
@@ -80,47 +94,44 @@ pub struct InfluenceEntry {
 pub fn influence_query(dnf: &Dnf, vars: &VarTable, opts: &InfluenceOptions) -> Vec<InfluenceEntry> {
     // Optional sufficient-provenance preprocessing. Probability
     // re-evaluation during compression uses a backend matching the
-    // influence backend: exact stays exact, Monte-Carlo stays Monte-Carlo
-    // (exact Shannon on a large tangled polynomial would dominate the very
-    // cost the preprocessing is meant to save — §6.2).
-    let compress_method = match opts.method {
-        InfluenceMethod::Exact => ProbMethod::Exact,
-        InfluenceMethod::Mc(cfg) => ProbMethod::MonteCarlo(cfg),
-        InfluenceMethod::ParallelMc(cfg, threads) => ProbMethod::ParallelMc(cfg, threads),
-    };
+    // influence backend (exact Shannon on a large tangled polynomial would
+    // dominate the very cost the preprocessing is meant to save — §6.2).
     let compressed;
     let target: &Dnf = match opts.preprocess_epsilon {
         Some(eps) => {
-            compressed =
-                sufficient_provenance(dnf, vars, eps, DerivationAlgo::NaiveGreedy, compress_method)
-                    .polynomial;
+            compressed = sufficient_provenance(
+                dnf,
+                vars,
+                eps,
+                DerivationAlgo::NaiveGreedy,
+                opts.method.prob_method(),
+            )
+            .polynomial;
             &compressed
         }
         None => dnf,
     };
+    finalize_entries(influences(target, vars, opts.method), opts)
+}
 
-    let entries: Vec<InfluenceEntry> = match opts.method {
-        InfluenceMethod::Exact => target
-            .vars()
-            .into_iter()
-            .map(|v| InfluenceEntry {
-                var: v,
-                influence: exact_influence(target, vars, v),
-            })
-            .collect(),
-        InfluenceMethod::Mc(cfg) => mc::influence_all(target, vars, cfg)
-            .into_iter()
-            .map(|(var, influence)| InfluenceEntry { var, influence })
-            .collect(),
+/// The influence of every literal of `dnf` under `vars`, by `method`, in
+/// no particular order. Shared with the session's influence path in
+/// [`crate::session`].
+pub(crate) fn influences(
+    dnf: &Dnf,
+    vars: &VarTable,
+    method: InfluenceMethod,
+) -> Vec<InfluenceEntry> {
+    let all = match method {
+        InfluenceMethod::Exact => Circuit::compile(dnf).influences(vars),
+        InfluenceMethod::Mc(cfg) => mc::influence_all(dnf, vars, cfg),
         InfluenceMethod::ParallelMc(cfg, threads) => {
-            parallel::influence_all(target, vars, cfg, threads)
-                .into_iter()
-                .map(|(var, influence)| InfluenceEntry { var, influence })
-                .collect()
+            parallel::influence_all(dnf, vars, cfg, threads)
         }
     };
-
-    finalize_entries(entries, opts)
+    all.into_iter()
+        .map(|(var, influence)| InfluenceEntry { var, influence })
+        .collect()
 }
 
 /// Applies an Influence Query's post-processing: literal filtering,
@@ -145,7 +156,9 @@ pub(crate) fn finalize_entries(
     entries
 }
 
-/// Exact influence: `P[λ|x=1] − P[λ|x=0]` by Shannon expansion.
+/// Exact influence by Definition 4.1: `P[λ|x=1] − P[λ|x=0]`, two Shannon
+/// expansions per literal. The queries take every literal's influence from
+/// one [`Circuit`] instead; this is the reference they are tested against.
 pub fn exact_influence(dnf: &Dnf, vars: &VarTable, x: VarId) -> f64 {
     let hi = exact::probability(&dnf.restrict(x, true), vars);
     let lo = exact::probability(&dnf.restrict(x, false), vars);

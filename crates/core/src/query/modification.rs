@@ -11,11 +11,18 @@
 //! [`Strategy::Random`] is the paper's Table 7 baseline: a uniformly random
 //! modifiable literal is updated each step instead of the most influential
 //! one.
+//!
+//! [`EvalMethod::Exact`] compiles `λ` once per query into a [`Circuit`]:
+//! each table the search tries costs one forward pass, which gives
+//! `exact::probability`'s bits, and each step's candidates cost one
+//! backward pass, which gives every slope at once.
 
-use crate::query::influence::exact_influence;
-use p3_prob::{exact, mc, parallel, Dnf, McConfig, VarId, VarTable};
+use crate::prob_method::ProbMethod;
+use p3_prob::circuit::Evaluation;
+use p3_prob::{mc, parallel, Circuit, Dnf, McConfig, VarId, VarTable};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::RefCell;
 
 /// Variable-selection strategy for each modification step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -34,7 +41,8 @@ pub enum Strategy {
 /// How probabilities and influences are evaluated during the search.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum EvalMethod {
-    /// Exact Shannon computations.
+    /// Exact: the formula compiled once into a [`Circuit`] (see the module
+    /// docs).
     #[default]
     Exact,
     /// Monte-Carlo estimates with this configuration.
@@ -42,6 +50,17 @@ pub enum EvalMethod {
     /// Monte-Carlo estimates parallelised across the given thread count
     /// (the paper's Table 9 "Parallel" column).
     McParallel(McConfig, usize),
+}
+
+impl EvalMethod {
+    /// The probability backend this method evaluates `P[λ]` with.
+    pub(crate) fn prob_method(self) -> ProbMethod {
+        match self {
+            EvalMethod::Exact => ProbMethod::Exact,
+            EvalMethod::Mc(cfg) => ProbMethod::MonteCarlo(cfg),
+            EvalMethod::McParallel(cfg, threads) => ProbMethod::ParallelMc(cfg, threads),
+        }
+    }
 }
 
 /// Options for a Modification Query.
@@ -107,8 +126,8 @@ pub struct ModificationPlan {
 /// [`modification_query_with`]. Both functions receive the variable table
 /// under which to evaluate — the search mutates a private working copy, so
 /// implementations caching by formula must only consult their cache when
-/// the passed table is the base one (pointer comparison suffices; the
-/// session layer does exactly that).
+/// the passed table is the base one (pointer comparison suffices, as
+/// [`modification_query`] does for a session's cached estimate).
 pub struct ModificationEval<'a> {
     /// Computes `P[λ]` under the given table.
     pub prob: &'a (dyn Fn(&Dnf, &VarTable) -> f64 + 'a),
@@ -120,17 +139,54 @@ pub struct ModificationEval<'a> {
 /// The influence hook's signature: formula, table, candidate literals.
 type InfluenceHook<'a> = dyn Fn(&Dnf, &VarTable, &[VarId]) -> Vec<f64> + 'a;
 
-/// The influences of `candidates` on `dnf` under `vars`, as `eval` computes
-/// them: exact influence per candidate, in order; under Monte-Carlo, one
-/// sampling pass (one per worker chunk for [`EvalMethod::McParallel`])
-/// serves every candidate, with the values the per-literal estimators gave.
-pub(crate) fn candidate_influences(
-    eval: EvalMethod,
+/// Runs a Modification Query: change literal probabilities so that `P[λ]`
+/// reaches `target`, at small total cost.
+///
+/// [`EvalMethod::Exact`] runs on one [`Circuit`] compiled for this call.
+/// The Monte-Carlo methods estimate `P[λ]` under each table and answer a
+/// step's candidate literals from one sampling pass (one per worker chunk
+/// for [`EvalMethod::McParallel`]), with the values the per-literal
+/// estimators gave.
+pub fn modification_query(
     dnf: &Dnf,
     vars: &VarTable,
-    candidates: &[VarId],
-) -> Vec<f64> {
-    let pick = |all: Vec<(VarId, f64)>| -> Vec<f64> {
+    target: f64,
+    opts: &ModificationOptions,
+) -> ModificationPlan {
+    let base = || opts.eval.prob_method().probability(dnf, vars);
+    modification_from(dnf, vars, target, opts, &base)
+}
+
+/// [`modification_query`], with `base` estimating `P[λ]` under `vars`
+/// itself for the Monte-Carlo methods (a session serves it from its
+/// cache); [`EvalMethod::Exact`] never calls it.
+pub(crate) fn modification_from(
+    dnf: &Dnf,
+    vars: &VarTable,
+    target: f64,
+    opts: &ModificationOptions,
+    base: &dyn Fn() -> f64,
+) -> ModificationPlan {
+    // Monte-Carlo, on the calling thread or on `threads` workers.
+    let (cfg, threads) = match opts.eval {
+        EvalMethod::Exact => return exact_modification(dnf, vars, target, opts),
+        EvalMethod::Mc(cfg) => (cfg, None),
+        EvalMethod::McParallel(cfg, threads) => (cfg, Some(threads)),
+    };
+    let method = opts.eval.prob_method();
+    let table: *const VarTable = vars;
+    let prob = |d: &Dnf, t: &VarTable| -> f64 {
+        if std::ptr::eq(t, table) {
+            base()
+        } else {
+            method.probability(d, t)
+        }
+    };
+    let influence = |d: &Dnf, t: &VarTable, candidates: &[VarId]| {
+        let all = match threads {
+            None => mc::influences(d, t, cfg),
+            Some(threads) => parallel::influences(d, t, cfg, threads),
+        };
         candidates
             .iter()
             .map(|x| {
@@ -139,34 +195,46 @@ pub(crate) fn candidate_influences(
             })
             .collect()
     };
-    match eval {
-        EvalMethod::Exact => candidates
-            .iter()
-            .map(|&x| exact_influence(dnf, vars, x))
-            .collect(),
-        EvalMethod::Mc(cfg) => pick(mc::influences(dnf, vars, cfg)),
-        EvalMethod::McParallel(cfg, threads) => pick(parallel::influences(dnf, vars, cfg, threads)),
-    }
+    modification_query_with(
+        dnf,
+        vars,
+        target,
+        opts,
+        ModificationEval {
+            prob: &prob,
+            influence: &influence,
+        },
+    )
 }
 
-/// Runs a Modification Query: change literal probabilities so that `P[λ]`
-/// reaches `target`, at small total cost.
-pub fn modification_query(
+/// The greedy on one circuit: a forward pass for each table the search
+/// evaluates, and one backward pass per step for all its candidates.
+fn exact_modification(
     dnf: &Dnf,
     vars: &VarTable,
     target: f64,
     opts: &ModificationOptions,
 ) -> ModificationPlan {
-    let eval = opts.eval;
-    let prob = move |dnf: &Dnf, vars: &VarTable| -> f64 {
-        match eval {
-            EvalMethod::Exact => exact::probability(dnf, vars),
-            EvalMethod::Mc(cfg) => mc::estimate(dnf, vars, cfg),
-            EvalMethod::McParallel(cfg, threads) => parallel::estimate(dnf, vars, cfg, threads),
-        }
+    let circuit = Circuit::compile(dnf);
+    // The last forward pass. The search evaluates each table before it
+    // asks for that table's slopes, so the backward pass starts from it.
+    let last: RefCell<Option<Evaluation<'_>>> = RefCell::new(None);
+    let prob = |_: &Dnf, t: &VarTable| -> f64 {
+        let evaluation = circuit.evaluate(t);
+        let p = evaluation.probability();
+        last.replace(Some(evaluation));
+        p
     };
-    let influence = move |dnf: &Dnf, vars: &VarTable, candidates: &[VarId]| {
-        candidate_influences(eval, dnf, vars, candidates)
+    let influence = |_: &Dnf, t: &VarTable, candidates: &[VarId]| {
+        let mut last = last.borrow_mut();
+        if !last.as_ref().is_some_and(|e| e.ran_under(t)) {
+            *last = Some(circuit.evaluate(t));
+        }
+        let slopes = last.as_ref().expect("evaluated above").derivatives();
+        candidates
+            .iter()
+            .map(|x| circuit.vars().binary_search(x).map_or(0.0, |i| slopes[i]))
+            .collect()
     };
     modification_query_with(
         dnf,
@@ -473,7 +541,7 @@ mod tests {
     #[test]
     fn already_at_target_changes_nothing() {
         let (dnf, vars) = acquaintance();
-        let p0 = exact::probability(&dnf, &vars);
+        let p0 = p3_prob::exact::probability(&dnf, &vars);
         let plan = modification_query(
             &dnf,
             &vars,

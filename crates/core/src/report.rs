@@ -105,9 +105,9 @@ pub struct CacheDelta {
     pub store_intern_hits: u64,
     /// Hash-cons intern misses in the shared store.
     pub store_intern_misses: u64,
-    /// Memoized or/and/restrict hits in the shared store.
+    /// Memoized or/and hits in the shared store.
     pub store_op_hits: u64,
-    /// Memoized or/and/restrict misses in the shared store.
+    /// Memoized or/and misses in the shared store.
     pub store_op_misses: u64,
     /// Clean-tuple extraction-memo hits (process-global counter).
     pub extract_memo_hits: u64,

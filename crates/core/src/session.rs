@@ -7,10 +7,7 @@
 //!   caches in [`p3_provenance::extract::Analysis`];
 //! * **probability** — `(DnfId, ProbMethod) → f64` (sound for Monte-Carlo
 //!   backends because estimates are deterministic per seed);
-//! * **influence rankings** — `(DnfId, options) → Vec<InfluenceEntry>`,
-//!   with candidate-literal restrictions shared through the hash-consed
-//!   [`DnfStore`](p3_prob::store::DnfStore) so fifty literals of one base
-//!   formula normalise their restrictions once, ever;
+//! * **influence rankings** — `(DnfId, options) → Vec<InfluenceEntry>`;
 //! * **sufficient provenance** — `(DnfId, ε, algorithm, method) → result`.
 //!
 //! Because the core a session caches over is immutable ([`P3`] never
@@ -30,12 +27,9 @@ use crate::prob_method::ProbMethod;
 use crate::query::derivation::{sufficient_provenance_with, DerivationAlgo, SufficientProvenance};
 use crate::query::explain::QueryExplain;
 use crate::query::influence::{
-    finalize_entries, InfluenceEntry, InfluenceMethod, InfluenceOptions,
+    finalize_entries, influences, InfluenceEntry, InfluenceMethod, InfluenceOptions,
 };
-use crate::query::modification::{
-    candidate_influences, modification_query_with, EvalMethod, ModificationEval,
-    ModificationOptions, ModificationPlan,
-};
+use crate::query::modification::{modification_from, ModificationOptions, ModificationPlan};
 use crate::report::{CacheDelta, QueryAnswer, QueryClass, QueryReport, Recorder};
 use crate::system::{DemandCore, FullCore, P3};
 use p3_datalog::ast::Const;
@@ -44,7 +38,7 @@ use p3_datalog::explain::ExplainPlan;
 use p3_datalog::symbol::Symbol;
 use p3_datalog::worlds;
 use p3_prob::store::DnfId;
-use p3_prob::{mc, parallel, Dnf, VarId, VarTable};
+use p3_prob::{parallel, Dnf, VarId};
 use p3_provenance::extract::{ExtractOptions, Extractor};
 use p3_store::{Record, StorageBackend};
 use std::collections::HashMap;
@@ -651,12 +645,10 @@ impl QuerySession {
 
     /// Runs an Influence Query, memoized by `(formula, options)`.
     ///
-    /// On a cache miss the exact backend computes each literal's influence
-    /// from store-memoized restrictions of the *one* interned base formula,
-    /// and each restriction's probability lands in the session probability
-    /// cache — so influence queries over overlapping formulas, or a later
-    /// re-run with different `top_k`/`restrict_to` filtering, reuse both.
-    /// On a cache hit nothing is re-extracted or re-estimated.
+    /// On a cache miss the exact backend compiles the formula once into a
+    /// [`p3_prob::Circuit`] and takes every literal's influence from one
+    /// backward pass; nothing is interned into the store. On a cache hit
+    /// nothing is re-extracted or re-estimated.
     pub fn influence(
         &self,
         query: &str,
@@ -686,61 +678,19 @@ impl QuerySession {
         // Optional §6.2 preprocessing, through the sufficient-provenance
         // cache; the backend matches the influence backend (see
         // `influence_query` for the rationale).
-        let target_id = match opts.preprocess_epsilon {
-            Some(eps) => {
-                let compress_method = match opts.method {
-                    InfluenceMethod::Exact => ProbMethod::Exact,
-                    InfluenceMethod::Mc(cfg) => ProbMethod::MonteCarlo(cfg),
-                    InfluenceMethod::ParallelMc(cfg, threads) => {
-                        ProbMethod::ParallelMc(cfg, threads)
-                    }
-                };
-                let sufficient = self.sufficient_provenance_of(
+        let target = match opts.preprocess_epsilon {
+            Some(eps) => Arc::new(
+                self.sufficient_provenance_of(
                     id,
                     eps,
                     DerivationAlgo::NaiveGreedy,
-                    compress_method,
-                );
-                self.p3.store.intern(sufficient.polynomial)
-            }
-            None => id,
+                    opts.method.prob_method(),
+                )
+                .polynomial,
+            ),
+            None => self.dnf(id),
         };
-
-        let target = self.dnf(target_id);
-        let entries: Vec<InfluenceEntry> = match opts.method {
-            InfluenceMethod::Exact => target
-                .vars()
-                .into_iter()
-                .map(|v| {
-                    // The two restrictions are memoized in the store and
-                    // their probabilities in the session, so they are shared
-                    // with every other query touching the same sub-formulas.
-                    let hi = self.probability_of(
-                        self.p3.store.restrict(target_id, v, true),
-                        ProbMethod::Exact,
-                    );
-                    let lo = self.probability_of(
-                        self.p3.store.restrict(target_id, v, false),
-                        ProbMethod::Exact,
-                    );
-                    InfluenceEntry {
-                        var: v,
-                        influence: hi - lo,
-                    }
-                })
-                .collect(),
-            InfluenceMethod::Mc(cfg) => mc::influence_all(&target, &self.p3.vars, cfg)
-                .into_iter()
-                .map(|(var, influence)| InfluenceEntry { var, influence })
-                .collect(),
-            InfluenceMethod::ParallelMc(cfg, threads) => {
-                parallel::influence_all(&target, &self.p3.vars, cfg, threads)
-                    .into_iter()
-                    .map(|(var, influence)| InfluenceEntry { var, influence })
-                    .collect()
-            }
-        };
-        let entries = finalize_entries(entries, opts);
+        let entries = finalize_entries(influences(&target, &self.p3.vars, opts.method), opts);
         self.caches
             .influence
             .write()
@@ -796,9 +746,10 @@ impl QuerySession {
     }
 
     /// Runs a Modification Query. The plan search mutates a private working
-    /// table, so only evaluations against the session's own (base) variable
-    /// table are served from — and recorded in — the cache; evaluations
-    /// under modified tables always compute directly.
+    /// table. The exact backend runs on one circuit compiled for the call
+    /// and touches no cache; under Monte-Carlo, only the estimate under the
+    /// session's own (base) variable table is served from — and recorded
+    /// in — the cache, and estimates under modified tables compute directly.
     pub fn modification(
         &self,
         query: &str,
@@ -816,33 +767,8 @@ impl QuerySession {
         target: f64,
         opts: &ModificationOptions,
     ) -> ModificationPlan {
-        let dnf = self.dnf(id);
-        let base: *const VarTable = &*self.p3.vars;
-        let method = match opts.eval {
-            EvalMethod::Exact => ProbMethod::Exact,
-            EvalMethod::Mc(cfg) => ProbMethod::MonteCarlo(cfg),
-            EvalMethod::McParallel(cfg, threads) => ProbMethod::ParallelMc(cfg, threads),
-        };
-        let prob = |d: &Dnf, vars: &VarTable| -> f64 {
-            if std::ptr::eq(vars, base) {
-                self.probability_of(self.p3.store.intern(d.clone()), method)
-            } else {
-                method.probability(d, vars)
-            }
-        };
-        let influence = |d: &Dnf, vars: &VarTable, candidates: &[VarId]| {
-            candidate_influences(opts.eval, d, vars, candidates)
-        };
-        modification_query_with(
-            &dnf,
-            &self.p3.vars,
-            target,
-            opts,
-            ModificationEval {
-                prob: &prob,
-                influence: &influence,
-            },
-        )
+        let base = || self.probability_of(id, opts.eval.prob_method());
+        modification_from(&self.dnf(id), &self.p3.vars, target, opts, &base)
     }
 
     /// A reading of every counter a [`CacheDelta`] reports (absolute
@@ -1095,18 +1021,13 @@ mod tests {
             ..Default::default()
         };
         let first = session.influence(Q, &opts).unwrap();
-        let store_misses = p3.store().stats().op_misses;
         let misses = session.stats().misses;
         let second = session.influence(Q, &opts).unwrap();
         assert_eq!(first, second);
         assert_eq!(session.stats().misses, misses, "no recomputation");
-        assert_eq!(
-            p3.store().stats().op_misses,
-            store_misses,
-            "no new restrictions"
-        );
-        // A different top_k is a new ranking key but shares all
-        // restrictions and probabilities through the store.
+        // A different top_k is a new ranking key, recomputed on a circuit
+        // of its own, which interns nothing into the store.
+        let store = p3.store().stats();
         let top1 = session
             .influence(
                 Q,
@@ -1119,11 +1040,7 @@ mod tests {
             .unwrap();
         assert_eq!(top1.len(), 1);
         assert_eq!(top1[0], first[0]);
-        assert_eq!(
-            p3.store().stats().op_misses,
-            store_misses,
-            "restrictions reused"
-        );
+        assert_eq!(p3.store().stats(), store, "the store is untouched");
     }
 
     #[test]

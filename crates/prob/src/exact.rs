@@ -20,6 +20,12 @@
 //! decisions `Dnf` operations would make, in the same order, so its answers
 //! are those of Shannon expansion over [`Dnf`]s bit for bit.
 //!
+//! The kernel decides every split, expansion and memo hit from the bits
+//! alone and never reads a probability. It hands what it decides to an
+//! algebra: the probability algebra multiplies out `P[λ]`, and
+//! [`crate::circuit`] records the same calls as a circuit whose forward
+//! pass replays them in the probability algebra under any table.
+//!
 //! A work budget guards against blow-up; [`probability`] panics past it,
 //! [`try_probability`] reports [`ExactError::BudgetExceeded`] so callers can
 //! fall back to Monte-Carlo.
@@ -78,29 +84,102 @@ pub fn try_probability(dnf: &Dnf, vars: &VarTable, budget: usize) -> Result<f64,
     if dnf.len() == 1 {
         return Ok(dnf.monomials()[0].probability(vars));
     }
-    let (mut kernel, rows) = Kernel::new(dnf, vars, budget);
-    kernel.prob(rows)
+    let ids = dnf.vars();
+    let probs = Probabilities(ids.iter().map(|&v| vars.prob(v)).collect());
+    expand(dnf, &ids, budget, probs).map(|(p, _)| p)
+}
+
+/// Expands `dnf`, whose variables are `ids` (ascending, at least one), in
+/// `algebra`: the value of `dnf`, and the algebra back.
+pub(crate) fn expand<A: Algebra>(
+    dnf: &Dnf,
+    ids: &[VarId],
+    budget: usize,
+    algebra: A,
+) -> Result<(A::Value, A), ExactError> {
+    let (mut kernel, rows) = Kernel::new(dnf, ids, budget, algebra);
+    let value = kernel.expand(rows)?;
+    Ok((value, kernel.algebra))
+}
+
+/// What [`Kernel`] builds from its expansion. The kernel calls these with
+/// local variables (dense slots in ascending [`VarId`] order) and decides
+/// every call from the formula's bits alone, so two algebras over one
+/// formula see the same calls in the same order, whatever the table.
+pub(crate) trait Algebra {
+    /// What a formula comes to.
+    type Value: Copy;
+    /// An independent OR under construction.
+    type Or;
+    /// The formula with no monomials, `false`.
+    fn zero(&mut self) -> Self::Value;
+    /// A one-monomial formula, as its row (no bit set: `true`).
+    fn monomial(&mut self, row: &[u64]) -> Self::Value;
+    /// The expansion on `x`: `p(x)·hi + (1 − p(x))·lo`.
+    fn decision(&mut self, x: usize, hi: Self::Value, lo: Self::Value) -> Self::Value;
+    /// Starts an OR of `parts` independent components.
+    fn or_begin(&mut self, parts: usize) -> Self::Or;
+    /// Adds the next component, in the kernel's component order.
+    fn or_push(&mut self, or: &mut Self::Or, part: Self::Value);
+    /// `1 − Π(1 − P_i)` over the components added.
+    fn or_end(&mut self, or: Self::Or) -> Self::Value;
+}
+
+/// The probability algebra: the probability of each local variable.
+pub(crate) struct Probabilities(pub(crate) Vec<f64>);
+
+impl Algebra for Probabilities {
+    type Value = f64;
+    /// `Π(1 − P_i)` over the components so far.
+    type Or = f64;
+
+    fn zero(&mut self) -> f64 {
+        0.0
+    }
+
+    /// Literals multiplied in ascending order, as `Monomial::probability`.
+    fn monomial(&mut self, row: &[u64]) -> f64 {
+        let mut p = 1.0;
+        for_each_var(row, |v| p *= self.0[v]);
+        p
+    }
+
+    fn decision(&mut self, x: usize, hi: f64, lo: f64) -> f64 {
+        let p_x = self.0[x];
+        p_x * hi + (1.0 - p_x) * lo
+    }
+
+    fn or_begin(&mut self, _parts: usize) -> f64 {
+        1.0
+    }
+
+    fn or_push(&mut self, q: &mut f64, part: f64) {
+        *q *= 1.0 - part;
+    }
+
+    fn or_end(&mut self, q: f64) -> f64 {
+        1.0 - q
+    }
 }
 
 /// No monomial (an empty [`Kernel::owner`] slot).
 const NONE: u32 = u32::MAX;
 
-/// Shannon expansion over one formula's bitset rows (see the module docs).
-/// A formula is a `Vec<u64>` of `words`-word rows; a row with no bits set
-/// only ever stands alone, as the constant `true`.
-struct Kernel {
+/// Shannon expansion over one formula's bitset rows (see the module docs),
+/// built in an [`Algebra`]. A formula is a `Vec<u64>` of `words`-word rows;
+/// a row with no bits set only ever stands alone, as the constant `true`.
+struct Kernel<A: Algebra> {
     words: usize,
-    /// Probability of each local variable.
-    probs: Vec<f64>,
     /// Per variable, the first monomial to mention it in the split under
     /// way; [`NONE`] between splits.
     owner: Vec<u32>,
     /// Per variable, how many monomials mention it in the split under way;
     /// 0 between splits.
     counts: Vec<u32>,
-    memo: HashMap<Vec<u64>, f64>,
+    memo: HashMap<Vec<u64>, A::Value>,
     steps: usize,
     budget: usize,
+    algebra: A,
 }
 
 /// How [`Kernel::split`] decomposes a formula.
@@ -111,41 +190,36 @@ enum Split {
     Expand(usize),
 }
 
-impl Kernel {
-    /// The kernel for `dnf`'s variables and `dnf` as rows.
-    fn new(dnf: &Dnf, vars: &VarTable, budget: usize) -> (Kernel, Vec<u64>) {
+impl<A: Algebra> Kernel<A> {
+    /// The kernel for `dnf`, whose variables are `ids` (ascending, at least
+    /// one), and `dnf` as rows.
+    fn new(dnf: &Dnf, ids: &[VarId], budget: usize, algebra: A) -> (Kernel<A>, Vec<u64>) {
         debug_assert!(
             dnf.is_canonically_ordered(),
             "restriction, the memo and the split rely on Dnf's canonical order"
         );
-        let ids = dnf.vars();
         let words = ids.len().div_ceil(64);
-        let rows = bit_rows(dnf, &ids, words);
+        let rows = bit_rows(dnf, ids, words);
         let kernel = Kernel {
             words,
-            probs: ids.iter().map(|&v| vars.prob(v)).collect(),
             owner: vec![NONE; ids.len()],
             counts: vec![0; ids.len()],
             memo: HashMap::new(),
             steps: 0,
             budget,
+            algebra,
         };
         (kernel, rows)
     }
 
-    fn prob(&mut self, f: Vec<u64>) -> Result<f64, ExactError> {
+    fn expand(&mut self, f: Vec<u64>) -> Result<A::Value, ExactError> {
         match f.len() / self.words {
-            0 => return Ok(0.0),
-            // Literals multiplied in ascending order, as `Monomial::probability`.
-            1 => {
-                let mut p = 1.0;
-                for_each_var(&f, |v| p *= self.probs[v]);
-                return Ok(p);
-            }
+            0 => return Ok(self.algebra.zero()),
+            1 => return Ok(self.algebra.monomial(&f)),
             _ => {}
         }
-        if let Some(&p) = self.memo.get(&f) {
-            return Ok(p);
+        if let Some(&value) = self.memo.get(&f) {
+            return Ok(value);
         }
         self.steps += 1;
         if self.steps > self.budget {
@@ -153,24 +227,24 @@ impl Kernel {
                 budget: self.budget,
             });
         }
-        let p = match self.split(&f) {
+        let value = match self.split(&f) {
             Split::Components(components) => {
                 // Independent alternatives: P[∪ Ci] = 1 − Π(1 − P[Ci]).
-                let mut q = 1.0f64;
+                let mut or = self.algebra.or_begin(components.len());
                 for c in components {
-                    q *= 1.0 - self.prob(c)?;
+                    let part = self.expand(c)?;
+                    self.algebra.or_push(&mut or, part);
                 }
-                1.0 - q
+                self.algebra.or_end(or)
             }
             Split::Expand(x) => {
-                let p_x = self.probs[x];
-                let hi = self.prob(self.restrict_true(&f, x))?;
-                let lo = self.prob(self.restrict_false(&f, x))?;
-                p_x * hi + (1.0 - p_x) * lo
+                let hi = self.expand(self.restrict_true(&f, x))?;
+                let lo = self.expand(self.restrict_false(&f, x))?;
+                self.algebra.decision(x, hi, lo)
             }
         };
-        self.memo.insert(f, p);
-        Ok(p)
+        self.memo.insert(f, value);
+        Ok(value)
     }
 
     /// Connected components of the shares-a-variable relation (union-find
@@ -431,9 +505,9 @@ mod tests {
 
     #[test]
     fn components_split_independent_groups() {
-        let vars = table(&[0.5; 6]);
         let dnf = Dnf::new(vec![m(&[0, 1]), m(&[1, 2]), m(&[3, 4]), m(&[5])]);
-        let (mut kernel, rows) = Kernel::new(&dnf, &vars, DEFAULT_BUDGET);
+        let probs = Probabilities(vec![0.5; 6]);
+        let (mut kernel, rows) = Kernel::new(&dnf, &dnf.vars(), DEFAULT_BUDGET, probs);
         let Split::Components(comps) = kernel.split(&rows) else {
             panic!("three independent groups");
         };

@@ -12,6 +12,9 @@
 //! * [`exact`] — exact success probability by independence decomposition +
 //!   Shannon expansion over bitset monomials (the testing oracle and the
 //!   exact backend);
+//! * [`circuit`] — that expansion compiled once into a decision-DNNF
+//!   circuit: a forward pass gives `P[λ]` under any table, bit for bit, and
+//!   one backward pass every literal's influence;
 //! * [`bdd`] — a reduced ordered BDD package with weighted model counting,
 //!   the classic ProbLog inference backend;
 //! * [`mc`] — Monte-Carlo estimators: naive sampling, the Karp–Luby union
@@ -19,14 +22,15 @@
 //! * [`parallel`] — multi-threaded Monte-Carlo drivers (the paper's GPU
 //!   parallelisation, reproduced with CPU threads);
 //! * [`store`] — a hash-consed [`DnfStore`] interning formulas behind stable
-//!   [`DnfId`]s, with memoized restriction/disjunction/conjunction; the
-//!   foundation of `p3-core`'s shared query sessions.
+//!   [`DnfId`]s, with memoized disjunction/conjunction; the foundation of
+//!   `p3-core`'s shared query sessions.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod assignment;
 pub mod bdd;
+pub mod circuit;
 pub mod dnf;
 pub mod exact;
 pub mod mc;
@@ -35,6 +39,7 @@ pub mod store;
 pub mod var;
 
 pub use assignment::Assignment;
+pub use circuit::Circuit;
 pub use dnf::{Dnf, DnfShape, Monomial};
 pub use mc::McConfig;
 pub use store::{DnfId, DnfStore, InternJournal, ShardStats, StoreStats};

@@ -7,10 +7,9 @@
 //! * equality between stored formulas is an integer compare;
 //! * downstream caches (probability memo tables, extraction results) can key
 //!   on `DnfId` instead of hashing whole formulas;
-//! * the algebraic operations ([`DnfStore::or`], [`DnfStore::and`],
-//!   [`DnfStore::restrict`]) are memoized per *id*, so e.g. an influence
-//!   query restricting the same base formula on fifty candidate literals
-//!   normalises each restriction only once per process lifetime.
+//! * the algebraic operations [`DnfStore::or`] and [`DnfStore::and`] are
+//!   memoized per *id* pair, so combining the same two stored formulas
+//!   normalises the result only once per process lifetime.
 //!
 //! The store is append-only: interning never invalidates an id, which is
 //! what makes it safe to share one store across concurrent query sessions
@@ -78,7 +77,7 @@ pub struct StoreStats {
     pub intern_hits: u64,
     /// `intern` calls that added a new formula.
     pub intern_misses: u64,
-    /// Memoized op lookups (`or`/`and`/`restrict`) answered from cache.
+    /// Memoized op lookups (`or`/`and`) answered from cache.
     pub op_hits: u64,
     /// Memoized op lookups that had to compute.
     pub op_misses: u64,
@@ -103,7 +102,6 @@ pub struct ShardStats {
 /// Per-shard memo tables for the algebraic operations.
 #[derive(Default)]
 struct OpCaches {
-    restrict: HashMap<(DnfId, VarId, bool), DnfId>,
     or: HashMap<(DnfId, DnfId), DnfId>,
     and: HashMap<(DnfId, DnfId), DnfId>,
 }
@@ -135,14 +133,14 @@ fn intern_hits_metric() -> &'static p3_obs::metrics::Counter {
 fn op_hits_metric() -> &'static p3_obs::metrics::Counter {
     p3_obs::counter!(
         "p3_prob_store_op_hits_total",
-        "Memoized DNF or/and/restrict lookups answered from cache"
+        "Memoized DNF or/and lookups answered from cache"
     )
 }
 
 fn op_misses_metric() -> &'static p3_obs::metrics::Counter {
     p3_obs::counter!(
         "p3_prob_store_op_misses_total",
-        "Memoized DNF or/and/restrict lookups that had to compute"
+        "Memoized DNF or/and lookups that had to compute"
     )
 }
 
@@ -323,31 +321,6 @@ impl DnfStore {
         id
     }
 
-    /// Memoized restriction `formula | var = value`.
-    pub fn restrict(&self, id: DnfId, var: VarId, value: bool) -> DnfId {
-        if id == DnfId::FALSE || id == DnfId::TRUE {
-            return id;
-        }
-        let key = (id, var, value);
-        let shard_idx = shard_of(&("restrict", key));
-        let shard = &self.ops[shard_idx];
-        if let Some(&cached) = shard.read().unwrap().restrict.get(&key) {
-            self.counters[shard_idx]
-                .op_hits
-                .fetch_add(1, Ordering::Relaxed);
-            op_hits_metric().inc();
-            return cached;
-        }
-        let result = self.get(id).restrict(var, value);
-        let out = self.intern(result);
-        shard.write().unwrap().restrict.insert(key, out);
-        self.counters[shard_idx]
-            .op_misses
-            .fetch_add(1, Ordering::Relaxed);
-        op_misses_metric().inc();
-        out
-    }
-
     /// Installs `journal` as the intern observer. Formulas already present
     /// are NOT replayed to it — persistence restores state *before*
     /// installing the journal, so nothing is double-logged.
@@ -439,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn or_and_restrict_match_direct_operations() {
+    fn or_and_match_direct_operations() {
         let store = DnfStore::new();
         let fa = Dnf::new(vec![m(&[1, 2])]);
         let fb = Dnf::new(vec![m(&[2, 3]), m(&[4])]);
@@ -447,14 +420,6 @@ mod tests {
         let b = store.intern(fb.clone());
         assert_eq!(*store.get(store.or(a, b)), fa.or(&fb));
         assert_eq!(*store.get(store.and(a, b)), fa.and(&fb));
-        assert_eq!(
-            *store.get(store.restrict(a, VarId(1), true)),
-            fa.restrict(VarId(1), true)
-        );
-        assert_eq!(
-            *store.get(store.restrict(a, VarId(1), false)),
-            fa.restrict(VarId(1), false)
-        );
     }
 
     #[test]
@@ -469,7 +434,6 @@ mod tests {
         assert_eq!(store.and(DnfId::TRUE, a), a);
         assert_eq!(store.and(a, DnfId::FALSE), DnfId::FALSE);
         assert_eq!(store.and(a, a), a);
-        assert_eq!(store.restrict(DnfId::TRUE, VarId(0), false), DnfId::TRUE);
         // None of the above should have populated an op cache.
         assert_eq!(store.stats().op_misses, 0);
     }
@@ -478,14 +442,14 @@ mod tests {
     fn ops_are_memoized() {
         let store = DnfStore::new();
         let a = store.intern(Dnf::new(vec![m(&[1, 2]), m(&[3])]));
-        let first = store.restrict(a, VarId(1), true);
+        let b = store.intern(Dnf::new(vec![m(&[4])]));
+        let first = store.and(a, b);
         let misses_after_first = store.stats().op_misses;
-        let second = store.restrict(a, VarId(1), true);
+        let second = store.and(a, b);
         assert_eq!(first, second);
         assert_eq!(store.stats().op_misses, misses_after_first);
         assert!(store.stats().op_hits >= 1);
         // Commutative key: or(a, b) and or(b, a) share a cache entry.
-        let b = store.intern(Dnf::new(vec![m(&[4])]));
         let ab = store.or(a, b);
         let hits = store.stats().op_hits;
         assert_eq!(store.or(b, a), ab);
@@ -497,7 +461,7 @@ mod tests {
         let store = DnfStore::new();
         for i in 0..40u32 {
             let id = store.intern(Dnf::new(vec![m(&[i, i + 1])]));
-            let _ = store.restrict(id, VarId(i), true);
+            let _ = store.or(id, DnfId::from_index(2 + (i as usize) / 2));
             store.intern(Dnf::new(vec![m(&[i, i + 1])])); // guaranteed hit
         }
         let total = store.stats();
@@ -534,12 +498,13 @@ mod tests {
                         let id = store.intern(Dnf::new(vec![m(&[i % 10, 10 + i % 7])]));
                         let back = store.get(id);
                         assert_eq!(store.intern((*back).clone()), id);
-                        let _ = store.restrict(id, VarId(t % 10), t % 2 == 0);
+                        let other = store.intern(Dnf::new(vec![m(&[20 + t])]));
+                        let _ = store.or(id, other);
                     }
                 });
             }
         });
-        // At most: 2 constants + 50 distinct monomial pairs + restrictions.
+        // At most: 2 constants + 50 distinct monomial pairs + disjunctions.
         let n = store.len();
         assert!(n >= 3, "formulas were interned: {n}");
         // Re-interning everything changes nothing.

@@ -1,6 +1,7 @@
 //! The variable universe: one Boolean random variable per program clause.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a Boolean random variable in a [`VarTable`].
 ///
@@ -25,10 +26,15 @@ impl fmt::Display for VarId {
 
 /// The set of Boolean random variables with their success probabilities and
 /// display names.
+///
+/// Clones share the names: cloning copies only the probabilities, so a
+/// what-if table (a modification's working copy, `P3::with_probabilities`)
+/// costs one `f64` per variable. [`VarTable::add`] copies the names on
+/// write when a clone still shares them.
 #[derive(Clone, Default, Debug)]
 pub struct VarTable {
     probs: Vec<f64>,
-    names: Vec<String>,
+    names: Arc<Vec<String>>,
 }
 
 impl VarTable {
@@ -48,7 +54,7 @@ impl VarTable {
         );
         let id = VarId(u32::try_from(self.probs.len()).expect("variable table overflow"));
         self.probs.push(prob);
-        self.names.push(name.into());
+        Arc::make_mut(&mut self.names).push(name.into());
         id
     }
 
@@ -115,6 +121,20 @@ mod tests {
         let a = t.add("r1", 0.8);
         t.set_prob(a, 0.56);
         assert_eq!(t.prob(a), 0.56);
+    }
+
+    #[test]
+    fn clones_share_names_but_not_probabilities() {
+        let mut original = VarTable::new();
+        let a = original.add("r1", 0.8);
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.names, &copy.names));
+        copy.set_prob(a, 0.3);
+        let b = copy.add("t4", 0.4);
+        assert_eq!(original.prob(a), 0.8);
+        assert_eq!(original.len(), 1);
+        assert_eq!(original.name(a), "r1");
+        assert_eq!((copy.prob(a), copy.name(b), copy.len()), (0.3, "t4", 2));
     }
 
     #[test]

@@ -1817,12 +1817,12 @@ pub(crate) fn refresh_gauges(shared: &Shared) {
         );
         set(
             "p3_prob_store_shard_op_hits",
-            "Memoized or/and/restrict hits per DnfStore shard",
+            "Memoized or/and hits per DnfStore shard",
             shard.op_hits,
         );
         set(
             "p3_prob_store_shard_op_misses",
-            "Memoized or/and/restrict misses per DnfStore shard",
+            "Memoized or/and misses per DnfStore shard",
             shard.op_misses,
         );
     }

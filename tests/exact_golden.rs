@@ -15,11 +15,17 @@
 //!
 //! Regenerate after an intentional change with
 //! `P3_UPDATE_EXPECTED=1 cargo test --test exact_golden`.
+//!
+//! A second test pins the exact Modification Query, which runs on the
+//! circuit, to the plans the two-expansion reference makes.
 
 use p3::core::query::influence::exact_influence;
-use p3::core::{sufficient_provenance, DerivationAlgo, ProbMethod, P3};
+use p3::core::{
+    modification_query, modification_query_with, sufficient_provenance, DerivationAlgo,
+    ModificationEval, ModificationOptions, ModificationPlan, ProbMethod, P3,
+};
 use p3::datalog::Program;
-use p3::prob::{exact, Dnf, Monomial, VarId, VarTable};
+use p3::prob::{exact, Circuit, Dnf, Monomial, VarId, VarTable};
 use p3::workloads::random_programs::{all_derived_queries, generate, RandomConfig};
 use p3::workloads::{acquaintance, trust, vqa};
 use rand::rngs::SmallRng;
@@ -54,7 +60,16 @@ fn min_budget(dnf: &Dnf, vars: &VarTable) -> usize {
     hi
 }
 
-fn record(out: &mut String, name: &str, dnf: &Dnf, vars: &VarTable) {
+/// What the snapshot records, plus the circuit's value for each of its
+/// `influence` lines, in line order.
+#[derive(Default)]
+struct Snapshot {
+    text: String,
+    circuit_influences: Vec<f64>,
+}
+
+fn record(snap: &mut Snapshot, name: &str, dnf: &Dnf, vars: &VarTable) {
+    let out = &mut snap.text;
     let shape = dnf.shape();
     let _ = writeln!(
         out,
@@ -65,9 +80,11 @@ fn record(out: &mut String, name: &str, dnf: &Dnf, vars: &VarTable) {
     if dnf.len() <= 100 {
         let _ = writeln!(out, "budget {}", min_budget(dnf, vars));
     }
-    for x in dnf.vars().into_iter().take(8) {
+    let circuit = Circuit::compile(dnf).influences(vars);
+    for (x, derivative) in circuit.into_iter().take(8) {
         let inf = exact_influence(dnf, vars, x);
         let _ = writeln!(out, "influence {} {}", vars.name(x), bits(inf));
+        snap.circuit_influences.push(derivative);
     }
     for (label, algo) in [
         ("greedy", DerivationAlgo::NaiveGreedy),
@@ -83,16 +100,16 @@ fn record(out: &mut String, name: &str, dnf: &Dnf, vars: &VarTable) {
     }
 }
 
-fn record_atoms(out: &mut String, name: &str, program: &Program, atoms: &[String]) {
+fn record_atoms(snap: &mut Snapshot, name: &str, program: &Program, atoms: &[String]) {
     let p3 = P3::from_program(program.clone()).expect("negation-free program");
     for atom in atoms {
         let dnf = p3.provenance(atom).expect("derived atom");
-        record(out, &format!("{name} {atom}"), &dnf, p3.vars());
+        record(snap, &format!("{name} {atom}"), &dnf, p3.vars());
     }
 }
 
-fn record_all_derived(out: &mut String, name: &str, program: &Program) {
-    record_atoms(out, name, program, &all_derived_queries(program));
+fn record_all_derived(snap: &mut Snapshot, name: &str, program: &Program) {
+    record_atoms(snap, name, program, &all_derived_queries(program));
 }
 
 /// `k` three-literal monomials over `2k + 1` variables, neighbours sharing
@@ -109,8 +126,8 @@ fn chain_dnf(k: usize, seed: u64) -> (Dnf, VarTable) {
     (Dnf::new(monomials), vars)
 }
 
-fn snapshot() -> String {
-    let mut out = String::new();
+fn snapshot() -> Snapshot {
+    let mut out = Snapshot::default();
     record_all_derived(&mut out, "fig2", &acquaintance::program());
     for seed in 0..60u64 {
         let default = generate(RandomConfig {
@@ -165,10 +182,41 @@ fn snapshot() -> String {
     out
 }
 
+/// Each `influence` line of `expected` whose value is more than 1e-12 from
+/// the circuit's, with its section.
+fn circuit_drift(expected: &str, circuit: &[f64]) -> Vec<String> {
+    let mut section = "";
+    let mut lines = Vec::new();
+    for line in expected.lines() {
+        if line.starts_with("== ") {
+            section = line;
+        }
+        if let Some(rest) = line.strip_prefix("influence ") {
+            let value = rest.rsplit(' ').next().expect("bits");
+            let golden = f64::from_bits(u64::from_str_radix(value, 16).expect("hex bits"));
+            lines.push((section, line, golden));
+        }
+    }
+    assert_eq!(
+        lines.len(),
+        circuit.len(),
+        "one circuit value per influence line"
+    );
+    lines
+        .into_iter()
+        .zip(circuit)
+        .filter(|((_, _, golden), c)| (*c - golden).abs() > 1e-12)
+        .map(|((section, line, golden), c)| format!("{section}\n  {line}: {golden} vs circuit {c}"))
+        .collect()
+}
+
 #[test]
 fn exact_answers_match_the_golden_snapshot() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/exact.txt");
-    let actual = snapshot();
+    let Snapshot {
+        text: actual,
+        circuit_influences,
+    } = snapshot();
     if std::env::var_os("P3_UPDATE_EXPECTED").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &actual).unwrap();
@@ -180,6 +228,12 @@ fn exact_answers_match_the_golden_snapshot() {
             path.display()
         )
     });
+    let drift = circuit_drift(&expected, &circuit_influences);
+    assert!(
+        drift.is_empty(),
+        "circuit influences off the golden by more than 1e-12:\n{}",
+        drift.join("\n")
+    );
     if actual != expected {
         let mut section = "";
         let mut drift: Vec<String> = Vec::new();
@@ -199,4 +253,96 @@ fn exact_answers_match_the_golden_snapshot() {
             drift.join("\n")
         );
     }
+}
+
+/// The exact plan, step variables and values, against the plan the greedy
+/// makes with Def 4.1's two expansions per candidate and a fresh exact
+/// probability per table.
+fn assert_same_plan(
+    name: &str,
+    dnf: &Dnf,
+    vars: &VarTable,
+    target: f64,
+    opts: &ModificationOptions,
+) {
+    let prob = |d: &Dnf, t: &VarTable| exact::probability(d, t);
+    let influence = |d: &Dnf, t: &VarTable, candidates: &[VarId]| {
+        candidates
+            .iter()
+            .map(|&x| exact_influence(d, t, x))
+            .collect()
+    };
+    let reference = modification_query_with(
+        dnf,
+        vars,
+        target,
+        opts,
+        ModificationEval {
+            prob: &prob,
+            influence: &influence,
+        },
+    );
+    let plan = modification_query(dnf, vars, target, opts);
+    let steps = |p: &ModificationPlan| -> Vec<String> {
+        p.steps
+            .iter()
+            .map(|s| vars.name(s.var).to_string())
+            .collect()
+    };
+    assert_eq!(steps(&plan), steps(&reference), "{name}: step variables");
+    assert!(!plan.steps.is_empty(), "{name}: a plan with steps");
+    for (s, r) in plan.steps.iter().zip(&reference.steps) {
+        assert!((s.to - r.to).abs() < 1e-9, "{name}: {s:?} vs {r:?}");
+    }
+    assert_eq!(plan.reached_target, reference.reached_target, "{name}");
+    assert_eq!(
+        plan.achieved_probability.to_bits(),
+        exact::probability(dnf, &plan.modified_vars).to_bits(),
+        "{name}: the circuit's P is exact's"
+    );
+}
+
+#[test]
+fn exact_plans_keep_the_two_expansion_steps() {
+    let tight = ModificationOptions {
+        tolerance: 1e-9,
+        ..Default::default()
+    };
+    // Fig 2: §4.4's one step to 0.5, and several steps to 0.9.
+    let p3 = P3::from_program(acquaintance::program()).expect("negation-free program");
+    let dnf = p3.provenance(acquaintance::QUERY).expect("derived");
+    for target in [0.5, 0.9, 0.05] {
+        assert_same_plan(&format!("fig2 {target}"), &dnf, p3.vars(), target, &tight);
+    }
+    // Fig 8 case study, Tables 5-7: base tuples only, and every literal.
+    let p3 = P3::from_program(trust::case_study_program()).expect("negation-free program");
+    let dnf = p3.provenance(trust::CASE_STUDY_QUERY).expect("derived");
+    let facts = p3
+        .program()
+        .iter()
+        .filter(|(_, c)| c.is_fact())
+        .map(|(id, _)| p3::provenance::vars::var_of(id))
+        .collect();
+    let base = ModificationOptions {
+        modifiable: Some(facts),
+        tolerance: 1e-6,
+        ..Default::default()
+    };
+    assert_same_plan("fig8 table 6", &dnf, p3.vars(), 0.7, &base);
+    assert_same_plan("fig8 all literals", &dnf, p3.vars(), 0.9, &tight);
+    // §5.1: lift the church answer to the barn's probability, through the
+    // similarity literal alone and through every literal.
+    let instance = vqa::church_image_buggy();
+    let p3 = P3::from_program(instance.to_program()).expect("negation-free program");
+    let p_barn = p3.probability(vqa::ANS_BARN, ProbMethod::Exact).unwrap();
+    let dnf = p3.provenance(vqa::ANS_CHURCH).expect("derived");
+    let label = instance.sim_label("church", "cross").expect("sim fact");
+    let var = p3::provenance::vars::var_of(p3.program().clause_by_label(&label).unwrap());
+    let fix = ModificationOptions {
+        modifiable: Some(vec![var]),
+        tolerance: 0.01,
+        ..Default::default()
+    };
+    assert_same_plan("church fix", &dnf, p3.vars(), p_barn, &fix);
+    assert_same_plan("church all literals", &dnf, p3.vars(), p_barn, &tight);
 }

@@ -1,7 +1,8 @@
 //! Property-based tests over the whole stack.
 
+use p3::core::query::influence::exact_influence;
 use p3::core::{sufficient_provenance, DerivationAlgo, ProbMethod};
-use p3::prob::{exact, mc, Dnf, McConfig, Monomial, VarId, VarTable};
+use p3::prob::{exact, mc, Circuit, Dnf, McConfig, Monomial, VarId, VarTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -124,6 +125,44 @@ fn influence_by_definition(dnf: &Dnf, vars: &VarTable, cfg: McConfig) -> Vec<(Va
         .collect();
     mc::sort_by_influence(&mut out);
     out
+}
+
+/// `vars` with about a fifth of its probabilities set to 0, a fifth to 1
+/// and the rest redrawn, seeded by `seed`.
+fn perturbed(vars: &VarTable, seed: u64) -> VarTable {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut out = vars.clone();
+    for v in vars.ids() {
+        let p = match rng.random::<f64>() {
+            r if r < 0.2 => 0.0,
+            r if r < 0.4 => 1.0,
+            _ => rng.random::<f64>(),
+        };
+        out.set_prob(v, p);
+    }
+    out
+}
+
+/// The smallest budget `exact::try_probability` accepts: acceptance is
+/// monotone in the budget, so double until accepted, then bisect.
+fn min_budget(dnf: &Dnf, vars: &VarTable) -> usize {
+    let accepts = |b: usize| exact::try_probability(dnf, vars, b).is_ok();
+    let (mut lo, mut hi) = (0, 1);
+    if accepts(0) {
+        return 0;
+    }
+    while !accepts(hi) {
+        (lo, hi) = (hi, 2 * hi);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if accepts(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 /// Strategy: a variable table and a DNF over it (see
@@ -296,7 +335,7 @@ proptest! {
         // 0 ≤ Inf_x ≤ 1 for monotone formulas, and Eq. 16 reconstructs P.
         let p = exact::probability(&dnf, &vars);
         for x in dnf.vars() {
-            let inf = p3::core::query::influence::exact_influence(&dnf, &vars, x);
+            let inf = exact_influence(&dnf, &vars, x);
             prop_assert!((-1e-12..=1.0 + 1e-12).contains(&inf));
             let lo = exact::probability(&dnf.restrict(x, false), &vars);
             prop_assert!((p - (inf * vars.prob(x) + lo)).abs() < 1e-9, "Eq. 16");
@@ -341,6 +380,38 @@ proptest! {
         }
     }
 
+    /// The compiled circuit is the exact kernel: its forward pass has
+    /// `exact::probability`'s bits under the base table and under a table
+    /// with probabilities of 0 and 1, its backward pass gives Def 4.1's
+    /// influences (of every variable of a dense or spread draw, and of 32
+    /// spread across the words of a wide one), and it accepts exactly the
+    /// budgets the kernel accepts.
+    #[test]
+    fn circuit_is_the_kernel_and_differentiates_it(
+        dense in dnf_and_table(7, 7, false),
+        spread in dnf_and_table(7, 7, true),
+        wide in wide_dnf_and_table(250),
+        seed in 0u64..1000,
+    ) {
+        for (dnf, vars) in [dense, spread, wide] {
+            let circuit = Circuit::compile(&dnf);
+            let stride = circuit.vars().len().div_ceil(32);
+            for table in [vars.clone(), perturbed(&vars, seed)] {
+                let p = exact::probability(&dnf, &table);
+                prop_assert_eq!(circuit.probability(&table).to_bits(), p.to_bits());
+                for (x, inf) in circuit.influences(&table).into_iter().step_by(stride) {
+                    let expected = exact_influence(&dnf, &table, x);
+                    prop_assert!((inf - expected).abs() <= 1e-12, "{}: {} vs {}", x, inf, expected);
+                }
+            }
+            let budget = min_budget(&dnf, &vars);
+            prop_assert!(Circuit::try_compile(&dnf, budget).is_ok());
+            if budget > 0 {
+                prop_assert!(Circuit::try_compile(&dnf, budget - 1).is_err());
+            }
+        }
+    }
+
     #[test]
     fn parser_never_panics_on_arbitrary_input(src in "\\PC{0,200}") {
         // Any input must produce Ok or a structured error — never a panic.
@@ -381,9 +452,11 @@ proptest! {
         // Cost bookkeeping is always consistent.
         let recomputed: f64 = plan.steps.iter().map(|s| (s.to - s.from).abs()).sum();
         prop_assert!((plan.total_cost - recomputed).abs() < 1e-9);
-        // If the plan claims success, the modified table really achieves it.
+        // The achieved probability is the exact one under the modified
+        // table, bit for bit, and reaches the target when it claims to.
+        let p = exact::probability(&dnf, &plan.modified_vars);
+        prop_assert_eq!(plan.achieved_probability.to_bits(), p.to_bits());
         if plan.reached_target {
-            let p = exact::probability(&dnf, &plan.modified_vars);
             prop_assert!((p - t).abs() < 1e-5, "claimed {t}, got {p}");
         }
     }
