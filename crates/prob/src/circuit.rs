@@ -80,6 +80,8 @@ impl Circuit {
 
     /// Compiles `dnf`, abandoning past `budget` expansion steps.
     pub fn try_compile(dnf: &Dnf, budget: usize) -> Result<Circuit, ExactError> {
+        let mut span = p3_obs::span::span("prob.circuit");
+        span.add_field("monomials", dnf.len() as u64);
         let vars = dnf.vars();
         let mut builder = Builder {
             words: vars.len().div_ceil(64),
@@ -105,6 +107,7 @@ impl Circuit {
             rows,
             parts,
         } = builder;
+        span.add_field("nodes", nodes.len() as u64);
         Ok(Circuit {
             vars,
             words,
@@ -118,16 +121,6 @@ impl Circuit {
     /// The formula's variables, ascending.
     pub fn vars(&self) -> &[VarId] {
         &self.vars
-    }
-
-    /// The number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the circuit has no node (never: even a constant has one).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// The forward pass: every node's probability under `table`.
@@ -204,8 +197,9 @@ impl Evaluation<'_> {
         let mut adjoint = vec![0.0; c.nodes.len()];
         adjoint[c.root as usize] = 1.0;
         let mut derivatives = vec![0.0; c.vars.len()];
-        // The factors of one product, and for each the product of the rest.
-        let (mut factors, mut others) = (Vec::new(), Vec::new());
+        // A monomial's variables; the factors of one product, and for each
+        // the product of the rest.
+        let (mut slots, mut factors, mut others) = (Vec::new(), Vec::new(), Vec::new());
         for (i, &node) in c.nodes.iter().enumerate().rev() {
             let a = adjoint[i];
             if a == 0.0 {
@@ -214,12 +208,14 @@ impl Evaluation<'_> {
             match node {
                 Node::Zero => {}
                 Node::Monomial(row) => {
-                    let row = &c.rows[row as usize..][..c.words];
+                    slots.clear();
+                    for_each_var(&c.rows[row as usize..][..c.words], |v| slots.push(v));
                     factors.clear();
-                    for_each_var(row, |v| factors.push(self.probs[v]));
+                    factors.extend(slots.iter().map(|&v| self.probs[v]));
                     products_of_others(&factors, &mut others);
-                    let mut rest = others.iter();
-                    for_each_var(row, |v| derivatives[v] += a * rest.next().unwrap());
+                    for (&v, &rest) in slots.iter().zip(&others) {
+                        derivatives[v] += a * rest;
+                    }
                 }
                 Node::Decision { var, hi, lo } => {
                     let (var, hi, lo) = (var as usize, hi as usize, lo as usize);
@@ -280,8 +276,13 @@ struct Builder {
 impl Builder {
     fn push(&mut self, node: Node) -> u32 {
         self.nodes.push(node);
-        u32::try_from(self.nodes.len() - 1).expect("circuit node overflow")
+        index(self.nodes.len() - 1)
     }
+}
+
+/// A node, row or part offset as stored in a [`Node`].
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("circuit offsets fit in u32")
 }
 
 impl Algebra for Builder {
@@ -294,14 +295,14 @@ impl Algebra for Builder {
     }
 
     fn monomial(&mut self, row: &[u64]) -> u32 {
-        let at = u32::try_from(self.rows.len()).expect("circuit row overflow");
+        let at = index(self.rows.len());
         self.rows.extend_from_slice(row);
         self.push(Node::Monomial(at))
     }
 
     fn decision(&mut self, x: usize, hi: u32, lo: u32) -> u32 {
         self.push(Node::Decision {
-            var: x as u32,
+            var: index(x),
             hi,
             lo,
         })
@@ -316,9 +317,9 @@ impl Algebra for Builder {
     }
 
     fn or_end(&mut self, or: Vec<u32>) -> u32 {
-        let start = u32::try_from(self.parts.len()).expect("circuit part overflow");
+        let start = index(self.parts.len());
         self.parts.extend(or);
-        let end = self.parts.len() as u32;
+        let end = index(self.parts.len());
         self.push(Node::Or { start, end })
     }
 }
@@ -366,7 +367,7 @@ mod tests {
         let vars = table(&[0.3, 0.6]);
         for dnf in [Dnf::zero(), Dnf::one(), Dnf::new(vec![m(&[0, 1])])] {
             let circuit = Circuit::compile(&dnf);
-            assert_eq!(circuit.len(), 1);
+            assert_eq!(circuit.nodes.len(), 1);
             assert_eq!(
                 circuit.probability(&vars).to_bits(),
                 exact::probability(&dnf, &vars).to_bits()
@@ -420,7 +421,7 @@ mod tests {
         // a·b + a·c + d·b + d·c: both a = 1 and a = 0, d = 1 reach b + c.
         let dnf = Dnf::new(vec![m(&[0, 1]), m(&[0, 2]), m(&[3, 1]), m(&[3, 2])]);
         let circuit = Circuit::compile(&dnf);
-        let mut parents = vec![0; circuit.len()];
+        let mut parents = vec![0; circuit.nodes.len()];
         for node in &circuit.nodes {
             match *node {
                 Node::Decision { hi, lo, .. } => {

@@ -308,7 +308,7 @@ fn exact_plans_keep_the_two_expansion_steps() {
         tolerance: 1e-9,
         ..Default::default()
     };
-    // Fig 2: §4.4's one step to 0.5, and several steps to 0.9.
+    // Fig 2: §4.4's one step to 0.5, several steps to 0.9, and a decrease.
     let p3 = P3::from_program(acquaintance::program()).expect("negation-free program");
     let dnf = p3.provenance(acquaintance::QUERY).expect("derived");
     for target in [0.5, 0.9, 0.05] {
