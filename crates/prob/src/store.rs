@@ -459,10 +459,12 @@ mod tests {
     #[test]
     fn shard_stats_sum_to_store_stats() {
         let store = DnfStore::new();
+        let mut prev = DnfId::FALSE;
         for i in 0..40u32 {
             let id = store.intern(Dnf::new(vec![m(&[i, i + 1])]));
-            let _ = store.or(id, DnfId::from_index(2 + (i as usize) / 2));
+            let _ = store.or(prev, id);
             store.intern(Dnf::new(vec![m(&[i, i + 1])])); // guaranteed hit
+            prev = id;
         }
         let total = store.stats();
         let shards = store.shard_stats();
