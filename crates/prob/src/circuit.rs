@@ -83,7 +83,7 @@ impl Circuit {
         let mut span = p3_obs::span::span("prob.circuit");
         span.add_field("monomials", dnf.len() as u64);
         let vars = dnf.vars();
-        let mut builder = Builder {
+        let mut recorder = Recorder {
             words: vars.len().div_ceil(64),
             nodes: Vec::new(),
             rows: Vec::new(),
@@ -92,21 +92,21 @@ impl Circuit {
         let root = if vars.is_empty() {
             // The constants, which the kernel leaves to its callers.
             if dnf.is_false() {
-                builder.zero()
+                recorder.zero()
             } else {
-                builder.monomial(&[])
+                recorder.monomial(&[])
             }
         } else {
             let root;
-            (root, builder) = exact::expand(dnf, &vars, budget, builder)?;
+            (root, recorder) = exact::expand(dnf, &vars, budget, recorder)?;
             root
         };
-        let Builder {
+        let Recorder {
             words,
             nodes,
             rows,
             parts,
-        } = builder;
+        } = recorder;
         span.add_field("nodes", nodes.len() as u64);
         Ok(Circuit {
             vars,
@@ -266,14 +266,14 @@ fn products_of_others(factors: &[f64], others: &mut Vec<f64>) {
 }
 
 /// The recording algebra: a formula's value is its node.
-struct Builder {
+struct Recorder {
     words: usize,
     nodes: Vec<Node>,
     rows: Vec<u64>,
     parts: Vec<u32>,
 }
 
-impl Builder {
+impl Recorder {
     fn push(&mut self, node: Node) -> u32 {
         self.nodes.push(node);
         index(self.nodes.len() - 1)
@@ -285,7 +285,7 @@ fn index(i: usize) -> u32 {
     u32::try_from(i).expect("circuit offsets fit in u32")
 }
 
-impl Algebra for Builder {
+impl Algebra for Recorder {
     type Value = u32;
     /// The components so far.
     type Or = Vec<u32>;
