@@ -6,15 +6,20 @@
 //! semi-naive deltas representable as index ranges, and gives provenance a
 //! stable, compact vertex identifier for every tuple.
 //!
+//! Each relation owns its intern map, keyed by the arguments alone, so
+//! [`Database::insert`] and [`Database::lookup`] probe with a borrowed
+//! `&[Const]` and copy the arguments only for a tuple they have not seen.
+//!
 //! Hash indexes on column subsets are *planned*: the engine registers every
 //! (predicate, bound-column-set) pair its compiled rules will probe before
 //! evaluation starts, and [`Database::insert`] maintains the registered
 //! indexes incrementally. Probing is then a read-only lookup — no lazy
-//! rebuild inside the join loop.
+//! rebuild inside the join loop. Every map hashes with
+//! [`crate::hash::FxHasher`].
 
 use crate::ast::Const;
+use crate::hash::FxHashMap;
 use crate::symbol::{Symbol, SymbolTable};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a ground tuple within its [`Database`].
@@ -39,14 +44,16 @@ pub struct StoredTuple {
 }
 
 /// One hash index: tuples grouped by their values at a fixed column subset.
-type Index = HashMap<Box<[Const]>, Vec<TupleId>>;
+type Index = FxHashMap<Box<[Const]>, Vec<TupleId>>;
 
-/// A relation: the tuples of one predicate, in insertion order, plus the
-/// registered hash indexes on column subsets.
+/// A relation: the tuples of one predicate, in insertion order, its intern
+/// map, and the registered hash indexes on column subsets.
 #[derive(Default, Debug, Clone)]
 pub struct Relation {
     tuples: Vec<TupleId>,
-    indices: HashMap<Box<[usize]>, Index>,
+    /// Each tuple's id, keyed by its arguments.
+    ids: FxHashMap<Box<[Const]>, TupleId>,
+    indices: FxHashMap<Box<[usize]>, Index>,
 }
 
 impl Relation {
@@ -70,8 +77,10 @@ impl Relation {
 #[derive(Default, Clone)]
 pub struct Database {
     tuples: Vec<StoredTuple>,
-    intern: HashMap<(Symbol, Box<[Const]>), TupleId>,
-    relations: HashMap<Symbol, Relation>,
+    relations: FxHashMap<Symbol, Relation>,
+    /// Scratch buffer for the index keys an insert builds: a key is copied
+    /// into the index only when it opens a new group.
+    key: Vec<Const>,
     /// Symbol table snapshot installed by the engine; enables name-based
     /// lookups like [`Self::relation_by_name`].
     pub(crate) symbols_hint: Option<SymbolTable>,
@@ -108,7 +117,7 @@ impl Database {
         {
             return;
         }
-        let mut map: HashMap<Box<[Const]>, Vec<TupleId>> = HashMap::new();
+        let mut map = Index::default();
         if let Some(rel) = self.relations.get(&pred) {
             for &id in &rel.tuples {
                 let args = &self.tuples[id.index()].args;
@@ -124,33 +133,36 @@ impl Database {
     }
 
     /// Interns a tuple, returning its id and whether it was newly inserted.
-    pub fn insert(&mut self, pred: Symbol, args: Box<[Const]>) -> (TupleId, bool) {
-        if let Some(&id) = self.intern.get(&(pred, args.clone())) {
+    /// A known tuple costs one probe of its relation's intern map; only a
+    /// new one copies `args`.
+    pub fn insert(&mut self, pred: Symbol, args: &[Const]) -> (TupleId, bool) {
+        let rel = self.relations.entry(pred).or_default();
+        if let Some(&id) = rel.ids.get(args) {
             return (id, false);
         }
         let id = TupleId(u32::try_from(self.tuples.len()).expect("tuple id overflow"));
-        self.tuples.push(StoredTuple {
-            pred,
-            args: args.clone(),
-        });
-        let rel = self.relations.entry(pred).or_default();
         rel.tuples.push(id);
         for (cols, map) in rel.indices.iter_mut() {
-            let key: Box<[Const]> = cols.iter().map(|&c| args[c]).collect();
-            map.entry(key).or_default().push(id);
+            self.key.clear();
+            self.key.extend(cols.iter().map(|&c| args[c]));
+            match map.get_mut(self.key.as_slice()) {
+                Some(group) => group.push(id),
+                None => {
+                    map.insert(self.key.as_slice().into(), vec![id]);
+                }
+            }
         }
-        self.intern.insert((pred, args), id);
+        let args: Box<[Const]> = args.into();
+        rel.ids.insert(args.clone(), id);
+        self.tuples.push(StoredTuple { pred, args });
         (id, true)
     }
 
-    /// Looks up a tuple id without inserting.
+    /// Looks up a tuple id without inserting: one probe of the relation's
+    /// intern map with the borrowed arguments. The join loop calls it for
+    /// every negated atom it checks.
     pub fn lookup(&self, pred: Symbol, args: &[Const]) -> Option<TupleId> {
-        // The borrow of the key requires an owned Box; avoid it with a
-        // two-step scan over the relation for small lookups? No — clone the
-        // key; lookups are rare (query entry points only).
-        self.intern
-            .get(&(pred, args.to_vec().into_boxed_slice()))
-            .copied()
+        self.relations.get(&pred)?.ids.get(args).copied()
     }
 
     /// The stored tuple for `id`.
@@ -279,8 +291,8 @@ mod tests {
         let p = t.intern("p");
         let a = Const::Sym(t.intern("a"));
         let mut db = Database::new();
-        let (id1, new1) = db.insert(p, vec![a].into_boxed_slice());
-        let (id2, new2) = db.insert(p, vec![a].into_boxed_slice());
+        let (id1, new1) = db.insert(p, &[a]);
+        let (id2, new2) = db.insert(p, &[a]);
         assert_eq!(id1, id2);
         assert!(new1);
         assert!(!new2);
@@ -293,7 +305,7 @@ mod tests {
         let p = t.intern("p");
         let a = Const::Int(7);
         let mut db = Database::new();
-        let (id, _) = db.insert(p, vec![a].into_boxed_slice());
+        let (id, _) = db.insert(p, &[a]);
         assert_eq!(db.lookup(p, &[a]), Some(id));
         assert_eq!(db.lookup(p, &[Const::Int(8)]), None);
     }
@@ -304,16 +316,16 @@ mod tests {
         let e = t.intern("edge");
         let n = |i| Const::Int(i);
         let mut db = Database::new();
-        let (t12, _) = db.insert(e, vec![n(1), n(2)].into_boxed_slice());
-        let (t13, _) = db.insert(e, vec![n(1), n(3)].into_boxed_slice());
-        db.insert(e, vec![n(2), n(3)].into_boxed_slice());
+        let (t12, _) = db.insert(e, &[n(1), n(2)]);
+        let (t13, _) = db.insert(e, &[n(1), n(3)]);
+        db.insert(e, &[n(2), n(3)]);
 
         // Registration backfills the existing tuples…
         db.register_index(e, &[0]);
         assert_eq!(db.probe(e, &[0], &[n(1)]), &[t12, t13]);
 
         // …and inserts maintain the index from then on.
-        let (t14, _) = db.insert(e, vec![n(1), n(4)].into_boxed_slice());
+        let (t14, _) = db.insert(e, &[n(1), n(4)]);
         assert_eq!(db.probe(e, &[0], &[n(1)]), &[t12, t13, t14]);
     }
 
@@ -325,7 +337,7 @@ mod tests {
         let mut db = Database::new();
         db.register_index(e, &[1]);
         assert!(db.probe(e, &[1], &[n(2)]).is_empty());
-        let (t12, _) = db.insert(e, vec![n(1), n(2)].into_boxed_slice());
+        let (t12, _) = db.insert(e, &[n(1), n(2)]);
         assert_eq!(db.probe(e, &[1], &[n(2)]), &[t12]);
     }
 
@@ -336,8 +348,8 @@ mod tests {
         let n = |i| Const::Int(i);
         let mut db = Database::new();
         db.register_index(e, &[0, 1]);
-        let (t12, _) = db.insert(e, vec![n(1), n(2)].into_boxed_slice());
-        db.insert(e, vec![n(1), n(3)].into_boxed_slice());
+        let (t12, _) = db.insert(e, &[n(1), n(2)]);
+        db.insert(e, &[n(1), n(3)]);
         assert_eq!(db.probe(e, &[0, 1], &[n(1), n(2)]), &[t12]);
     }
 
@@ -355,9 +367,9 @@ mod tests {
         let e = t.intern("edge");
         let n = |i| Const::Int(i);
         let mut db = Database::new();
-        let (t12, _) = db.insert(e, vec![n(1), n(2)].into_boxed_slice());
-        let (t13, _) = db.insert(e, vec![n(1), n(3)].into_boxed_slice());
-        db.insert(e, vec![n(2), n(3)].into_boxed_slice());
+        let (t12, _) = db.insert(e, &[n(1), n(2)]);
+        let (t13, _) = db.insert(e, &[n(1), n(3)]);
+        db.insert(e, &[n(2), n(3)]);
         assert_eq!(db.matching(e, &[0], &[n(1)]), vec![t12, t13]);
         // Registered path returns the same answer.
         db.register_index(e, &[0]);

@@ -32,6 +32,12 @@ impl EvalDelta {
 /// Evaluates `rule` with delta position `d` against watermarks
 /// `[w_prev, w_cur)`, inserting derived heads into `db` and reporting each
 /// firing to `sink`. Returns the join-work counters of the call.
+///
+/// Atom `d` reads only the delta, so when its relation has no tuple in
+/// `[w_prev, w_cur)` the pass cannot fire and is skipped before any atom
+/// is scanned: it reports no work at all. Every other pass keeps its order
+/// and its firings, so tuple ids and derivations are those of a run that
+/// scans every pass.
 pub(super) fn eval_rule(
     db: &mut Database,
     rule: &CompiledRule,
@@ -40,6 +46,12 @@ pub(super) fn eval_rule(
     w_cur: TupleId,
     sink: &mut dyn DerivationSink,
 ) -> EvalDelta {
+    let delta_is_empty = db
+        .relation(rule.body[d].pred)
+        .is_none_or(|rel| window_start(rel.tuples(), w_prev, w_cur) == rel.len());
+    if delta_is_empty {
+        return EvalDelta::default();
+    }
     let mut cx = JoinCx {
         db,
         rule,
@@ -53,6 +65,7 @@ pub(super) fn eval_rule(
         delta: EvalDelta::default(),
         scratch_key: Vec::new(),
         scratch_args: Vec::new(),
+        head_args: Vec::with_capacity(rule.head.args.len()),
         cand_bufs: vec![Vec::new(); rule.body.len()],
     };
     cx.join(0);
@@ -74,6 +87,8 @@ struct JoinCx<'a> {
     delta: EvalDelta,
     scratch_key: Vec<Const>,
     scratch_args: Vec<Const>,
+    /// The ground head of the current firing.
+    head_args: Vec<Const>,
     /// Per body position, a reusable buffer for the candidate tuples of
     /// that position. Candidates must be copied out of the database before
     /// recursing (derived heads are inserted below us), but the allocation
@@ -237,8 +252,11 @@ impl JoinCx<'_> {
 
     /// All body atoms matched: ground the head, insert, and report.
     fn fire(&mut self) {
-        let args: Box<[Const]> = self.rule.head.args.iter().map(|t| self.value(*t)).collect();
-        let (head_id, inserted) = self.db.insert(self.rule.head.pred, args);
+        let mut args = std::mem::take(&mut self.head_args);
+        args.clear();
+        args.extend(self.rule.head.args.iter().map(|t| self.value(*t)));
+        let (head_id, inserted) = self.db.insert(self.rule.head.pred, &args);
+        self.head_args = args;
         self.sink.derived(self.rule.clause, head_id, &self.body_ids);
         self.delta.firings += 1;
         if inserted {
@@ -249,13 +267,23 @@ impl JoinCx<'_> {
 
 /// The subslice of `ids` (sorted ascending) with `lo <= id < hi`.
 fn in_range(ids: &[TupleId], lo: TupleId, hi: TupleId) -> &[TupleId] {
+    let start = window_start(ids, lo, hi);
+    let end = start + ids[start..].partition_point(|&id| id < hi);
+    &ids[start..end]
+}
+
+/// The position of the first id of `ids` (sorted ascending) with
+/// `lo <= id < hi`, or `ids.len()` when there is none: one binary search.
+fn window_start(ids: &[TupleId], lo: TupleId, hi: TupleId) -> usize {
     debug_assert!(
         ids.windows(2).all(|w| w[0] < w[1]),
         "tuple id lists are sorted"
     );
     let start = ids.partition_point(|&id| id < lo);
-    let end = ids.partition_point(|&id| id < hi);
-    &ids[start..end]
+    match ids.get(start) {
+        Some(&id) if id < hi => start,
+        _ => ids.len(),
+    }
 }
 
 #[cfg(test)]
@@ -269,5 +297,16 @@ mod tests {
         assert_eq!(in_range(&ids, TupleId(0), TupleId(100)), &ids[..]);
         assert_eq!(in_range(&ids, TupleId(10), TupleId(20)), &[] as &[TupleId]);
         assert_eq!(in_range(&ids, TupleId(4), TupleId(4)), &[] as &[TupleId]);
+        assert_eq!(in_range(&ids, TupleId(4), TupleId(5)), &[] as &[TupleId]);
+    }
+
+    #[test]
+    fn window_start_finds_the_first_id_in_the_window() {
+        let ids: Vec<TupleId> = [1u32, 3, 5, 7, 9].iter().map(|&i| TupleId(i)).collect();
+        assert_eq!(window_start(&ids, TupleId(3), TupleId(8)), 1);
+        assert_eq!(window_start(&ids, TupleId(2), TupleId(3)), ids.len());
+        assert_eq!(window_start(&ids, TupleId(9), TupleId(10)), 4);
+        assert_eq!(window_start(&ids, TupleId(10), TupleId(20)), ids.len());
+        assert_eq!(window_start(&[], TupleId(0), TupleId(1)), 0);
     }
 }

@@ -18,7 +18,9 @@
 //! reads the delta between the two watermarks, and atoms after `d` read
 //! everything up to the current watermark. Each grounding therefore fires at
 //! exactly one `(iteration, d)`: the iteration where its newest body tuple
-//! appeared, with `d` the position of that tuple.
+//! appeared, with `d` the position of that tuple. A pass whose atom `d` has
+//! no tuple in the delta can fire nothing, so it is skipped before it scans
+//! the atoms ahead of `d`; the passes that run keep their order.
 
 mod compile;
 mod database;
@@ -106,7 +108,8 @@ pub struct RuleStats {
     /// Head inserts that created a previously unknown tuple.
     pub new_tuples: u64,
     /// Join fan-out: candidate tuples pulled from index probes across all
-    /// body positions and delta passes.
+    /// body positions of the delta passes that run. A pass whose delta
+    /// atom has no tuple in the delta is skipped and pulls none.
     pub candidates: u64,
     /// Fixpoint iterations in which this rule did any join work.
     pub iterations: u64,
@@ -178,20 +181,17 @@ impl<'p> Engine<'p> {
         }
 
         // Seed base tuples. Facts are ground by validation.
+        let mut args = Vec::new();
         for (id, clause) in self.program.iter() {
             if !clause.is_fact() {
                 continue;
             }
-            let args = clause
-                .head
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => *c,
-                    Term::Var(_) => unreachable!("facts are ground"),
-                })
-                .collect();
-            let (tid, _) = db.insert(clause.head.pred, args);
+            args.clear();
+            args.extend(clause.head.args.iter().map(|t| match t {
+                Term::Const(c) => *c,
+                Term::Var(_) => unreachable!("facts are ground"),
+            }));
+            let (tid, _) = db.insert(clause.head.pred, &args);
             sink.base_fact(id, tid);
         }
 
@@ -508,6 +508,38 @@ mod tests {
         let (p, db, _) = run("r1 1.0: loop(X) :- edge(X,X).
              edge(1,1). edge(1,2). edge(3,3).");
         assert_eq!(count(&p, &db, "loop"), 2);
+    }
+
+    #[test]
+    fn passes_with_an_empty_delta_scan_nothing() {
+        // `reach` grows by one tuple per iteration while `edge` is EDB, so
+        // every pass with the delta on `edge` (d = 1) after the first
+        // iteration finds no `edge` tuple in its window. Those passes are
+        // skipped rather than scanning every older `reach` tuple: r2 pulls
+        // 2 candidates (the new reach tuple and its edge) in each of
+        // iterations 2–4 and 1 in iteration 5 (reach(d) has no out-edge),
+        // where scanning the empty-delta passes too would add 0 + 1 + 2 + 3.
+        let src = "r1 1.0: reach(X) :- src(X).
+                   r2 1.0: reach(Y) :- reach(X), edge(X,Y).
+                   src(a). edge(a,b). edge(b,c). edge(c,d).";
+        let p = Program::parse(src).unwrap();
+        let mut e = Engine::new(&p);
+        e.run_plain();
+        assert_eq!(
+            e.stats(),
+            EngineStats {
+                iterations: 5,
+                firings: 4,
+                tuples: 8
+            }
+        );
+        assert_eq!(e.deltas(), &[4, 1, 1, 1, 1]);
+        let rows: Vec<(u64, u64, u64, u64)> = e
+            .rule_stats()
+            .iter()
+            .map(|r| (r.firings, r.new_tuples, r.candidates, r.iterations))
+            .collect();
+        assert_eq!(rows, vec![(1, 1, 1, 1), (3, 3, 7, 4)]);
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod diag;
 pub mod engine;
 pub mod explain;
 pub mod graph;
+pub mod hash;
 pub mod parser;
 pub mod program;
 pub mod symbol;

@@ -36,13 +36,14 @@ impl CaptureSink {
 }
 
 impl DerivationSink for CaptureSink {
+    // The engine reports each fact clause and each grounding exactly once
+    // (see the engine module's semi-naive discipline), so no dedup is
+    // needed here.
     fn base_fact(&mut self, clause: ClauseId, tuple: TupleId) {
-        self.graph.add_base(clause, tuple);
+        self.graph.add_base_unchecked(clause, tuple);
     }
 
     fn derived(&mut self, rule: ClauseId, head: TupleId, body: &[TupleId]) {
-        // The engine reports each grounding exactly once (see the engine
-        // module's semi-naive discipline), so no dedup is needed here.
         self.graph.add_exec_unchecked(rule, head, body);
     }
 }

@@ -83,7 +83,7 @@ pub fn evaluate_query_with_provenance(
         if dp.is_magic(t.pred) {
             map.push(None);
         } else {
-            let (clean_id, _) = db.insert(t.pred, t.args.clone());
+            let (clean_id, _) = db.insert(t.pred, &t.args);
             map.push(Some(clean_id));
         }
     }
@@ -92,6 +92,7 @@ pub fn evaluate_query_with_provenance(
     // base facts and guarded variants through `original_clause`, strip the
     // guard (always body position 0 of a variant), and dedup.
     let mut graph = ProvGraph::new();
+    let mut body = Vec::new();
     for i in 0..raw_db.len() {
         let t = TupleId(i as u32);
         let Some(clean_head) = map[i] else {
@@ -109,10 +110,10 @@ pub fn evaluate_query_with_provenance(
                     let orig = dp
                         .original_clause(raw.exec_rule(e))
                         .expect("non-magic heads are derived by guarded variants");
-                    let body: Vec<TupleId> = raw.exec_body(e)[1..]
-                        .iter()
-                        .map(|&b| map[b.index()].expect("variant bodies hold no magic tuples"))
-                        .collect();
+                    body.clear();
+                    body.extend(raw.exec_body(e)[1..].iter().map(|&b| {
+                        map[b.index()].expect("variant bodies hold no magic tuples")
+                    }));
                     graph.add_exec(orig, clean_head, &body);
                 }
             }

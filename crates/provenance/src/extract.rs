@@ -30,8 +30,9 @@
 use crate::graph::{Derivation, ProvGraph};
 use crate::vars::var_of;
 use p3_datalog::engine::TupleId;
+use p3_datalog::hash::{FxHashMap, FxHashSet};
 use p3_prob::Dnf;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::RwLock;
 
 /// Options controlling extraction.
@@ -75,8 +76,8 @@ pub fn extract_polynomial(graph: &ProvGraph, root: TupleId, opts: ExtractOptions
 /// `p3-core` shared query core keeps one `Arc<Analysis>` next to its
 /// `Arc<ProvGraph>` and every session's extractor reuses both.
 pub struct Analysis {
-    /// Tuples whose downward closure contains no cycle.
-    clean: HashSet<TupleId>,
+    /// Per tuple id, whether its downward closure contains no cycle.
+    clean: Vec<bool>,
     /// Sub-polynomials of clean tuples, keyed by `(tuple, remaining-depth)`
     /// (remaining depth is `usize::MAX` when unbounded).
     memo: RwLock<HashMap<(TupleId, usize), Dnf>>,
@@ -97,7 +98,7 @@ impl Analysis {
 
     /// Whether every derivation below `tuple` is acyclic.
     pub fn is_clean(&self, tuple: TupleId) -> bool {
-        self.clean.contains(&tuple)
+        self.clean.get(tuple.index()).copied().unwrap_or(false)
     }
 
     /// Number of finished extractions currently cached.
@@ -173,8 +174,8 @@ impl<'g> Extractor<'g> {
         let mut cx = Cx {
             graph: self.graph,
             analysis,
-            memo: HashMap::new(),
-            path: HashSet::new(),
+            memo: FxHashMap::default(),
+            path: FxHashSet::default(),
             max_depth: opts.max_depth,
             memo_hits: 0,
             memo_misses: 0,
@@ -225,8 +226,8 @@ struct Cx<'a, 'g> {
     /// This call's memo for clean tuples; seeded lazily from the shared one
     /// and merged back on completion (keeping lock traffic off the hot
     /// recursion as much as possible).
-    memo: HashMap<(TupleId, usize), Dnf>,
-    path: HashSet<TupleId>,
+    memo: FxHashMap<(TupleId, usize), Dnf>,
+    path: FxHashSet<TupleId>,
     max_depth: Option<usize>,
     /// Per-call tallies, flushed to the global metrics once per
     /// extraction so the recursion itself touches no shared state.
@@ -329,10 +330,10 @@ impl Cx<'_, '_> {
     }
 }
 
-/// Computes the set of tuples whose downward closure is acyclic, from the
-/// SCCs of the tuple-dependency projection (`tuple → body tuples of its
+/// Marks, per tuple id, the tuples whose downward closure is acyclic, from
+/// the SCCs of the tuple-dependency projection (`tuple → body tuples of its
 /// rule executions`) over raw tuple ids.
-fn compute_clean(graph: &ProvGraph) -> HashSet<TupleId> {
+fn compute_clean(graph: &ProvGraph) -> Vec<bool> {
     let in_graph = |t: TupleId| !graph.derivations(t).is_empty();
     let n = graph.tuples().last().map_or(0, |t| t.index() + 1);
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -361,10 +362,7 @@ fn compute_clean(graph: &ProvGraph) -> HashSet<TupleId> {
             clean[v] = succ[v].iter().all(|&c| clean[c]);
         }
     }
-    (0..n)
-        .filter(|&v| clean[v])
-        .map(|v| TupleId(v as u32))
-        .collect()
+    clean
 }
 
 #[cfg(test)]

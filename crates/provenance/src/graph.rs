@@ -21,6 +21,7 @@
 
 use p3_datalog::ast::ClauseId;
 use p3_datalog::engine::TupleId;
+use p3_datalog::hash::FxHashSet;
 use std::collections::HashSet;
 
 /// Identifies a rule-execution vertex.
@@ -71,7 +72,7 @@ pub struct ProvGraph {
     num_tuples: usize,
     /// Duplicate guard for the *checked* insertion API only; the capture
     /// hot path bypasses it.
-    dedup: HashSet<(ClauseId, TupleId, Vec<TupleId>)>,
+    dedup: FxHashSet<(ClauseId, TupleId, Vec<TupleId>)>,
 }
 
 impl Default for ProvGraph {
@@ -90,7 +91,7 @@ impl ProvGraph {
             body_arena: Vec::new(),
             derivations: Vec::new(),
             num_tuples: 0,
-            dedup: HashSet::new(),
+            dedup: FxHashSet::default(),
         }
     }
 
