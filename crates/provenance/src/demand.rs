@@ -111,9 +111,11 @@ pub fn evaluate_query_with_provenance(
                         .original_clause(raw.exec_rule(e))
                         .expect("non-magic heads are derived by guarded variants");
                     body.clear();
-                    body.extend(raw.exec_body(e)[1..].iter().map(|&b| {
-                        map[b.index()].expect("variant bodies hold no magic tuples")
-                    }));
+                    body.extend(
+                        raw.exec_body(e)[1..]
+                            .iter()
+                            .map(|&b| map[b.index()].expect("variant bodies hold no magic tuples")),
+                    );
                     graph.add_exec(orig, clean_head, &body);
                 }
             }
