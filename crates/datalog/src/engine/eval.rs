@@ -1,7 +1,7 @@
 //! The join loop: evaluates one rule against one delta position.
 
 use super::compile::{CAtom, CTerm, CompiledRule};
-use super::database::{Database, TupleId};
+use super::database::{Database, Relation, TupleId};
 use super::DerivationSink;
 use crate::ast::Const;
 
@@ -46,10 +46,10 @@ pub(super) fn eval_rule(
     w_cur: TupleId,
     sink: &mut dyn DerivationSink,
 ) -> EvalDelta {
-    let delta_is_empty = db
+    let delta_atom = db
         .relation(rule.body[d].pred)
-        .is_none_or(|rel| window_start(rel.tuples(), w_prev, w_cur) == rel.len());
-    if delta_is_empty {
+        .map_or(&[][..], Relation::tuples);
+    if !any_in_range(delta_atom, w_prev, w_cur) {
         return EvalDelta::default();
     }
     let mut cx = JoinCx {
@@ -65,7 +65,7 @@ pub(super) fn eval_rule(
         delta: EvalDelta::default(),
         scratch_key: Vec::new(),
         scratch_args: Vec::new(),
-        head_args: Vec::with_capacity(rule.head.args.len()),
+        head_args: Vec::new(),
         cand_bufs: vec![Vec::new(); rule.body.len()],
     };
     cx.join(0);
@@ -267,23 +267,24 @@ impl JoinCx<'_> {
 
 /// The subslice of `ids` (sorted ascending) with `lo <= id < hi`.
 fn in_range(ids: &[TupleId], lo: TupleId, hi: TupleId) -> &[TupleId] {
-    let start = window_start(ids, lo, hi);
-    let end = start + ids[start..].partition_point(|&id| id < hi);
-    &ids[start..end]
-}
-
-/// The position of the first id of `ids` (sorted ascending) with
-/// `lo <= id < hi`, or `ids.len()` when there is none: one binary search.
-fn window_start(ids: &[TupleId], lo: TupleId, hi: TupleId) -> usize {
     debug_assert!(
         ids.windows(2).all(|w| w[0] < w[1]),
         "tuple id lists are sorted"
     );
     let start = ids.partition_point(|&id| id < lo);
-    match ids.get(start) {
-        Some(&id) if id < hi => start,
-        _ => ids.len(),
-    }
+    let end = ids.partition_point(|&id| id < hi);
+    &ids[start..end]
+}
+
+/// Whether `ids` (sorted ascending) holds an id with `lo <= id < hi`: one
+/// binary search.
+fn any_in_range(ids: &[TupleId], lo: TupleId, hi: TupleId) -> bool {
+    debug_assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "tuple id lists are sorted"
+    );
+    let start = ids.partition_point(|&id| id < lo);
+    ids.get(start).is_some_and(|&id| id < hi)
 }
 
 #[cfg(test)]
@@ -297,16 +298,20 @@ mod tests {
         assert_eq!(in_range(&ids, TupleId(0), TupleId(100)), &ids[..]);
         assert_eq!(in_range(&ids, TupleId(10), TupleId(20)), &[] as &[TupleId]);
         assert_eq!(in_range(&ids, TupleId(4), TupleId(4)), &[] as &[TupleId]);
-        assert_eq!(in_range(&ids, TupleId(4), TupleId(5)), &[] as &[TupleId]);
     }
 
     #[test]
-    fn window_start_finds_the_first_id_in_the_window() {
+    fn any_in_range_agrees_with_in_range() {
         let ids: Vec<TupleId> = [1u32, 3, 5, 7, 9].iter().map(|&i| TupleId(i)).collect();
-        assert_eq!(window_start(&ids, TupleId(3), TupleId(8)), 1);
-        assert_eq!(window_start(&ids, TupleId(2), TupleId(3)), ids.len());
-        assert_eq!(window_start(&ids, TupleId(9), TupleId(10)), 4);
-        assert_eq!(window_start(&ids, TupleId(10), TupleId(20)), ids.len());
-        assert_eq!(window_start(&[], TupleId(0), TupleId(1)), 0);
+        for lo in 0..11 {
+            for hi in lo..12 {
+                let (lo, hi) = (TupleId(lo), TupleId(hi));
+                assert_eq!(
+                    any_in_range(&ids, lo, hi),
+                    !in_range(&ids, lo, hi).is_empty()
+                );
+            }
+        }
+        assert!(!any_in_range(&[], TupleId(0), TupleId(1)));
     }
 }
