@@ -10,8 +10,8 @@
 //!
 //! The corpus is every shipped example program (naive, and demand for the
 //! query CI's smoke steps ask), 40 random programs in two configurations,
-//! the engine-only negation programs of `tests/recursion_golden.rs`, and
-//! the trust-cold network of the benchmark ledger. The trust evaluations
+//! the stratified negation programs of `support::NEGATION` (which only the
+//! engine evaluates), and the trust-cold network of the benchmark ledger. The trust evaluations
 //! are large, so each is recorded as the FNV-1a-64 digest of its
 //! transcript.
 //!
@@ -27,41 +27,8 @@ use p3::workloads::trust::{self, NetworkConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// The engine-only (stratified negation) programs of
-/// `tests/recursion_golden.rs`.
-const NEGATION: &[&str] = &[
-    r"r1 1.0: orphan(X) :- person(X), \+ parent(X). person(a). parent(a).",
-    r"r1 1.0: orphan(X) :- person(X), not parent(X). person(a). parent(a).",
-    "r1 1.0: q(X) :- not(X). t1 1.0: not(a).",
-    r"r1 1.0: unreachable(X) :- node(X), \+ reach(X).
-      r2 1.0: reach(X) :- src(X).
-      r3 1.0: reach(Y) :- reach(X), edge(X,Y).
-      node(a). node(b). node(c). node(d).
-      src(a). edge(a,b). edge(b,c).",
-    r"r0 1.0: unreachable(X) :- node(X), \+ reach(X).
-      r1 1.0: reach(X) :- src(X).
-      r2 1.0: reach(Y) :- reach(X), edge(X,Y).
-      node(a). node(b). node(c).
-      src(a). edge(a,b). edge(b,c).",
-    r"r1 1.0: a(X) :- base(X).
-      r2 1.0: b(X) :- base(X), \+ a(X).
-      r3 1.0: c(X) :- base(X), \+ b(X).
-      base(x1). base(x2).",
-    r"r1 1.0: q(X) :- cand(X), \+ blocked(X).
-      cand(a).
-      b1 0.3: blocked(a).",
-    r"r1 1.0: reach(X) :- src(X).
-      r2 1.0: reach(Y) :- reach(X), edge(X,Y).
-      r3 1.0: unreachable(X) :- node(X), \+ reach(X).
-      node(b). src(a).
-      e1 0.6: edge(a,b).",
-    "r1 0.9: orphan(X) :- person(X), \\+ parent(X).\nperson(a).",
-    r"r1 1.0: lonely(X) :- person(X), \+ knows(X,X), \+ friend(X).
-      r2 1.0: knows(X,Y) :- intro(X,Y), X != Y.
-      person(a). person(b).
-      intro(a,b). friend(b).",
-    "r1 1.0: q(X) :- p(X). p(a).",
-];
+mod support;
+use support::NEGATION;
 
 /// The query each shipped example answers in CI's smoke steps.
 const EXAMPLES: &[(&str, &str)] = &[
