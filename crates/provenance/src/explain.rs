@@ -10,8 +10,10 @@ use std::fmt::Write as _;
 /// Renders the derivations of `root` as an indented tree.
 ///
 /// Cyclic back-references are printed as `(cycle back to <tuple>)` rather
-/// than expanded; `max_depth` (rule nestings) truncates deep derivations
-/// with `(depth limit)`.
+/// than expanded. `max_depth` is the hop limit of extraction: a tuple `k`
+/// rule executions below the root always lists its base derivations, and
+/// its rule derivations only while `k < max_depth`; past that, one
+/// `(depth limit)` line stands for them.
 pub fn explain(
     graph: &ProvGraph,
     db: &Database,
@@ -25,24 +27,24 @@ pub fn explain(
     out
 }
 
+/// Renders `tuple`, `nesting` rule executions below the root, indented by
+/// four spaces per nesting.
 #[allow(clippy::too_many_arguments)]
 fn render(
     graph: &ProvGraph,
     db: &Database,
     program: &Program,
     tuple: TupleId,
-    depth: usize,
+    nesting: usize,
     max_depth: Option<usize>,
     path: &mut HashSet<TupleId>,
     out: &mut String,
 ) {
-    let indent = "  ".repeat(depth);
+    let indent = "    ".repeat(nesting);
     let syms = program.symbols();
     let _ = writeln!(out, "{indent}{}", db.display_tuple(tuple, syms));
-    if max_depth.is_some_and(|m| depth >= m) {
-        let _ = writeln!(out, "{indent}  (depth limit)");
-        return;
-    }
+    let at_limit = max_depth.is_some_and(|m| nesting >= m);
+    let mut truncated = false;
     path.insert(tuple);
     for d in graph.derivations(tuple) {
         match d {
@@ -53,6 +55,12 @@ fn render(
                     "{indent}  = base tuple {} (p={})",
                     clause.label, clause.prob
                 );
+            }
+            Derivation::Rule(_) if at_limit => {
+                if !truncated {
+                    let _ = writeln!(out, "{indent}  (depth limit)");
+                    truncated = true;
+                }
             }
             Derivation::Rule(e) => {
                 let exec = graph.exec(*e);
@@ -70,7 +78,7 @@ fn render(
                             db.display_tuple(b, syms)
                         );
                     } else {
-                        render(graph, db, program, b, depth + 2, max_depth, path, out);
+                        render(graph, db, program, b, nesting + 1, max_depth, path, out);
                     }
                 }
             }
