@@ -1,9 +1,13 @@
 //! Micro-bench: provenance-polynomial extraction under varying hop limits
-//! (the Criterion companion to Figure 10).
+//! (the Criterion companion to Figure 10), and unbounded extraction on the
+//! cold demand path of the benchmark ledger's trust-cold workload.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use p3_core::P3;
-use p3_provenance::extract::{ExtractOptions, Extractor};
+use p3_datalog::engine::{Engine, TupleId};
+use p3_datalog::{worlds, Program};
+use p3_provenance::extract::{Analysis, ExtractOptions, Extractor};
+use p3_provenance::{evaluate_query_with_provenance, DemandEvaluation};
 use p3_workloads::trust::{self, NetworkConfig};
 use std::time::{Duration, Instant};
 
@@ -55,5 +59,77 @@ fn bench_extraction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_extraction);
+/// Demand-evaluates `atom` and returns the evaluation, the atom's tuple in
+/// it and the width of its unbounded polynomial.
+fn demand(program: &Program, atom: &str) -> (DemandEvaluation, TupleId, usize) {
+    let (pred, args) = worlds::parse_ground_query(program, atom).expect("ground atom");
+    let eval = evaluate_query_with_provenance(program, pred, &args).expect("negation-free program");
+    let tuple = eval.db.lookup(pred, &args).expect("derivable atom");
+    let width = Extractor::new(&eval.graph)
+        .polynomial(tuple, ExtractOptions::unbounded())
+        .len();
+    (eval, tuple, width)
+}
+
+/// What a trust-cold request extracts: the widest `mutualTrustPath` atom
+/// of the instance (5,155 monomials) and the median-width atom of a
+/// systematic sample of 16 `trustPath` atoms, each on its own demand
+/// graph. Demand evaluation is outside the timed span, and so is building
+/// the fresh analysis each iteration extracts on.
+fn bench_demand_cold(c: &mut Criterion) {
+    let program = trust::generate(NetworkConfig {
+        nodes: 2000,
+        edges: 10_000,
+        seed: 5,
+        ..NetworkConfig::default()
+    })
+    .sample_bfs(250, 11)
+    .to_program();
+    let db = Engine::new(&program).run_plain();
+    let Some(rel) = program
+        .symbols()
+        .get("trustPath")
+        .and_then(|pred| db.relation(pred))
+    else {
+        return;
+    };
+    let mut paths: Vec<String> = rel
+        .tuples()
+        .iter()
+        .map(|&t| db.display_tuple(t, program.symbols()).to_string())
+        .collect();
+    paths.sort();
+    let step = (paths.len() / 16).max(1);
+    let mut sample: Vec<(usize, &String)> = paths
+        .iter()
+        .step_by(step)
+        .take(16)
+        .map(|atom| (demand(&program, atom).2, atom))
+        .collect();
+    sample.sort();
+    let median = sample[sample.len() / 2].1.as_str();
+
+    let mut group = c.benchmark_group("demand_cold");
+    for atom in ["mutualTrustPath(332,1626)", median] {
+        let (eval, tuple, width) = demand(&program, atom);
+        println!("demand_cold {atom}: {width} monomials");
+        group.bench_function(atom, |b| {
+            b.iter_custom(|iters| {
+                let mut timed = Duration::ZERO;
+                for _ in 0..iters {
+                    let analysis = Analysis::new(&eval.graph);
+                    let extractor = Extractor::with_analysis(&eval.graph, &analysis);
+                    let start = Instant::now();
+                    let dnf = extractor.polynomial(tuple, ExtractOptions::unbounded());
+                    timed += start.elapsed();
+                    black_box(dnf);
+                }
+                timed
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_extraction, bench_demand_cold);
 criterion_main!(benches);

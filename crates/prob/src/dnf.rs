@@ -5,9 +5,15 @@
 //! provenance never negates, every formula here is monotone, which several
 //! algorithms exploit (influence is non-negative, restriction never grows a
 //! formula, Monte-Carlo needs no sign handling).
+//!
+//! A [`MonomialStack`] builds formulas on flat, reusable buffers — push,
+//! multiply adjacent ranges, normalise a range — and hands out each
+//! finished one as a [`Dnf`]. Both normalise through one routine: canonical
+//! order, dedup and signature-filtered absorption.
 
 use crate::assignment::Assignment;
 use crate::var::{VarId, VarTable};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -53,22 +59,7 @@ impl Monomial {
     /// Whether every literal of `self` also occurs in `other`
     /// (`self` *subsumes* `other`: `other ⇒ self`).
     pub fn subsumes(&self, other: &Monomial) -> bool {
-        if self.lits.len() > other.lits.len() {
-            return false;
-        }
-        // Merge walk over two sorted lists.
-        let mut it = other.lits.iter();
-        'outer: for lit in &self.lits {
-            for o in it.by_ref() {
-                match o.cmp(lit) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => continue 'outer,
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
+        subsumes(&self.lits, &other.lits)
     }
 
     /// Whether `self` and `other` share no literal (are independent as
@@ -117,8 +108,68 @@ pub struct Dnf {
 
 /// [`Dnf`]'s canonical monomial order: by length, then lexicographically by
 /// literals.
-fn canonical_order(a: &Monomial, b: &Monomial) -> std::cmp::Ordering {
+fn canonical_order(a: &[VarId], b: &[VarId]) -> Ordering {
     a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// Whether every literal of `a` also occurs in `b` (both sorted ascending).
+fn subsumes(a: &[VarId], b: &[VarId]) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    // Merge walk over two sorted lists.
+    let mut it = b.iter();
+    'outer: for lit in a {
+        for o in it.by_ref() {
+            match o.cmp(lit) {
+                Ordering::Less => continue,
+                Ordering::Equal => continue 'outer,
+                Ordering::Greater => return false,
+            }
+        }
+        return false;
+    }
+    true
+}
+
+/// The one normalisation routine behind [`Dnf`] and [`MonomialStack`]:
+/// sorts `items` (monomials whose literals `lits` reads out of `ctx`) into
+/// canonical order, removes duplicates and any monomial subsumed by a
+/// shorter one. The survivors stay in canonical order, compacted to the
+/// front; `sigs` is scratch space.
+fn normalize_by<C: ?Sized, T>(
+    ctx: &C,
+    items: &mut Vec<T>,
+    sigs: &mut Vec<u64>,
+    lits: impl for<'s> Fn(&'s C, &'s T) -> &'s [VarId],
+) {
+    // Canonical order puts potential subsumers before subsumees.
+    items.sort_unstable_by(|a, b| canonical_order(lits(ctx, a), lits(ctx, b)));
+    items.dedup_by(|a, b| lits(ctx, a) == lits(ctx, b));
+    // `true` absorbs everything.
+    if items.first().is_some_and(|m| lits(ctx, m).is_empty()) {
+        items.truncate(1);
+        return;
+    }
+    // Kept monomials are compacted to the front. A kept monomial's
+    // signature sets bit `v % 64` for each literal `v`; it can absorb `m`
+    // only if its signature's bits are all in `m`'s, so most merge walks
+    // are skipped.
+    let signature = |m: &[VarId]| m.iter().fold(0u64, |sig, v| sig | 1 << (v.0 % 64));
+    sigs.clear();
+    for i in 0..items.len() {
+        let m = lits(ctx, &items[i]);
+        let sig = signature(m);
+        let absorbed = items[..sigs.len()]
+            .iter()
+            .zip(sigs.iter())
+            .any(|(k, k_sig)| k_sig & !sig == 0 && subsumes(lits(ctx, k), m));
+        if !absorbed {
+            items.swap(sigs.len(), i);
+            sigs.push(sig);
+        }
+    }
+    items.truncate(sigs.len());
 }
 
 /// Shape counters of one DNF: how big the provenance polynomial is, the
@@ -259,39 +310,14 @@ impl Dnf {
     pub(crate) fn is_canonically_ordered(&self) -> bool {
         self.monomials
             .windows(2)
-            .all(|w| canonical_order(&w[0], &w[1]).is_lt())
+            .all(|w| canonical_order(&w[0].lits, &w[1].lits).is_lt())
     }
 
     /// Normalises in place: sorts monomials into canonical order, removes
     /// duplicates and any monomial subsumed by a shorter one.
     fn normalize(&mut self) {
-        // Canonical order puts potential subsumers before subsumees.
-        self.monomials.sort_unstable_by(canonical_order);
-        self.monomials.dedup();
-        // `true` absorbs everything.
-        if self.monomials.first().is_some_and(Monomial::is_empty) {
-            self.monomials.truncate(1);
-            return;
-        }
-        // Kept monomials are compacted to the front. A kept monomial's
-        // signature sets bit `v % 64` for each literal `v`; it can absorb `m`
-        // only if its signature's bits are all in `m`'s, so most merge walks
-        // are skipped.
-        let signature = |m: &Monomial| m.lits.iter().fold(0u64, |sig, v| sig | 1 << (v.0 % 64));
-        let mut sigs: Vec<u64> = Vec::with_capacity(self.monomials.len());
-        for i in 0..self.monomials.len() {
-            let m = &self.monomials[i];
-            let sig = signature(m);
-            let absorbed = self.monomials[..sigs.len()]
-                .iter()
-                .zip(&sigs)
-                .any(|(k, k_sig)| k_sig & !sig == 0 && k.subsumes(m));
-            if !absorbed {
-                self.monomials.swap(sigs.len(), i);
-                sigs.push(sig);
-            }
-        }
-        self.monomials.truncate(sigs.len());
+        let mut sigs = Vec::with_capacity(self.monomials.len());
+        normalize_by(&(), &mut self.monomials, &mut sigs, |_, m| &m.lits);
     }
 
     /// Total number of literal occurrences (the paper's "k-literal" size).
@@ -361,6 +387,260 @@ impl Dnf {
             }
         }
         Ok(())
+    }
+}
+
+/// A stack of monomials stored back to back, for building formulas without
+/// a heap object per monomial or per intermediate formula.
+///
+/// All literals live in one `Vec<VarId>` and each monomial's end offset in
+/// another, so a caller pushes monomials, multiplies adjacent ranges in
+/// place and normalises a range on the same few reusable buffers, and
+/// turns a finished range into a [`Dnf`] once. A range is given by the
+/// index of its first monomial and always runs to the top of the stack.
+#[derive(Clone, Debug, Default)]
+pub struct MonomialStack {
+    lits: Vec<VarId>,
+    /// End offset into `lits` of each monomial.
+    ends: Vec<u32>,
+    /// Scratch for [`Self::product`] and [`Self::normalize`]: literal
+    /// spans, absorption signatures and rewritten literals.
+    spans: Vec<(u32, u32)>,
+    sigs: Vec<u64>,
+    scratch: Vec<VarId>,
+}
+
+/// A range of a [`MonomialStack`] in [`Dnf`]'s canonical form: sorted,
+/// duplicate-free and absorbed. Only normalising, or copying an already
+/// canonical formula, hands one out; it stays valid while the stack keeps
+/// those monomials (until it is truncated below the range's end).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Normalized {
+    start: u32,
+    end: u32,
+}
+
+impl Normalized {
+    /// Whether the range is the constant `false`.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+}
+
+/// A literal or monomial offset as stored in a [`MonomialStack`].
+fn offset(i: usize) -> u32 {
+    u32::try_from(i).expect("monomial stack offsets fit in u32")
+}
+
+/// Offset where monomial `i` starts, given every monomial's end offset
+/// (`i == ends.len()` gives the end of the last one).
+fn begin(ends: &[u32], i: usize) -> usize {
+    i.checked_sub(1).map_or(0, |p| ends[p] as usize)
+}
+
+/// Monomial `i` of the stack whose buffers are `lits` and `ends`.
+fn monomial_in<'a>(lits: &'a [VarId], ends: &[u32], i: usize) -> &'a [VarId] {
+    &lits[begin(ends, i)..ends[i] as usize]
+}
+
+/// The sorted union of two sorted, duplicate-free literal lists, appended
+/// to `out`.
+fn merge_into(a: &[VarId], b: &[VarId], out: &mut Vec<VarId>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+impl MonomialStack {
+    /// An empty stack.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of monomials on the stack.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the stack holds no monomial.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The literals of monomial `i`, sorted ascending.
+    pub fn monomial(&self, i: usize) -> &[VarId] {
+        monomial_in(&self.lits, &self.ends, i)
+    }
+
+    /// Checks that the end offsets ascend and cover `lits` exactly.
+    fn debug_check_offsets(&self) {
+        debug_assert!(self.ends.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert_eq!(begin(&self.ends, self.len()), self.lits.len());
+    }
+
+    /// Replaces the monomials from index `start` up by the literals in
+    /// `scratch`, cut into monomials as long as the `spans` in order.
+    fn replace_from(&mut self, start: usize) {
+        self.truncate(start);
+        let mut end = self.lits.len();
+        self.lits.extend_from_slice(&self.scratch);
+        for &(from, to) in &self.spans {
+            end += (to - from) as usize;
+            self.ends.push(offset(end));
+        }
+        self.debug_check_offsets();
+    }
+
+    /// Pushes one monomial (its literals are sorted and deduplicated
+    /// here).
+    pub fn push(&mut self, lits: &[VarId]) {
+        let start = self.lits.len();
+        self.lits.extend_from_slice(lits);
+        if lits.len() > 1 {
+            self.lits[start..].sort_unstable();
+            let mut kept = start + 1;
+            for i in start + 1..self.lits.len() {
+                if self.lits[i] != self.lits[kept - 1] {
+                    self.lits[kept] = self.lits[i];
+                    kept += 1;
+                }
+            }
+            self.lits.truncate(kept);
+        }
+        self.ends.push(offset(self.lits.len()));
+    }
+
+    /// Pushes the monomials of `dnf`, which are already canonical.
+    pub fn push_dnf(&mut self, dnf: &Dnf) -> Normalized {
+        let start = offset(self.len());
+        for m in dnf.monomials() {
+            self.lits.extend_from_slice(m.literals());
+            self.ends.push(offset(self.lits.len()));
+        }
+        Normalized {
+            start,
+            end: offset(self.len()),
+        }
+    }
+
+    /// Pushes a copy of the canonical range `range` of `other`.
+    pub fn copy_from(&mut self, other: &MonomialStack, range: Normalized) -> Normalized {
+        let (first, last) = (range.start as usize, range.end as usize);
+        let src = begin(&other.ends, first)..begin(&other.ends, last);
+        let start = offset(self.len());
+        let base = self.lits.len();
+        self.lits.extend_from_slice(&other.lits[src.clone()]);
+        self.ends.extend(
+            other.ends[first..last]
+                .iter()
+                .map(|&e| offset(base + (e as usize - src.start))),
+        );
+        self.debug_check_offsets();
+        Normalized {
+            start,
+            end: offset(self.len()),
+        }
+    }
+
+    /// Drops every monomial from index `len` up.
+    pub fn truncate(&mut self, len: usize) {
+        let base = begin(&self.ends, len);
+        self.ends.truncate(len);
+        self.lits.truncate(base);
+    }
+
+    /// Replaces the adjacent ranges `a..b` and `b..len()` by their product:
+    /// every monomial of the first merged with every monomial of the
+    /// second, in that order. The result is not normalised.
+    pub fn product(&mut self, a: usize, b: usize) {
+        let n = self.len();
+        debug_assert!(a <= b && b <= n, "ranges {a}..{b}..{n}");
+        let Self {
+            lits,
+            ends,
+            spans,
+            scratch,
+            ..
+        } = self;
+        scratch.clear();
+        spans.clear();
+        for i in a..b {
+            for j in b..n {
+                let from = scratch.len();
+                merge_into(
+                    monomial_in(lits, ends, i),
+                    monomial_in(lits, ends, j),
+                    scratch,
+                );
+                spans.push((offset(from), offset(scratch.len())));
+            }
+        }
+        self.replace_from(a);
+    }
+
+    /// Brings the range `start..len()` into canonical form in place (the
+    /// routine [`Dnf::new`] uses) and returns it.
+    pub fn normalize(&mut self, start: usize) -> Normalized {
+        let n = self.len();
+        // One monomial is canonical already: pushes and products keep
+        // literals sorted and distinct.
+        if n - start > 1 {
+            self.spans.clear();
+            for i in start..n {
+                self.spans
+                    .push((offset(begin(&self.ends, i)), self.ends[i]));
+            }
+            normalize_by(
+                self.lits.as_slice(),
+                &mut self.spans,
+                &mut self.sigs,
+                |lits, &(from, to)| &lits[from as usize..to as usize],
+            );
+            self.scratch.clear();
+            for &(from, to) in &self.spans {
+                self.scratch
+                    .extend_from_slice(&self.lits[from as usize..to as usize]);
+            }
+            self.replace_from(start);
+        }
+        Normalized {
+            start: offset(start),
+            end: offset(self.len()),
+        }
+    }
+
+    /// The formula of a canonical range, built without a second
+    /// normalisation pass.
+    pub fn dnf(&self, range: Normalized) -> Dnf {
+        let dnf = Dnf {
+            monomials: (range.start as usize..range.end as usize)
+                .map(|i| Monomial {
+                    lits: self.monomial(i).to_vec(),
+                })
+                .collect(),
+        };
+        debug_assert!(
+            dnf.is_canonically_ordered(),
+            "a Normalized range outlived its monomials"
+        );
+        dnf
     }
 }
 
@@ -513,5 +793,84 @@ mod tests {
         assert_eq!(format!("{}", dnf2.display(&vars)), "r1·t1");
         assert_eq!(format!("{}", Dnf::zero().display(&vars)), "0");
         assert_eq!(format!("{}", Dnf::one().display(&vars)), "1");
+    }
+
+    fn stack_of(monomials: &[&[u32]]) -> MonomialStack {
+        let mut stack = MonomialStack::new();
+        for lits in monomials {
+            stack.push(&lits.iter().map(|&i| v(i)).collect::<Vec<_>>());
+        }
+        stack
+    }
+
+    #[test]
+    fn stack_push_sorts_and_dedups_each_monomial() {
+        let stack = stack_of(&[&[3, 1, 3, 2], &[5], &[]]);
+        assert_eq!(stack.len(), 3);
+        assert_eq!(stack.monomial(0), &[v(1), v(2), v(3)]);
+        assert_eq!(stack.monomial(1), &[v(5)]);
+        assert!(stack.monomial(2).is_empty());
+    }
+
+    #[test]
+    fn stack_true_monomial_absorbs_everything() {
+        let mut stack = stack_of(&[&[9], &[1, 2], &[], &[3]]);
+        let range = stack.normalize(1);
+        let dnf = stack.dnf(range);
+        assert!(dnf.is_true());
+        assert_eq!(dnf.len(), 1);
+        // The monomial below the range is untouched.
+        assert_eq!(stack.monomial(0), &[v(9)]);
+    }
+
+    #[test]
+    fn stack_false_factor_empties_a_product() {
+        // `r · b` where the body atom `b` has no derivation.
+        let mut stack = stack_of(&[&[7], &[1]]);
+        stack.product(1, 2);
+        assert_eq!(stack.len(), 1);
+        assert_eq!(stack.monomial(0), &[v(7)]);
+        let range = stack.normalize(1);
+        assert!(range.is_empty());
+        assert!(stack.dnf(range).is_false());
+    }
+
+    #[test]
+    fn stack_product_merges_in_order() {
+        // (1 + 2·3) · (3 + 4) = 1·3 + 1·4 + 2·3 + 2·3·4, then 2·3 absorbs 2·3·4.
+        let mut stack = stack_of(&[&[1], &[2, 3], &[3], &[4]]);
+        stack.product(0, 2);
+        assert_eq!(stack.len(), 4);
+        assert_eq!(stack.monomial(3), &[v(2), v(3), v(4)]);
+        let range = stack.normalize(0);
+        assert_eq!(
+            stack.dnf(range).monomials(),
+            &[m(&[1, 3]), m(&[1, 4]), m(&[2, 3])]
+        );
+    }
+
+    #[test]
+    fn stack_dnfs_pass_the_invariants() {
+        let mut stack = stack_of(&[&[4], &[2, 1], &[1, 2], &[1, 2, 3], &[5, 6]]);
+        let a = stack.normalize(1);
+        let dnf = stack.dnf(a);
+        dnf.check_invariants().unwrap();
+        assert_eq!(dnf, Dnf::new(vec![m(&[1, 2]), m(&[1, 2, 3]), m(&[5, 6])]));
+        // Copies between stacks and from a Dnf keep the canonical form.
+        let mut other = stack_of(&[&[8]]);
+        let copy = other.copy_from(&stack, a);
+        assert_eq!(other.dnf(copy), dnf);
+        let pushed = other.push_dnf(&dnf);
+        assert_eq!(other.dnf(pushed), dnf);
+        other.truncate(1);
+        assert_eq!(other.len(), 1);
+        // A product of canonical ranges, normalised, is `Dnf::and`.
+        let b = stack.len();
+        stack.push_dnf(&Dnf::new(vec![m(&[3]), m(&[9])]));
+        stack.product(1, b);
+        let and = stack.normalize(1);
+        let dnf_and = stack.dnf(and);
+        dnf_and.check_invariants().unwrap();
+        assert_eq!(dnf_and, dnf.and(&Dnf::new(vec![m(&[3]), m(&[9])])));
     }
 }

@@ -40,7 +40,7 @@ pub mod var;
 
 pub use assignment::Assignment;
 pub use circuit::Circuit;
-pub use dnf::{Dnf, DnfShape, Monomial};
+pub use dnf::{Dnf, DnfShape, Monomial, MonomialStack, Normalized};
 pub use mc::McConfig;
 pub use store::{DnfId, DnfStore, InternJournal, ShardStats, StoreStats};
 pub use var::{VarId, VarTable};

@@ -19,10 +19,17 @@
 //! [`ExtractOptions::max_depth`] caps the number of nested rule executions;
 //! derivations that would exceed it are dropped.
 //!
+//! **Building.** The walk builds every polynomial on one
+//! [`p3_prob::MonomialStack`]: a base derivation pushes its literal, a rule
+//! execution multiplies `rule · body₁ · … · bodyₙ` in place, and a tuple's
+//! alternatives are normalised once, when the tuple is finished. Only the
+//! root's range, and the memo entries a call publishes, become [`Dnf`]s.
+//!
 //! **Memoisation.** Sub-polynomials of *clean* tuples — tuples whose entire
 //! downward closure is acyclic — cannot interact with the path-based skip,
-//! so they are cached per `(tuple, remaining-depth)`. Cyclic regions fall
-//! back to plain path-sensitive DFS. The caches live in an [`Analysis`]
+//! so they are cached per `(tuple, remaining-depth)`: within one call as
+//! ranges of a second stack, across calls as [`Dnf`]s. Cyclic regions fall
+//! back to plain path-sensitive DFS. The shared caches live in an [`Analysis`]
 //! value that can be owned by one [`Extractor`] or shared (behind `Arc`)
 //! across many, so a query session extracting the same subgoal from
 //! different roots — or re-extracting the same root — pays for it once.
@@ -31,7 +38,7 @@ use crate::graph::{Derivation, ProvGraph};
 use crate::vars::var_of;
 use p3_datalog::engine::TupleId;
 use p3_datalog::hash::{FxHashMap, FxHashSet};
-use p3_prob::Dnf;
+use p3_prob::{Dnf, MonomialStack, Normalized};
 use std::collections::HashMap;
 use std::sync::RwLock;
 
@@ -158,7 +165,8 @@ impl<'g> Extractor<'g> {
     ///
     /// Finished results are memoized per `(root, opts)` in the analysis, so
     /// repeated calls — from this extractor or any other sharing the same
-    /// analysis — are O(1) after the first.
+    /// analysis — skip the walk after the first and return a clone of the
+    /// cached formula.
     pub fn polynomial(&self, root: TupleId, opts: ExtractOptions) -> Dnf {
         let analysis = self.analysis();
         if let Some(hit) = analysis.results.read().unwrap().get(&(root, opts)) {
@@ -174,6 +182,8 @@ impl<'g> Extractor<'g> {
         let mut cx = Cx {
             graph: self.graph,
             analysis,
+            stack: MonomialStack::new(),
+            store: MonomialStack::new(),
             memo: FxHashMap::default(),
             path: FxHashSet::default(),
             max_depth: opts.max_depth,
@@ -182,14 +192,15 @@ impl<'g> Extractor<'g> {
             cycle_skips: 0,
             hop_truncations: 0,
         };
-        let dnf = cx.expand(root, 0);
+        let range = cx.expand(root, 0);
+        let dnf = cx.stack.dnf(range);
         cx.flush_counters(&mut span);
         span.add_field("monomials", dnf.len());
         // Publish this call's clean-tuple sub-polynomials for later calls.
         if !cx.memo.is_empty() {
             let mut shared = analysis.memo.write().unwrap();
-            for (key, value) in cx.memo {
-                shared.entry(key).or_insert(value);
+            for (key, range) in cx.memo {
+                shared.entry(key).or_insert_with(|| cx.store.dnf(range));
             }
         }
         analysis
@@ -223,10 +234,14 @@ pub fn memo_counters() -> (u64, u64) {
 struct Cx<'a, 'g> {
     graph: &'g ProvGraph,
     analysis: &'a Analysis,
-    /// This call's memo for clean tuples; seeded lazily from the shared one
-    /// and merged back on completion (keeping lock traffic off the hot
-    /// recursion as much as possible).
-    memo: FxHashMap<(TupleId, usize), Dnf>,
+    /// Where every polynomial of the walk is built: a tuple's result is
+    /// the normalised range it leaves on top.
+    stack: MonomialStack,
+    /// This call's memo for clean tuples, as ranges of `store`; seeded
+    /// lazily from the shared one and merged back on completion (keeping
+    /// lock traffic off the hot recursion as much as possible).
+    memo: FxHashMap<(TupleId, usize), Normalized>,
+    store: MonomialStack,
     path: FxHashSet<TupleId>,
     max_depth: Option<usize>,
     /// Per-call tallies, flushed to the global metrics once per
@@ -274,28 +289,30 @@ impl Cx<'_, '_> {
         }
     }
 
-    fn expand(&mut self, tuple: TupleId, depth: usize) -> Dnf {
+    /// Pushes the polynomial of `tuple` onto the stack and returns its
+    /// range. A tuple's alternatives are normalised once, when all of them
+    /// are on the stack; a rule execution's product is formed in place.
+    fn expand(&mut self, tuple: TupleId, depth: usize) -> Normalized {
         let remaining = self.remaining(depth);
         let clean = self.analysis.is_clean(tuple);
         if clean {
-            if let Some(hit) = self.memo.get(&(tuple, remaining)) {
+            if let Some(&hit) = self.memo.get(&(tuple, remaining)) {
                 self.memo_hits += 1;
-                return hit.clone();
+                return self.stack.copy_from(&self.store, hit);
             }
             if let Some(hit) = self.analysis.memo.read().unwrap().get(&(tuple, remaining)) {
                 self.memo_hits += 1;
-                self.memo.insert((tuple, remaining), hit.clone());
-                return hit.clone();
+                let stored = self.store.push_dnf(hit);
+                self.memo.insert((tuple, remaining), stored);
+                return self.stack.copy_from(&self.store, stored);
             }
         }
 
-        let mut acc = Dnf::zero();
+        let start = self.stack.len();
         self.path.insert(tuple);
         'derivs: for d in self.graph.derivations(tuple) {
             match d {
-                Derivation::Base(clause) => {
-                    acc = acc.or(&Dnf::literal(var_of(*clause)));
-                }
+                Derivation::Base(clause) => self.stack.push(&[var_of(*clause)]),
                 Derivation::Rule(exec_id) => {
                     if remaining == 0 {
                         self.hop_truncations += 1;
@@ -308,25 +325,28 @@ impl Cx<'_, '_> {
                         self.cycle_skips += 1;
                         continue 'derivs;
                     }
-                    let mut product = Dnf::literal(var_of(exec.rule));
+                    let product = self.stack.len();
+                    self.stack.push(&[var_of(exec.rule)]);
                     for &b in exec.body.iter() {
-                        let sub = self.expand(b, depth + 1);
-                        if sub.is_false() {
+                        let sub = self.stack.len();
+                        if self.expand(b, depth + 1).is_empty() {
+                            self.stack.truncate(product);
                             continue 'derivs;
                         }
-                        product = product.and(&sub);
+                        self.stack.product(product, sub);
                     }
-                    acc = acc.or(&product);
                 }
             }
         }
         self.path.remove(&tuple);
 
+        let range = self.stack.normalize(start);
         if clean {
             self.memo_misses += 1;
-            self.memo.insert((tuple, remaining), acc.clone());
+            let stored = self.store.copy_from(&self.stack, range);
+            self.memo.insert((tuple, remaining), stored);
         }
-        acc
+        range
     }
 }
 

@@ -2,7 +2,7 @@
 
 use p3::core::query::influence::exact_influence;
 use p3::core::{sufficient_provenance, DerivationAlgo, ProbMethod};
-use p3::prob::{exact, mc, Circuit, Dnf, McConfig, Monomial, VarId, VarTable};
+use p3::prob::{exact, mc, Circuit, Dnf, McConfig, Monomial, MonomialStack, VarId, VarTable};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -377,6 +377,42 @@ proptest! {
                 mc::influence_all(&dnf, &vars, cfg),
                 influence_by_definition(&dnf, &vars, cfg)
             );
+        }
+    }
+
+    /// The monomial stack builds what `Dnf` builds, on ranges above an
+    /// untouched prefix: normalising a pushed range is `Dnf::new`, the
+    /// in-place product of two canonical ranges is `Dnf::and`, and
+    /// normalising them concatenated is `Dnf::or`.
+    #[test]
+    fn monomial_stack_agrees_with_dnf(
+        (dense, _, _) in monomials_and_table(7, 7, false),
+        (spread, _, _) in monomials_and_table(7, 7, true),
+        (wide, _) in wide_dnf_and_table(250),
+    ) {
+        let wide = wide.monomials().to_vec();
+        for (a, b) in [(&dense, &spread), (&spread, &dense), (&wide, &dense), (&spread, &wide)] {
+            let mut stack = MonomialStack::new();
+            stack.push(&[VarId(999)]);
+            for m in a {
+                stack.push(m.literals());
+            }
+            let range = stack.normalize(1);
+            let da = Dnf::new(a.clone());
+            prop_assert_eq!(stack.dnf(range), da.clone());
+            let split = stack.len();
+            for m in b {
+                stack.push(m.literals());
+            }
+            let db = Dnf::new(b.clone());
+            stack.normalize(split);
+            let mut product = stack.clone();
+            let sum = stack.normalize(1);
+            prop_assert_eq!(stack.dnf(sum), da.or(&db));
+            product.product(1, split);
+            let range = product.normalize(1);
+            prop_assert_eq!(product.dnf(range), da.and(&db));
+            prop_assert_eq!(product.monomial(0), &[VarId(999)]);
         }
     }
 
