@@ -71,10 +71,10 @@ fn demand(program: &Program, atom: &str) -> (DemandEvaluation, TupleId, usize) {
     (eval, tuple, width)
 }
 
-/// What a trust-cold request extracts: the widest `mutualTrustPath` atom
-/// of the instance (5,155 monomials) and the median-width atom of a
-/// systematic sample of 16 `trustPath` atoms, each on its own demand
-/// graph. Demand evaluation is outside the timed span, and so is building
+/// What a trust-cold request extracts: `mutualTrustPath(332,1626)`, the
+/// widest polynomial the workload asks (5,155 monomials), and the
+/// median-width atom of a systematic sample of 16 `trustPath` atoms, each
+/// on its own demand graph. Demand evaluation is outside the timed span, and so is building
 /// the fresh analysis each iteration extracts on.
 fn bench_demand_cold(c: &mut Criterion) {
     let program = trust::generate(NetworkConfig {

@@ -167,10 +167,10 @@ fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Ten atoms of the trust-cold network on their demand graphs: the two
-/// widest `mutualTrustPath` atoms of the ledger and every `len / 8`-th
-/// `trustPath` atom of the naive model in text order. Each line also
-/// gives the unbounded polynomial's width.
+/// Ten atoms of the trust-cold network on their demand graphs: two wide
+/// `mutualTrustPath` atoms the ledger asks (the first is its widest
+/// polynomial) and every `len / 8`-th `trustPath` atom of the naive model
+/// in text order. Each line also gives the unbounded polynomial's width.
 fn trust_cold(out: &mut String) {
     let program = trust::generate(NetworkConfig {
         nodes: 2000,
