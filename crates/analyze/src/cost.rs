@@ -194,7 +194,7 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
     }
 
     // Rules grouped by head SCC, processed dependencies-first.
-    let rules_of_scc: Vec<Vec<&Clause>> = (0..graph.sccs().len())
+    let rules_of_scc: Vec<Vec<&Clause>> = (0..graph.num_sccs())
         .map(|k| {
             graph
                 .rules(k)
@@ -253,7 +253,7 @@ pub fn estimate(program: &Program, domains: &Domains) -> CostModel {
         if recursive {
             // Fixpoint depth ≈ the longest chain a recursive argument can
             // take, bounded by the widest argument domain in the SCC.
-            let members = || graph.sccs()[scc_i].iter().map(|&v| graph.pred(v));
+            let members = || graph.members(scc_i).iter().map(|&v| graph.pred(v));
             let depth = members()
                 .map(|p| {
                     (0..program.arity(p).unwrap_or(0))

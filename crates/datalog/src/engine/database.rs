@@ -92,16 +92,6 @@ impl Database {
         Self::default()
     }
 
-    /// Creates an empty database carrying a symbol-table snapshot, enabling
-    /// name-based lookups like [`Self::relation_by_name`] on databases
-    /// assembled outside the engine (e.g. demand-mode re-interning).
-    pub fn with_symbols(symbols: SymbolTable) -> Self {
-        Self {
-            symbols_hint: Some(symbols),
-            ..Self::default()
-        }
-    }
-
     /// Registers a hash index on `cols` of `pred`, backfilling any tuples
     /// already stored. Subsequent [`Self::insert`]s maintain it
     /// incrementally; [`Self::probe`] requires it. Registering twice is a

@@ -49,6 +49,17 @@ pub fn rule_stat_collection() -> bool {
     RULE_STAT_COLLECTION.load(Ordering::Relaxed)
 }
 
+/// Serialises this crate's unit tests that flip the process-global
+/// collection switch or read what it gates ([`Engine::deltas`],
+/// [`Engine::rule_stats`]): the harness runs tests on several threads.
+/// A poisoned lock is taken anyway, so one failing test does not fail the
+/// rest.
+#[cfg(test)]
+pub(crate) fn rule_stat_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Observes derivations during evaluation. Implemented by provenance
 /// capture; [`NoopSink`] discards everything (the paper's "without
 /// provenance" baseline).
@@ -523,6 +534,7 @@ mod tests {
                    r2 1.0: reach(Y) :- reach(X), edge(X,Y).
                    src(a). edge(a,b). edge(b,c). edge(c,d).";
         let p = Program::parse(src).unwrap();
+        let _guard = rule_stat_lock();
         let mut e = Engine::new(&p);
         e.run_plain();
         assert_eq!(

@@ -274,13 +274,8 @@ fn sort_rules(rules: &mut [RuleCost]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{rule_stat_lock, Engine};
     use crate::transform::magic_transform;
-    use std::sync::Mutex;
-
-    /// Serialises tests that observe or flip the process-global collection
-    /// toggle; `.unwrap_or_else` keeps going past another test's panic.
-    static TOGGLE: Mutex<()> = Mutex::new(());
 
     const TC: &str = "r1 1.0: path(X,Y) :- edge(X,Y).
          r2 1.0: path(X,Z) :- edge(X,Y), path(Y,Z).
@@ -288,7 +283,7 @@ mod tests {
 
     #[test]
     fn naive_plan_ranks_the_recursive_rule_first() {
-        let _guard = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = rule_stat_lock();
         let p = Program::parse(TC).unwrap();
         let mut e = Engine::new(&p);
         e.run_plain();
@@ -314,7 +309,7 @@ mod tests {
 
     #[test]
     fn demand_plan_projects_onto_source_clauses() {
-        let _guard = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = rule_stat_lock();
         let p = Program::parse(TC).unwrap();
         let path = p.symbols().get("path").unwrap();
         let one = crate::ast::Const::Int(1);
@@ -342,7 +337,7 @@ mod tests {
 
     #[test]
     fn disabled_collection_yields_empty_rows() {
-        let _guard = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = rule_stat_lock();
         let p = Program::parse(TC).unwrap();
         crate::engine::set_rule_stat_collection(false);
         let mut e = Engine::new(&p);

@@ -22,16 +22,19 @@ pub struct DepGraph {
     /// Dense node ids, in first-occurrence order (heads first, then bodies).
     preds: Vec<Symbol>,
     index: HashMap<Symbol, usize>,
-    /// SCC members, dependencies first.
-    sccs: Vec<Vec<usize>>,
+    /// SCC members, dependencies first: SCC `k` is
+    /// `members[scc_bounds[k]..scc_bounds[k + 1]]`.
+    members: Vec<usize>,
+    scc_bounds: Vec<usize>,
     /// The SCC of each node.
     scc_of: Vec<usize>,
     /// Whether each SCC contains a cycle: more than one member, or a
     /// self-loop.
     recursive: Vec<bool>,
-    /// Per SCC, the indices of the rules whose head lies in it, in source
-    /// order.
-    rules: Vec<Vec<usize>>,
+    /// The indices of the rules whose head lies in SCC `k`, in source
+    /// order: `rules[rule_bounds[k]..rule_bounds[k + 1]]`.
+    rules: Vec<usize>,
+    rule_bounds: Vec<usize>,
 }
 
 impl DepGraph {
@@ -48,44 +51,54 @@ impl DepGraph {
         for clause in clauses {
             node(clause.head.pred);
         }
-        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let id = |v: usize| u32::try_from(v).expect("predicate count fits u32");
+        let mut edges: Vec<(u32, u32)> = Vec::new();
         for clause in clauses {
-            let head = node(clause.head.pred);
+            let head = id(node(clause.head.pred));
             for atom in clause.body().iter().chain(clause.negated()) {
-                edges.push((head, node(atom.pred)));
+                edges.push((head, id(node(atom.pred))));
             }
         }
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); preds.len()];
-        for (from, to) in edges {
-            if !succ[from].contains(&to) {
-                succ[from].push(to);
-            }
-        }
+        let succ = Csr::from_edges(preds.len(), edges);
 
-        let sccs = strongly_connected(&succ);
+        let mut members = Vec::with_capacity(preds.len());
+        let mut scc_bounds = vec![0];
+        let mut recursive = Vec::new();
+        strongly_connected(&succ, |component| {
+            members.extend(component.iter().map(|&v| v as usize));
+            scc_bounds.push(members.len());
+            let v = component[0];
+            recursive.push(component.len() > 1 || succ.successors(v as usize).contains(&v));
+        });
         let mut scc_of = vec![0; preds.len()];
-        for (k, component) in sccs.iter().enumerate() {
-            for &v in component {
+        for (k, bounds) in scc_bounds.windows(2).enumerate() {
+            for &v in &members[bounds[0]..bounds[1]] {
                 scc_of[v] = k;
             }
         }
-        let recursive = sccs
-            .iter()
-            .map(|c| c.len() > 1 || succ[c[0]].contains(&c[0]))
+        // Group the rules by head SCC; the sort is stable, so each SCC
+        // keeps them in source order.
+        let rule_scc = |i: usize| scc_of[index[&clauses[i].head.pred]];
+        let mut rules: Vec<usize> = (0..clauses.len())
+            .filter(|&i| clauses[i].is_rule())
             .collect();
-        let mut rules = vec![Vec::new(); sccs.len()];
-        for (i, clause) in clauses.iter().enumerate() {
-            if clause.is_rule() {
-                rules[scc_of[index[&clause.head.pred]]].push(i);
-            }
+        rules.sort_by_key(|&i| rule_scc(i));
+        let mut rule_bounds = vec![0; recursive.len() + 1];
+        for &i in &rules {
+            rule_bounds[rule_scc(i) + 1] += 1;
+        }
+        for k in 1..rule_bounds.len() {
+            rule_bounds[k] += rule_bounds[k - 1];
         }
         DepGraph {
             preds,
             index,
-            sccs,
+            members,
+            scc_bounds,
             scc_of,
             recursive,
             rules,
+            rule_bounds,
         }
     }
 
@@ -94,10 +107,15 @@ impl DepGraph {
         self.preds[v]
     }
 
-    /// The SCCs as lists of node ids, dependencies first: every SCC a
+    /// Number of SCCs. They are numbered dependencies first: every SCC a
     /// rule body reads comes before the SCC of the rule's head.
-    pub fn sccs(&self) -> &[Vec<usize>] {
-        &self.sccs
+    pub fn num_sccs(&self) -> usize {
+        self.recursive.len()
+    }
+
+    /// The node ids of SCC `k`.
+    pub fn members(&self, k: usize) -> &[usize] {
+        &self.members[self.scc_bounds[k]..self.scc_bounds[k + 1]]
     }
 
     /// The SCC of `pred`, if the predicate occurs in the clauses.
@@ -113,7 +131,7 @@ impl DepGraph {
     /// The indices of the rules whose head lies in SCC `k`, in source
     /// order.
     pub fn rules(&self, k: usize) -> &[usize] {
-        &self.rules[k]
+        &self.rules[self.rule_bounds[k]..self.rule_bounds[k + 1]]
     }
 
     /// Whether `clause` is recursive: its positive body reads a predicate in
@@ -150,12 +168,12 @@ impl DepGraph {
             return Err(i);
         }
         let scc = |pred: Symbol| self.scc_of[self.index[&pred]];
-        let mut strata = vec![0; self.sccs.len()];
-        for k in 0..self.sccs.len() {
+        let mut strata = vec![0; self.num_sccs()];
+        for k in 0..self.num_sccs() {
             // Atoms inside SCC `k` read its still-zero entry: positive ones
             // share the head's stratum and negated ones were rejected above.
             let mut stratum = 0;
-            for clause in self.rules[k].iter().map(|&i| &clauses[i]) {
+            for clause in self.rules(k).iter().map(|&i| &clauses[i]) {
                 for atom in clause.body() {
                     stratum = stratum.max(strata[scc(atom.pred)]);
                 }
@@ -169,63 +187,143 @@ impl DepGraph {
     }
 }
 
-/// Strongly connected components of the graph with successor lists `succ`,
-/// by iterative Tarjan. Components come out dependencies first: each one
-/// after every component its members point to.
-pub fn strongly_connected(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    const UNVISITED: usize = usize::MAX;
-    let n = succ.len();
-    let mut order = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_order = 0usize;
-    let mut components = Vec::new();
-    // Explicit DFS frames: (node, index of next successor to visit).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
+/// A directed graph over nodes `0..n` in compressed sparse row (CSR) form:
+/// the successors of node `v` are `targets[offsets[v]..offsets[v + 1]]`,
+/// so the whole graph is two allocations however many nodes it has.
+#[derive(Clone, Debug)]
+pub struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
 
-    for root in 0..n {
+impl Default for Csr {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Csr {
+    /// A graph without nodes.
+    pub fn new() -> Self {
+        Self {
+            offsets: vec![0],
+            targets: Vec::new(),
+        }
+    }
+
+    /// Builds the graph of `(from, to)` edges over `nodes` nodes. Each node
+    /// keeps its successors in edge order, without repeats (the first
+    /// occurrence stays).
+    pub fn from_edges(nodes: usize, mut edges: Vec<(u32, u32)>) -> Self {
+        // Stable: edges from one node keep their order.
+        edges.sort_by_key(|&(from, _)| from);
+        let mut graph = Self::new();
+        // `last_row[w]` is the last row that listed `w` (+1, 0 = none).
+        let mut last_row = vec![0usize; nodes];
+        let mut rest = &edges[..];
+        for v in 0..nodes {
+            let len = rest
+                .iter()
+                .take_while(|&&(from, _)| from as usize == v)
+                .count();
+            let (row, tail) = rest.split_at(len);
+            rest = tail;
+            for &(_, w) in row {
+                if last_row[w as usize] != v + 1 {
+                    last_row[w as usize] = v + 1;
+                    graph.targets.push(w);
+                }
+            }
+            graph.close_row();
+        }
+        debug_assert!(rest.is_empty(), "edge source out of range");
+        graph
+    }
+
+    /// Appends node `num_nodes()` with successors `successors`.
+    pub fn push_node(&mut self, successors: &[u32]) {
+        self.targets.extend_from_slice(successors);
+        self.close_row();
+    }
+
+    fn close_row(&mut self) {
+        let end = u32::try_from(self.targets.len()).expect("CSR edge count fits u32");
+        self.offsets.push(end);
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The successors of node `v`.
+    #[inline]
+    pub fn successors(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// Strongly connected components of `graph`, by iterative Tarjan.
+/// `component` receives each one as a slice of node ids, in the order
+/// Tarjan pops them (the component's root last), dependencies first: each
+/// component after every component its members point to. Nothing is
+/// allocated per node or per component.
+pub fn strongly_connected(graph: &Csr, mut component: impl FnMut(&[u32])) {
+    const UNVISITED: u32 = u32::MAX;
+    let n = graph.num_nodes();
+    let mut order = vec![UNVISITED; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut next_order = 0u32;
+    // Explicit DFS frames: (node, offset of its next successor to visit).
+    let mut frames: Vec<(u32, u32)> = Vec::new();
+
+    for (root, &root_start) in graph.offsets[..n].iter().enumerate() {
         if order[root] != UNVISITED {
             continue;
         }
-        frames.push((root, 0));
+        frames.push((u32::try_from(root).expect("node id fits u32"), root_start));
         while let Some(&mut (v, ref mut next)) = frames.last_mut() {
-            if *next == 0 {
-                order[v] = next_order;
-                low[v] = next_order;
+            let vi = v as usize;
+            if order[vi] == UNVISITED {
+                order[vi] = next_order;
+                low[vi] = next_order;
                 next_order += 1;
                 stack.push(v);
-                on_stack[v] = true;
+                on_stack[vi] = true;
             }
-            if let Some(&w) = succ[v].get(*next) {
+            if *next < graph.offsets[vi + 1] {
+                let w = graph.targets[*next as usize];
                 *next += 1;
-                if order[w] == UNVISITED {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(order[w]);
+                let wi = w as usize;
+                if order[wi] == UNVISITED {
+                    frames.push((w, graph.offsets[wi]));
+                } else if on_stack[wi] {
+                    low[vi] = low[vi].min(order[wi]);
                 }
                 continue;
             }
             // All successors done: pop the frame, maybe emit an SCC.
             frames.pop();
             if let Some(&(parent, _)) = frames.last() {
-                low[parent] = low[parent].min(low[v]);
+                let p = parent as usize;
+                low[p] = low[p].min(low[vi]);
             }
-            if low[v] == order[v] {
-                let mut component = Vec::new();
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
-                    on_stack[w] = false;
-                    component.push(w);
-                    if w == v {
-                        break;
-                    }
+            if low[vi] == order[vi] {
+                let start = stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("an SCC root is on the Tarjan stack");
+                for &w in &stack[start..] {
+                    on_stack[w as usize] = false;
                 }
-                components.push(component);
+                stack[start..].reverse();
+                component(&stack[start..]);
+                stack.truncate(start);
             }
         }
     }
-    components
 }
 
 #[cfg(test)]
@@ -250,7 +348,7 @@ mod tests {
         let sym = |name| program.symbols().get(name).unwrap();
         let pq = graph.scc(sym("p")).unwrap();
         assert_eq!(graph.scc(sym("q")), Some(pq));
-        assert_eq!(graph.sccs()[pq].len(), 2);
+        assert_eq!(graph.members(pq).len(), 2);
         assert!(graph.is_recursive(pq));
         assert!(!graph.is_recursive(graph.scc(sym("r")).unwrap()));
         // Dependencies first: p/q before r, which reads them.
@@ -265,7 +363,7 @@ mod tests {
         let t = graph.scc(program.symbols().get("t").unwrap()).unwrap();
         assert!(graph.is_recursive(t));
         assert_eq!(
-            graph.sccs()[t].len(),
+            graph.members(t).len(),
             1,
             "self-recursive pred is its own SCC"
         );

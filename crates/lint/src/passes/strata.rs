@@ -21,9 +21,9 @@ pub(crate) fn run(ctx: &mut Ctx<'_>) {
 
 /// The sizes of the graph's recursive SCCs, dependencies first.
 fn recursive_sizes(graph: &DepGraph) -> impl Iterator<Item = usize> + '_ {
-    (0..graph.sccs().len())
+    (0..graph.num_sccs())
         .filter(|&k| graph.is_recursive(k))
-        .map(|k| graph.sccs()[k].len())
+        .map(|k| graph.members(k).len())
 }
 
 fn negation(ctx: &mut Ctx<'_>, graph: &DepGraph) {
@@ -64,10 +64,11 @@ fn negation(ctx: &mut Ctx<'_>, graph: &DepGraph) {
 }
 
 fn recursive_cost(ctx: &mut Ctx<'_>, graph: &DepGraph) {
-    for (k, component) in graph.sccs().iter().enumerate() {
+    for k in 0..graph.num_sccs() {
         if !graph.is_recursive(k) {
             continue;
         }
+        let component = graph.members(k);
         let mut names: Vec<&str> = component.iter().map(|&v| ctx.name(graph.pred(v))).collect();
         names.sort_unstable();
         let listed = names.join(", ");

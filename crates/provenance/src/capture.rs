@@ -6,7 +6,7 @@
 //! (shared) rule body is evaluated once and both dependency records are
 //! emitted from the same grounding.
 
-use crate::graph::ProvGraph;
+use crate::graph::{ProvGraph, ProvGraphBuilder};
 use p3_datalog::ast::ClauseId;
 use p3_datalog::engine::{Database, DerivationSink, Engine, TupleId};
 use p3_datalog::explain::{self, ExplainPlan};
@@ -15,7 +15,7 @@ use p3_datalog::program::Program;
 /// A [`DerivationSink`] that builds a [`ProvGraph`].
 #[derive(Default, Debug)]
 pub struct CaptureSink {
-    graph: ProvGraph,
+    graph: ProvGraphBuilder,
 }
 
 impl CaptureSink {
@@ -26,12 +26,7 @@ impl CaptureSink {
 
     /// Consumes the sink, returning the captured graph.
     pub fn into_graph(self) -> ProvGraph {
-        self.graph
-    }
-
-    /// The graph captured so far.
-    pub fn graph(&self) -> &ProvGraph {
-        &self.graph
+        self.graph.finish()
     }
 }
 

@@ -1,13 +1,13 @@
-//! Query-directed (demand) evaluation with provenance mapped back onto the
+//! Query-directed (demand) evaluation with provenance recorded onto the
 //! source program.
 //!
 //! [`evaluate_query_with_provenance`] magic-transforms the program for one
-//! ground query (see [`p3_datalog::transform`]), evaluates the transformed
-//! program with capture, and then *un-rewrites* the result: magic tuples and
-//! magic rules are dropped, guarded-variant firings are projected onto their
-//! source rules (the demand guard is stripped from each body), and the
-//! surviving tuples are re-interned into a clean database that speaks only
-//! the source program's predicates.
+//! ground query (see [`p3_datalog::transform`]) and evaluates the
+//! transformed program through a sink that *un-rewrites* as it records:
+//! magic-rule firings and the seed fact are dropped, each guarded variant's
+//! firing is recorded as a firing of its source rule (the demand guard,
+//! body position 0, is stripped), and base facts keep their source clause.
+//! Tuples keep the engine's ids; magic tuples simply get no derivations.
 //!
 //! The resulting graph is *content-identical* to the query-reachable
 //! fragment of the naive-evaluation graph: the same source tuples, the same
@@ -18,18 +18,19 @@
 //! only ever derived the query-relevant portion of the model.
 //!
 //! One source grounding can fire in several adornment variants (the same
-//! rule guarded by different demand patterns), so the projection dedups rule
-//! executions; the naive engine's exactly-once discipline does not survive
-//! the transformation.
+//! rule guarded by different demand patterns), so the naive engine's
+//! exactly-once discipline does not survive the transformation. Firings of
+//! a source rule with more than one variant therefore go through the
+//! graph builder's duplicate guard; every other firing is appended
+//! unchecked.
 
-use crate::capture::CaptureSink;
-use crate::graph::{Derivation, ProvGraph};
-use p3_datalog::ast::Const;
-use p3_datalog::engine::{Database, Engine, EngineStats, TupleId};
+use crate::graph::{ProvGraph, ProvGraphBuilder};
+use p3_datalog::ast::{ClauseId, Const};
+use p3_datalog::engine::{Database, DerivationSink, Engine, EngineStats, Relation, TupleId};
 use p3_datalog::explain::{self, ExplainPlan};
 use p3_datalog::program::Program;
 use p3_datalog::symbol::Symbol;
-use p3_datalog::transform::{magic_transform, TransformError, TransformStats};
+use p3_datalog::transform::{magic_transform, DemandProgram, TransformError, TransformStats};
 
 /// Counters describing one demand evaluation.
 #[derive(Clone, Copy, Default, Debug)]
@@ -38,18 +39,20 @@ pub struct DemandStats {
     pub transform: TransformStats,
     /// Engine counters over the *transformed* program (magic included).
     pub engine: EngineStats,
-    /// Source-program tuples surviving the projection (base + derived).
+    /// Source-program tuples the run derived (base + derived).
     pub relevant_tuples: usize,
-    /// Magic (demand) tuples dropped by the projection.
+    /// Magic (demand) tuples the run derived; they have no derivations in
+    /// the graph.
     pub magic_tuples: usize,
 }
 
-/// The result of one demand evaluation: a database and provenance graph
-/// over the *source* program's predicates and clause ids.
+/// The result of one demand evaluation: the engine's database and a
+/// provenance graph over the *source* program's clause ids.
 pub struct DemandEvaluation {
-    /// Clean database: only source-program tuples, re-interned densely.
+    /// The engine's database over the transformed program: the source
+    /// tuples plus the magic tuples.
     pub db: Database,
-    /// Provenance over clean tuple ids and source clause ids.
+    /// Provenance over the engine's tuple ids and source clause ids.
     pub graph: ProvGraph,
     /// Evaluation counters.
     pub stats: DemandStats,
@@ -58,8 +61,67 @@ pub struct DemandEvaluation {
     pub plan: ExplainPlan,
 }
 
-/// Magic-transforms `program` for the ground query `pred(args)`, evaluates
-/// with provenance, and projects the result back onto the source program.
+/// Where a transformed clause's derivations go in the source graph.
+#[derive(Clone, Copy)]
+enum Target {
+    /// A magic rule or the seed: not recorded.
+    Magic,
+    /// A fact clause, or the only variant of its source rule.
+    Once(ClauseId),
+    /// One of several variants of its source rule: recorded through the
+    /// duplicate guard.
+    Guarded(ClauseId),
+}
+
+/// Records a demand run directly onto the source program.
+struct DemandSink {
+    /// Per transformed clause id.
+    targets: Vec<Target>,
+    graph: ProvGraphBuilder,
+}
+
+impl DemandSink {
+    fn new(dp: &DemandProgram, source: &Program) -> Self {
+        let mut variants = vec![0u32; source.len()];
+        for (id, clause) in dp.program.iter() {
+            if let (true, Some(orig)) = (clause.is_rule(), dp.original_clause(id)) {
+                variants[orig.index()] += 1;
+            }
+        }
+        let targets = dp
+            .program
+            .iter()
+            .map(|(id, _)| match dp.original_clause(id) {
+                None => Target::Magic,
+                Some(orig) if variants[orig.index()] > 1 => Target::Guarded(orig),
+                Some(orig) => Target::Once(orig),
+            })
+            .collect();
+        Self {
+            targets,
+            graph: ProvGraphBuilder::new(),
+        }
+    }
+}
+
+impl DerivationSink for DemandSink {
+    fn base_fact(&mut self, clause: ClauseId, tuple: TupleId) {
+        if let Target::Once(orig) = self.targets[clause.index()] {
+            self.graph.add_base_unchecked(orig, tuple);
+        }
+    }
+
+    fn derived(&mut self, rule: ClauseId, head: TupleId, body: &[TupleId]) {
+        match self.targets[rule.index()] {
+            Target::Magic => {}
+            Target::Once(orig) => self.graph.add_exec_unchecked(orig, head, &body[1..]),
+            Target::Guarded(orig) => self.graph.add_exec(orig, head, &body[1..]),
+        }
+    }
+}
+
+/// Magic-transforms `program` for the ground query `pred(args)` and
+/// evaluates it, recording provenance onto the source program.
 pub fn evaluate_query_with_provenance(
     program: &Program,
     pred: Symbol,
@@ -68,65 +130,22 @@ pub fn evaluate_query_with_provenance(
     let mut span = p3_obs::span::span("provenance.demand");
     let dp = magic_transform(program, pred, args)?;
 
-    let mut sink = CaptureSink::new();
+    let mut sink = DemandSink::new(&dp, program);
     let mut engine = Engine::new(&dp.program);
     engine.set_mode_label("demand");
-    let raw_db = engine.run(&mut sink);
-    let raw = sink.into_graph();
+    let db = engine.run(&mut sink);
+    let graph = sink.graph.finish();
 
-    // Re-intern the non-magic tuples in id order: clean ids stay dense and
-    // insertion-ordered, exactly as a direct evaluation would produce.
-    let mut db = Database::with_symbols(program.symbols().clone());
-    let mut map: Vec<Option<TupleId>> = Vec::with_capacity(raw_db.len());
-    for i in 0..raw_db.len() {
-        let t = raw_db.tuple(TupleId(i as u32));
-        if dp.is_magic(t.pred) {
-            map.push(None);
-        } else {
-            let (clean_id, _) = db.insert(t.pred, &t.args);
-            map.push(Some(clean_id));
-        }
-    }
-
-    // Project derivations onto the source program: skip magic heads, map
-    // base facts and guarded variants through `original_clause`, strip the
-    // guard (always body position 0 of a variant), and dedup.
-    let mut graph = ProvGraph::new();
-    let mut body = Vec::new();
-    for i in 0..raw_db.len() {
-        let t = TupleId(i as u32);
-        let Some(clean_head) = map[i] else {
-            continue;
-        };
-        for d in raw.derivations(t) {
-            match *d {
-                Derivation::Base(clause) => {
-                    let orig = dp
-                        .original_clause(clause)
-                        .expect("non-magic base facts come from source fact clauses");
-                    graph.add_base(orig, clean_head);
-                }
-                Derivation::Rule(e) => {
-                    let orig = dp
-                        .original_clause(raw.exec_rule(e))
-                        .expect("non-magic heads are derived by guarded variants");
-                    body.clear();
-                    body.extend(
-                        raw.exec_body(e)[1..]
-                            .iter()
-                            .map(|&b| map[b.index()].expect("variant bodies hold no magic tuples")),
-                    );
-                    graph.add_exec(orig, clean_head, &body);
-                }
-            }
-        }
-    }
-
+    let magic_tuples = db
+        .predicates()
+        .filter(|&p| dp.is_magic(p))
+        .filter_map(|p| db.relation(p).map(Relation::len))
+        .sum();
     let stats = DemandStats {
         transform: dp.stats,
         engine: engine.stats(),
-        relevant_tuples: db.len(),
-        magic_tuples: raw_db.len() - db.len(),
+        relevant_tuples: db.len() - magic_tuples,
+        magic_tuples,
     };
     let plan = ExplainPlan::project_demand(&engine, &dp, program);
     explain::publish_rule_metrics(&plan, explain::METRIC_TOP_RULES);

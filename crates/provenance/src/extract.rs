@@ -37,6 +37,7 @@
 use crate::graph::{Derivation, ProvGraph};
 use crate::vars::var_of;
 use p3_datalog::engine::TupleId;
+use p3_datalog::graph::{strongly_connected, Csr};
 use p3_datalog::hash::{FxHashMap, FxHashSet};
 use p3_prob::{Dnf, MonomialStack, Normalized};
 use std::collections::HashMap;
@@ -352,36 +353,39 @@ impl Cx<'_, '_> {
 
 /// Marks, per tuple id, the tuples whose downward closure is acyclic, from
 /// the SCCs of the tuple-dependency projection (`tuple → body tuples of its
-/// rule executions`) over raw tuple ids.
+/// rule executions`) over raw tuple ids, held as one CSR graph.
 fn compute_clean(graph: &ProvGraph) -> Vec<bool> {
     let in_graph = |t: TupleId| !graph.derivations(t).is_empty();
-    let n = graph.tuples().last().map_or(0, |t| t.index() + 1);
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for t in graph.tuples() {
-        let children = &mut succ[t.index()];
+    let n = graph.id_bound();
+    let mut succ = Csr::new();
+    let mut row: Vec<u32> = Vec::new();
+    for t in (0..n).map(|i| TupleId(u32::try_from(i).expect("tuple id fits u32"))) {
+        row.clear();
         for d in graph.derivations(t) {
             if let Derivation::Rule(e) = d {
                 // A body tuple with no derivations of its own (impossible
                 // after a run, but robust against partial graphs) is
                 // skipped.
-                let body = graph.exec(*e).body.iter().filter(|&&b| in_graph(b));
-                children.extend(body.map(|b| b.index()));
+                let body = graph.exec_body(*e).iter().filter(|&&b| in_graph(b));
+                row.extend(body.map(|b| b.0));
             }
         }
-        children.sort_unstable();
-        children.dedup();
+        row.sort_unstable();
+        row.dedup();
+        succ.push_node(&row);
     }
 
     // Components come out dependencies first, so every child's cleanliness
     // is known when its parents are processed. Cyclic components, and slots
     // outside the graph, are never clean.
     let mut clean = vec![false; n];
-    for scc in p3_datalog::graph::strongly_connected(&succ) {
+    strongly_connected(&succ, |scc| {
         let v = scc[0];
-        if scc.len() == 1 && in_graph(TupleId(v as u32)) && succ[v].binary_search(&v).is_err() {
-            clean[v] = succ[v].iter().all(|&c| clean[c]);
+        let children = succ.successors(v as usize);
+        if scc.len() == 1 && in_graph(TupleId(v)) && children.binary_search(&v).is_err() {
+            clean[v as usize] = children.iter().all(|&c| clean[c as usize]);
         }
-    }
+    });
     clean
 }
 

@@ -14,10 +14,15 @@
 //!
 //! ## Storage
 //!
-//! Provenance maintenance runs once per rule firing, so the layout is
-//! optimised for append speed (Fig 9's maintenance overhead): executions
-//! live in parallel arrays, body tuples in a shared arena, and per-tuple
-//! derivation lists in a dense vector indexed by tuple id.
+//! Provenance maintenance runs once per rule firing, so recording is a
+//! handful of appends (Fig 9's maintenance overhead): a
+//! [`ProvGraphBuilder`] keeps executions in parallel arrays, body tuples in
+//! a shared arena, and every `(tuple, derivation)` pair in one arrival
+//! list. [`ProvGraphBuilder::finish`] groups that list by tuple with one
+//! stable counting sort into the read-only [`ProvGraph`]: compressed sparse
+//! rows (CSR), one offsets array indexed by tuple id over one derivation
+//! array, so each tuple's derivations sit together in arrival order and no
+//! tuple owns an allocation.
 
 use p3_datalog::ast::ClauseId;
 use p3_datalog::engine::TupleId;
@@ -56,74 +61,63 @@ pub enum Derivation {
     Rule(ExecId),
 }
 
-/// The complete provenance graph of one evaluation.
-#[derive(Debug, Clone)]
-pub struct ProvGraph {
+/// Records a provenance graph while an evaluation runs; [`Self::finish`]
+/// freezes it into a [`ProvGraph`].
+///
+/// The unchecked appends are the capture hot path: the semi-naive engine
+/// reports every fact clause and every grounding exactly once. The checked
+/// ones ([`Self::add_base`], [`Self::add_exec`]) are idempotent, for
+/// graphs whose source may repeat a derivation; their duplicate guard sees
+/// only checked appends and is dropped by `finish`.
+#[derive(Debug)]
+pub struct ProvGraphBuilder {
     exec_rules: Vec<ClauseId>,
     exec_heads: Vec<TupleId>,
     /// Prefix offsets into `body_arena`; length is `execs + 1`.
     exec_body_bounds: Vec<u32>,
     body_arena: Vec<TupleId>,
-    /// Derivations per tuple, indexed by tuple id (dense: the engine hands
-    /// out consecutive ids).
-    derivations: Vec<Vec<Derivation>>,
-    /// Tuples with at least one derivation (tracked because `derivations`
-    /// may contain empty padding slots).
-    num_tuples: usize,
-    /// Duplicate guard for the *checked* insertion API only; the capture
-    /// hot path bypasses it.
-    dedup: FxHashSet<(ClauseId, TupleId, Vec<TupleId>)>,
+    /// Every derivation with its tuple, in arrival order.
+    arrivals: Vec<(TupleId, Derivation)>,
+    /// Duplicate guard of the checked appends.
+    seen: FxHashSet<(ClauseId, TupleId, Vec<TupleId>)>,
 }
 
-impl Default for ProvGraph {
+impl Default for ProvGraphBuilder {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ProvGraph {
-    /// Creates an empty graph.
+impl ProvGraphBuilder {
+    /// Creates an empty builder.
     pub fn new() -> Self {
         Self {
             exec_rules: Vec::new(),
             exec_heads: Vec::new(),
             exec_body_bounds: vec![0],
             body_arena: Vec::new(),
-            derivations: Vec::new(),
-            num_tuples: 0,
-            dedup: FxHashSet::default(),
+            arrivals: Vec::new(),
+            seen: FxHashSet::default(),
         }
-    }
-
-    #[inline]
-    fn slot(&mut self, tuple: TupleId) -> &mut Vec<Derivation> {
-        let idx = tuple.index();
-        if idx >= self.derivations.len() {
-            self.derivations.resize_with(idx + 1, Vec::new);
-        }
-        let slot = &mut self.derivations[idx];
-        if slot.is_empty() {
-            self.num_tuples += 1;
-        }
-        slot
     }
 
     /// Records a base-tuple assertion. Idempotent per `(clause, tuple)`.
     pub fn add_base(&mut self, clause: ClauseId, tuple: TupleId) {
-        if self.dedup.insert((clause, tuple, Vec::new())) {
+        if self.seen.insert((clause, tuple, Vec::new())) {
             self.add_base_unchecked(clause, tuple);
         }
     }
 
     /// Records a base-tuple assertion without duplicate detection (the
     /// engine reports each fact clause exactly once).
+    #[inline]
     pub fn add_base_unchecked(&mut self, clause: ClauseId, tuple: TupleId) {
-        self.slot(tuple).push(Derivation::Base(clause));
+        self.arrivals.push((tuple, Derivation::Base(clause)));
     }
 
     /// Records a rule execution. Idempotent per `(rule, head, body)`.
     pub fn add_exec(&mut self, rule: ClauseId, head: TupleId, body: &[TupleId]) {
-        if self.dedup.insert((rule, head, body.to_vec())) {
+        if self.seen.insert((rule, head, body.to_vec())) {
             self.add_exec_unchecked(rule, head, body);
         }
     }
@@ -135,6 +129,7 @@ impl ProvGraph {
     /// skip the dedup hashing and key allocation — this is the hot path of
     /// provenance maintenance (Fig 9's overhead). Callers constructing
     /// graphs by hand should use [`Self::add_exec`] instead.
+    #[inline]
     pub fn add_exec_unchecked(&mut self, rule: ClauseId, head: TupleId, body: &[TupleId]) {
         let id = ExecId(u32::try_from(self.exec_rules.len()).expect("exec id overflow"));
         self.exec_rules.push(rule);
@@ -142,16 +137,91 @@ impl ProvGraph {
         self.body_arena.extend_from_slice(body);
         self.exec_body_bounds
             .push(u32::try_from(self.body_arena.len()).expect("body arena overflow"));
-        self.slot(head).push(Derivation::Rule(id));
+        self.arrivals.push((head, Derivation::Rule(id)));
     }
 
+    /// Groups the recorded derivations by tuple (a stable counting sort,
+    /// so each tuple keeps its arrival order) and returns the finished
+    /// graph.
+    pub fn finish(self) -> ProvGraph {
+        let total = u32::try_from(self.arrivals.len()).expect("derivation count overflow");
+        let slots = self
+            .arrivals
+            .iter()
+            .map(|&(t, _)| t.index() + 1)
+            .max()
+            .unwrap_or(0);
+        // Count into `offsets[t + 1]`, then prefix-sum: `offsets[t]` is the
+        // first slot of tuple `t` and `offsets[t + 1]` one past its last.
+        let mut offsets = vec![0u32; slots + 1];
+        for &(t, _) in &self.arrivals {
+            offsets[t.index() + 1] += 1;
+        }
+        let num_tuples = offsets.iter().filter(|&&n| n > 0).count();
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        // Place each derivation at its tuple's cursor. Afterwards
+        // `offsets[t]` is where tuple `t + 1` starts, so shifting the array
+        // up one slot restores the starts.
+        let mut derivations = vec![Derivation::Base(ClauseId(0)); self.arrivals.len()];
+        for &(t, d) in &self.arrivals {
+            let cursor = &mut offsets[t.index()];
+            derivations[*cursor as usize] = d;
+            *cursor += 1;
+        }
+        offsets.copy_within(..slots, 1);
+        offsets[0] = 0;
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert_eq!(offsets.last().copied(), Some(total));
+        ProvGraph {
+            exec_rules: self.exec_rules,
+            exec_heads: self.exec_heads,
+            exec_body_bounds: self.exec_body_bounds,
+            body_arena: self.body_arena,
+            offsets,
+            derivations,
+            num_tuples,
+        }
+    }
+}
+
+/// The complete provenance graph of one evaluation, read-only once built
+/// by a [`ProvGraphBuilder`].
+#[derive(Debug, Clone)]
+pub struct ProvGraph {
+    exec_rules: Vec<ClauseId>,
+    exec_heads: Vec<TupleId>,
+    /// Prefix offsets into `body_arena`; length is `execs + 1`.
+    exec_body_bounds: Vec<u32>,
+    body_arena: Vec<TupleId>,
+    /// The derivations of tuple `t` are
+    /// `derivations[offsets[t]..offsets[t + 1]]`. One slot per tuple id up
+    /// to the largest with a derivation, plus one; ids below it without a
+    /// derivation (magic tuples of a demand run, say) get empty rows.
+    offsets: Vec<u32>,
+    derivations: Vec<Derivation>,
+    /// Tuples with at least one derivation.
+    num_tuples: usize,
+}
+
+impl ProvGraph {
     /// The derivations of `tuple` (empty slice when the tuple is unknown —
     /// e.g. a query for a non-derivable atom).
+    #[inline]
     pub fn derivations(&self, tuple: TupleId) -> &[Derivation] {
-        self.derivations
-            .get(tuple.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let t = tuple.index();
+        if t + 1 < self.offsets.len() {
+            &self.derivations[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+        } else {
+            &[]
+        }
+    }
+
+    /// One past the largest tuple id with a derivation (0 for an empty
+    /// graph): the length of a per-tuple table over this graph.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
 
     /// The rule execution `id`.
@@ -228,13 +298,14 @@ impl ProvGraph {
         self.body_arena.len() + self.exec_rules.len()
     }
 
-    /// Iterates over all tuple vertices that have at least one derivation.
+    /// Iterates over all tuple vertices that have at least one derivation,
+    /// in id order.
     pub fn tuples(&self) -> impl Iterator<Item = TupleId> + '_ {
-        self.derivations
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(i, _)| TupleId(i as u32))
+        self.offsets
+            .windows(2)
+            .zip(0u32..)
+            .filter(|(row, _)| row[0] < row[1])
+            .map(|(_, t)| TupleId(t))
     }
 
     /// A canonical, order-independent description of the graph: one entry
@@ -273,17 +344,18 @@ mod tests {
 
     #[test]
     fn add_base_is_idempotent() {
-        let mut g = ProvGraph::new();
-        g.add_base(c(0), t(0));
-        g.add_base(c(0), t(0));
-        assert_eq!(g.derivations(t(0)).len(), 1);
+        let mut b = ProvGraphBuilder::new();
+        b.add_base(c(0), t(0));
+        b.add_base(c(0), t(0));
+        assert_eq!(b.finish().derivations(t(0)).len(), 1);
     }
 
     #[test]
     fn two_fact_clauses_for_one_tuple() {
-        let mut g = ProvGraph::new();
-        g.add_base(c(0), t(0));
-        g.add_base(c(1), t(0));
+        let mut b = ProvGraphBuilder::new();
+        b.add_base(c(0), t(0));
+        b.add_base(c(1), t(0));
+        let g = b.finish();
         assert_eq!(g.derivations(t(0)).len(), 2);
         assert!(g.is_base(t(0)));
         assert_eq!(g.num_tuples(), 1);
@@ -291,19 +363,69 @@ mod tests {
 
     #[test]
     fn add_exec_dedups_identical_groundings() {
-        let mut g = ProvGraph::new();
-        g.add_exec(c(2), t(5), &[t(0), t(1)]);
-        g.add_exec(c(2), t(5), &[t(0), t(1)]);
-        g.add_exec(c(2), t(5), &[t(1), t(0)]); // different body order = different grounding
+        let mut b = ProvGraphBuilder::new();
+        b.add_exec(c(2), t(5), &[t(0), t(1)]);
+        b.add_exec(c(2), t(5), &[t(0), t(1)]);
+        b.add_exec(c(2), t(5), &[t(1), t(0)]); // different body order = different grounding
+        let g = b.finish();
         assert_eq!(g.num_execs(), 2);
         assert_eq!(g.derivations(t(5)).len(), 2);
     }
 
     #[test]
+    fn the_guard_sees_only_checked_appends() {
+        // The unchecked path records whatever it is given; a checked
+        // append after it is judged against checked appends alone.
+        let mut b = ProvGraphBuilder::new();
+        b.add_exec_unchecked(c(2), t(5), &[t(0)]);
+        b.add_exec_unchecked(c(2), t(5), &[t(0)]);
+        b.add_exec(c(2), t(5), &[t(0)]);
+        b.add_exec(c(2), t(5), &[t(0)]);
+        b.add_base_unchecked(c(0), t(0));
+        b.add_base(c(0), t(0));
+        let g = b.finish();
+        assert_eq!(g.num_execs(), 3);
+        assert_eq!(g.derivations(t(5)).len(), 3);
+        assert_eq!(g.derivations(t(0)), &[Derivation::Base(c(0)); 2]);
+    }
+
+    #[test]
+    fn finish_keeps_arrival_order_within_a_tuple() {
+        // Derivations of t1 and t3 arrive interleaved with each other's.
+        let mut b = ProvGraphBuilder::new();
+        b.add_base(c(0), t(3));
+        b.add_exec(c(4), t(1), &[t(3)]);
+        b.add_base(c(1), t(1));
+        b.add_exec(c(5), t(3), &[t(1)]);
+        b.add_exec(c(6), t(1), &[t(3), t(3)]);
+        b.add_base(c(2), t(3));
+        let g = b.finish();
+        assert_eq!(
+            g.derivations(t(1)),
+            &[
+                Derivation::Rule(ExecId(0)),
+                Derivation::Base(c(1)),
+                Derivation::Rule(ExecId(2))
+            ]
+        );
+        assert_eq!(
+            g.derivations(t(3)),
+            &[
+                Derivation::Base(c(0)),
+                Derivation::Rule(ExecId(1)),
+                Derivation::Base(c(2))
+            ]
+        );
+        assert_eq!(g.exec_head(ExecId(2)), t(1));
+        assert_eq!(g.exec_body(ExecId(2)), &[t(3), t(3)]);
+    }
+
+    #[test]
     fn exec_accessors_agree() {
-        let mut g = ProvGraph::new();
-        g.add_exec(c(2), t(5), &[t(0), t(1)]);
-        g.add_exec(c(3), t(1), &[t(2)]);
+        let mut b = ProvGraphBuilder::new();
+        b.add_exec(c(2), t(5), &[t(0), t(1)]);
+        b.add_exec(c(3), t(1), &[t(2)]);
+        let g = b.finish();
         let e0 = ExecId(0);
         let e1 = ExecId(1);
         assert_eq!(g.exec_rule(e0), c(2));
@@ -317,12 +439,13 @@ mod tests {
 
     #[test]
     fn reachable_tuples_follows_derivations() {
-        let mut g = ProvGraph::new();
+        let mut b = ProvGraphBuilder::new();
         // t5 <- exec(c2, [t0, t1]); t1 <- exec(c3, [t2]); t0, t2 base.
-        g.add_base(c(0), t(0));
-        g.add_base(c(1), t(2));
-        g.add_exec(c(3), t(1), &[t(2)]);
-        g.add_exec(c(2), t(5), &[t(0), t(1)]);
+        b.add_base(c(0), t(0));
+        b.add_base(c(1), t(2));
+        b.add_exec(c(3), t(1), &[t(2)]);
+        b.add_exec(c(2), t(5), &[t(0), t(1)]);
+        let g = b.finish();
         let reach = g.reachable_tuples(t(5));
         assert_eq!(reach.len(), 4);
         assert!(reach.contains(&t(2)));
@@ -333,44 +456,56 @@ mod tests {
 
     #[test]
     fn reachable_handles_cycles() {
-        let mut g = ProvGraph::new();
-        g.add_exec(c(0), t(0), &[t(1)]);
-        g.add_exec(c(0), t(1), &[t(0)]);
-        let reach = g.reachable_tuples(t(0));
+        let mut b = ProvGraphBuilder::new();
+        b.add_exec(c(0), t(0), &[t(1)]);
+        b.add_exec(c(0), t(1), &[t(0)]);
+        let reach = b.finish().reachable_tuples(t(0));
         assert_eq!(reach.len(), 2);
     }
 
     #[test]
-    fn unknown_tuple_has_no_derivations() {
-        let g = ProvGraph::new();
+    fn an_empty_graph_has_no_tuples() {
+        let g = ProvGraphBuilder::new().finish();
+        assert!(g.derivations(t(0)).is_empty());
         assert!(g.derivations(t(9)).is_empty());
         assert!(!g.is_base(t(9)));
         assert_eq!(g.num_tuples(), 0);
+        assert_eq!(g.num_execs(), 0);
+        assert_eq!(g.id_bound(), 0);
+        assert_eq!(g.tuples().count(), 0);
+        assert!(g.signature().is_empty());
     }
 
     #[test]
     fn edge_count() {
-        let mut g = ProvGraph::new();
-        g.add_exec(c(2), t(5), &[t(0), t(1)]);
-        g.add_exec(c(3), t(1), &[t(2)]);
-        assert_eq!(g.num_edges(), 5); // (2 in + 1 out) + (1 in + 1 out)
+        let mut b = ProvGraphBuilder::new();
+        b.add_exec(c(2), t(5), &[t(0), t(1)]);
+        b.add_exec(c(3), t(1), &[t(2)]);
+        assert_eq!(b.finish().num_edges(), 5); // (2 in + 1 out) + (1 in + 1 out)
     }
 
     #[test]
-    fn tuples_skips_padding_slots() {
-        let mut g = ProvGraph::new();
-        g.add_base(c(0), t(7)); // slots 0..6 are padding
+    fn padding_slots_below_the_largest_id_are_empty() {
+        let mut b = ProvGraphBuilder::new();
+        b.add_base(c(0), t(7)); // slots 0..6 are padding
+        b.add_exec(c(1), t(2), &[t(7)]);
+        let g = b.finish();
         let all: Vec<TupleId> = g.tuples().collect();
-        assert_eq!(all, vec![t(7)]);
-        assert_eq!(g.num_tuples(), 1);
+        assert_eq!(all, vec![t(2), t(7)]);
+        assert_eq!(g.num_tuples(), 2);
+        assert_eq!(g.id_bound(), 8);
+        for padding in [0, 1, 3, 4, 5, 6] {
+            assert!(g.derivations(t(padding)).is_empty(), "slot {padding}");
+        }
+        assert!(g.derivations(t(8)).is_empty());
     }
 
     #[test]
     fn signature_distinguishes_base_and_rule_derivations() {
-        let mut g = ProvGraph::new();
-        g.add_base(c(0), t(0));
-        g.add_exec(c(1), t(1), &[t(0)]);
-        let sig = g.signature();
+        let mut b = ProvGraphBuilder::new();
+        b.add_base(c(0), t(0));
+        b.add_exec(c(1), t(1), &[t(0)]);
+        let sig = b.finish().signature();
         assert_eq!(sig.len(), 2);
         assert!(sig.contains(&(t(0), c(0), vec![])));
         assert!(sig.contains(&(t(1), c(1), vec![t(0)])));

@@ -35,5 +35,5 @@ pub mod vars;
 pub use capture::CaptureSink;
 pub use demand::{evaluate_query_with_provenance, DemandEvaluation, DemandStats};
 pub use extract::{extract_polynomial, Analysis, ExtractOptions, Extractor};
-pub use graph::{Derivation, ExecId, ProvGraph, RuleExec};
+pub use graph::{Derivation, ExecId, ProvGraph, ProvGraphBuilder, RuleExec};
 pub use vars::clause_vars;

@@ -23,7 +23,7 @@
 //! [`crate::capture::evaluate_with_provenance`], which is the paper's own
 //! footnote-1 optimisation (evaluate the shared body once).
 
-use crate::graph::ProvGraph;
+use crate::graph::{ProvGraph, ProvGraphBuilder};
 use p3_datalog::ast::{Atom, Clause, ClauseId, ClauseKind, Const, Term};
 use p3_datalog::engine::{Database, Engine, NoopSink, TupleId};
 use p3_datalog::program::{Program, ProgramError};
@@ -128,7 +128,7 @@ pub fn evaluate_rewritten(original: &Program, rewritten: &Rewritten) -> (Databas
 
 /// Projects the `__exec_*` relations back into a [`ProvGraph`].
 pub fn graph_from_rewritten(original: &Program, rewritten: &Rewritten, db: &Database) -> ProvGraph {
-    let mut graph = ProvGraph::new();
+    let mut graph = ProvGraphBuilder::new();
 
     // Base assertions come straight from the fact clauses.
     for (id, clause) in original.iter() {
@@ -180,7 +180,7 @@ pub fn graph_from_rewritten(original: &Program, rewritten: &Rewritten, db: &Data
             graph.add_exec(meta.rule, head, &body);
         }
     }
-    graph
+    graph.finish()
 }
 
 #[cfg(test)]
