@@ -287,7 +287,7 @@ mod tests {
     fn multi_adornment_rederivations_are_deduped() {
         // p(a,a) is demanded through both p^bf (first body atom) and p^bb
         // (second); its single source grounding fires in both variants and
-        // must appear once in the projected graph.
+        // must appear once in the demand graph.
         let src = "
             r0 0.5: q(X) :- p(X,Y), p(Y,X).
             rp 0.9: p(A,B) :- e(A,B).
