@@ -83,8 +83,8 @@ struct DemandSink {
 impl DemandSink {
     fn new(dp: &DemandProgram, source: &Program) -> Self {
         let mut variants = vec![0u32; source.len()];
-        for (id, clause) in dp.program.iter() {
-            if let (true, Some(orig)) = (clause.is_rule(), dp.original_clause(id)) {
+        for (id, _) in dp.program.iter().filter(|(_, c)| c.is_rule()) {
+            if let Some(orig) = dp.original_clause(id) {
                 variants[orig.index()] += 1;
             }
         }
