@@ -10,7 +10,9 @@
 //! * the **demand cores** — one magic-transformed, query-directed
 //!   evaluation per queried atom (see [`p3_provenance::demand`]), cached by
 //!   `(predicate, arguments)` and used by sessions running in
-//!   [`EvalMode::Demand`].
+//!   [`EvalMode::Demand`]. Each runs over the program's shared fact base
+//!   ([`Program::fact_base`]), which the first of them builds; loading
+//!   builds nothing.
 //!
 //! Both cores are probability-independent, so they survive what-if updates
 //! ([`P3::with_probabilities`]) intact, as do the shared structural caches
@@ -135,7 +137,10 @@ impl P3 {
     }
 
     /// Forces (or retrieves) the demand evaluation for one ground query,
-    /// also saying whether this call is the one that ran it.
+    /// also saying whether this call is the one that ran it. The first
+    /// demand evaluation of the program builds its fact base; threads that
+    /// race to it wait for one build, and every later query, on this
+    /// system or a what-if copy, reads the same base.
     pub(crate) fn demand_core(
         &self,
         pred: Symbol,

@@ -132,14 +132,17 @@ impl JoinCx<'_> {
         }
 
         // Copy the matching id range out before recursing: derived heads
-        // are inserted into `db` below us.
+        // are inserted into `db` below us. Over a fact base the probe
+        // answers in two lists, the base's ids ahead of the run's own.
         let mut candidates = std::mem::take(&mut self.cand_bufs[pos]);
         candidates.clear();
-        candidates.extend_from_slice(in_range(
-            self.db.probe(atom.pred, cols, &self.scratch_key),
-            lo,
-            hi,
-        ));
+        for ids in self.db.probe(atom.pred, cols, &self.scratch_key) {
+            candidates.extend_from_slice(in_range(ids, lo, hi));
+        }
+        debug_assert!(
+            candidates.windows(2).all(|w| w[0] < w[1]),
+            "candidates ascend across the base and the run's own tuples"
+        );
         self.delta.candidates += candidates.len() as u64;
 
         for &id in &candidates {

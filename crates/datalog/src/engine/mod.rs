@@ -21,17 +21,32 @@
 //! appeared, with `d` the position of that tuple. A pass whose atom `d` has
 //! no tuple in the delta can fire nothing, so it is skipped before it scans
 //! the atoms ahead of `d`; the passes that run keep their order.
+//!
+//! ## Facts
+//!
+//! A source program's run inserts its fact clauses first, in clause order.
+//! A program derived by [`crate::transform::magic_transform`] carries no
+//! fact of the source: it evaluates over the source's shared [`FactBase`]
+//! ([`Program::over_base`]). Its run reports the base's facts, extends the
+//! base with a fresh database and inserts only its own facts there (the
+//! magic seed), so the base tuples keep the ids `0..F` the inserts would
+//! have given them, the seed gets `F`, and the first iteration's delta
+//! still holds every base tuple. No base tuple is inserted, hashed or
+//! indexed per run.
 
+mod base;
 mod compile;
 mod database;
 mod eval;
 
+pub use base::FactBase;
 pub use compile::{CAtom, CConstraint, CTerm, CompiledRule};
 pub use database::{Database, Relation, StoredTuple, TupleId};
 
 use crate::ast::{ClauseId, Term};
 use crate::program::Program;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Process-global switch for per-rule cost collection (the EXPLAIN plane's
 /// raw data). On by default — the per-call accumulation is a handful of
@@ -65,6 +80,11 @@ pub(crate) fn rule_stat_lock() -> std::sync::MutexGuard<'static, ()> {
 /// provenance" baseline).
 pub trait DerivationSink {
     /// A base tuple `tuple` asserted by fact clause `clause`.
+    ///
+    /// A run over a shared [`FactBase`] reports the base's facts first,
+    /// with ids below [`FactBase::len`] and the clause ids of the program
+    /// the base was built from; the evaluated program's own facts follow
+    /// with its own clause ids.
     fn base_fact(&mut self, clause: ClauseId, tuple: TupleId);
 
     /// Rule `rule` fired with ground body `body`, deriving `head`.
@@ -180,18 +200,30 @@ impl<'p> Engine<'p> {
 
     /// Runs to fixpoint, reporting derivations to `sink`.
     pub fn run(&mut self, sink: &mut dyn DerivationSink) -> Database {
-        let mut db = Database::new();
+        // Over a shared base, its facts are reported in clause order ahead
+        // of the program's own; the base itself is only read.
+        let mut db = match self.program.over_base() {
+            Some(base) => {
+                for &(clause, tuple) in base.facts() {
+                    sink.base_fact(clause, tuple);
+                }
+                Database::over(Arc::clone(base))
+            }
+            None => Database::new(),
+        };
         db.symbols_hint = Some(self.program.symbols().clone());
 
         // Register the indexes planned at compile time, once, before any
-        // tuple exists; inserts keep them current for the whole run.
+        // own tuple exists; inserts keep them current for the whole run.
+        // The base's relations come indexed.
         for rule in &self.rules {
             for (pred, cols) in rule.index_specs() {
                 db.register_index(pred, cols);
             }
         }
 
-        // Seed base tuples. Facts are ground by validation.
+        // Seed the program's own base tuples. Facts are ground by
+        // validation.
         let mut args = Vec::new();
         for (id, clause) in self.program.iter() {
             if !clause.is_fact() {

@@ -9,15 +9,21 @@
 //! * predicates are used at a consistent arity;
 //! * clause labels are unique;
 //! * clause probabilities lie in `[0, 1]`.
+//!
+//! A program also owns the [`FactBase`] its demand evaluations share: its
+//! facts interned once, on first use, for every clone, what-if copy and
+//! program the demand transform derives from it.
 
 use crate::ast::{Atom, Clause, ClauseId, ClauseKind, CmpOp, Const, Constraint, Term};
 use crate::diag::Diagnostic;
+use crate::engine::FactBase;
 use crate::graph::DepGraph;
 use crate::parser::{self, ClauseSpans, ParseError, Span};
 use crate::symbol::{Symbol, SymbolTable};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A validated ProbLog-like program.
 #[derive(Debug, Clone)]
@@ -33,6 +39,19 @@ pub struct Program {
     spans: Vec<ClauseSpans>,
     /// The original source text, when the program was parsed from text.
     source: Option<String>,
+    /// Where the fact base of demand evaluation comes from.
+    facts: Facts,
+}
+
+/// The fact base of a program's demand evaluations.
+#[derive(Debug, Clone)]
+enum Facts {
+    /// Built from the program's own fact clauses on first use; the cell is
+    /// shared by clones and what-if copies.
+    Own(Arc<OnceLock<Arc<FactBase>>>),
+    /// A derived program's: the base of the program it was derived from,
+    /// which holds all of its facts but the ones among its own clauses.
+    Over(Arc<FactBase>),
 }
 
 /// Errors raised by program validation (or the parser, wrapped).
@@ -374,7 +393,21 @@ impl Program {
             strata,
             spans,
             source,
+            facts: Facts::Own(Arc::default()),
         })
+    }
+
+    /// Validates clauses derived from another program that evaluate over
+    /// its fact base `base`: the base holds the source's facts, `clauses`
+    /// only what the derivation adds.
+    pub(crate) fn over(
+        clauses: Vec<Clause>,
+        symbols: SymbolTable,
+        base: Arc<FactBase>,
+    ) -> Result<Self, ProgramError> {
+        let mut program = Self::from_clauses(clauses, symbols)?;
+        program.facts = Facts::Over(base);
+        Ok(program)
     }
 
     /// All clauses, in source order. A clause's position is its [`ClauseId`].
@@ -456,15 +489,48 @@ impl Program {
     /// Returns a copy of this program with the probability of clause `id`
     /// replaced by `prob`. Used by modification queries to apply a fix.
     /// Spans and source are preserved so diagnostics keep their locations.
+    /// The copy shares this program's fact base: probabilities are not
+    /// part of it.
     pub fn with_probability(&self, id: ClauseId, prob: f64) -> Result<Self, ProgramError> {
         let mut clauses = self.clauses.clone();
         clauses[id.index()].prob = prob;
-        Self::validated(
+        let mut program = Self::validated(
             clauses,
             self.symbols.clone(),
             self.spans.clone(),
             self.source.clone(),
-        )
+        )?;
+        program.facts = self.facts.clone();
+        Ok(program)
+    }
+
+    /// The frozen [`FactBase`] of this program's facts, built on the first
+    /// call (the first demand evaluation) and shared from then on by every
+    /// clone, what-if copy ([`Self::with_probability`]) and program derived
+    /// from this one. A derived program answers its source's base.
+    pub fn fact_base(&self) -> &Arc<FactBase> {
+        match &self.facts {
+            Facts::Own(cell) => cell.get_or_init(|| Arc::new(FactBase::build(self))),
+            Facts::Over(base) => base,
+        }
+    }
+
+    /// The fact base if it is built already; never builds it.
+    pub fn built_fact_base(&self) -> Option<&Arc<FactBase>> {
+        match &self.facts {
+            Facts::Own(cell) => cell.get(),
+            Facts::Over(base) => Some(base),
+        }
+    }
+
+    /// The fact base a derived program evaluates over, in place of fact
+    /// clauses of its own; `None` for a program whose facts are its
+    /// clauses.
+    pub fn over_base(&self) -> Option<&Arc<FactBase>> {
+        match &self.facts {
+            Facts::Own(_) => None,
+            Facts::Over(base) => Some(base),
+        }
     }
 
     /// The original source text, when the program was parsed from text.

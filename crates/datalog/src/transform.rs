@@ -11,14 +11,23 @@
 //!
 //! For a ground query `q(c1,…,cn)` the transformed program contains
 //!
-//! 1. every **fact** of the source program, verbatim (the EDB is never
-//!    restricted — base tuples are cheap, derivations are not),
+//! 1. every **fact** of the source program — not as clauses of its own:
+//!    it evaluates over the source's shared
+//!    [`FactBase`](crate::engine::FactBase), which
+//!    [`Program::fact_base`] interns once per program, on the first
+//!    transform, with the tuple ids `0..F` and the indexes every guarded
+//!    variant probes (the EDB is never restricted — base tuples are cheap,
+//!    derivations are not),
 //! 2. one **guarded variant** `h :- __magic_h_a(bound…), body…` per
 //!    (rule, head-adornment) pair reachable from the query,
 //! 3. **magic rules** propagating demand through rule bodies: for the j-th
 //!    IDB body atom, `__magic_bj_aj(bound…) :- guard, b1,…,b(j-1)` plus any
 //!    constraint already bound within that prefix, and
-//! 4. the **seed fact** `__magic_q_bb…b(c1,…,cn).`
+//! 4. the **seed fact** `__magic_q_bb…b(c1,…,cn).`, its only fact clause
+//!    (tuple id `F` in the run).
+//!
+//! So a transform clones and validates only the rules it emits; no fact
+//! clause is copied and no base tuple is inserted or indexed per query.
 //!
 //! The least model of the transformed program, restricted to source
 //! predicates, contains exactly the source tuples whose derivations are
@@ -33,8 +42,9 @@
 use crate::ast::{Atom, Clause, ClauseId, ClauseKind, Const, Term};
 use crate::program::{Program, ProgramError};
 use crate::symbol::Symbol;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// A bound/free pattern over one predicate's argument positions
 /// (`true` = bound).
@@ -98,7 +108,8 @@ pub struct TransformStats {
 /// A magic-transformed program plus the bookkeeping needed to map its
 /// derivations back onto the source program.
 pub struct DemandProgram {
-    /// The transformed, validated program.
+    /// The transformed, validated program: the seed and the rules, over
+    /// the source's fact base ([`Program::over_base`]).
     pub program: Program,
     /// Per transformed clause: the source clause it came from (`None` for
     /// magic rules and the seed fact).
@@ -135,8 +146,11 @@ pub enum TransformError {
         /// Arity of the query atom.
         found: usize,
     },
-    /// Rebuilding the transformed program failed (e.g. a `__magic_*` name
-    /// collision with a user predicate).
+    /// A predicate of the program has the name of a magic predicate the
+    /// transformation introduces. The parser reads `_`-names as
+    /// variables, so only a programmatically built program can have one.
+    MagicName(String),
+    /// Rebuilding the transformed program failed validation.
     Program(ProgramError),
 }
 
@@ -150,6 +164,10 @@ impl fmt::Display for TransformError {
                 f,
                 "query arity {found} does not match program arity {expected}"
             ),
+            TransformError::MagicName(name) => write!(
+                f,
+                "predicate '{name}' collides with a demand-transformation predicate"
+            ),
             TransformError::Program(e) => {
                 write!(f, "transformation produced an invalid program: {e}")
             }
@@ -159,7 +177,82 @@ impl fmt::Display for TransformError {
 
 impl std::error::Error for TransformError {}
 
+/// Source rules grouped by head predicate, in clause order. Its keys are
+/// the IDB predicates.
+fn rules_by_head(program: &Program) -> HashMap<Symbol, Vec<ClauseId>> {
+    let mut rules: HashMap<Symbol, Vec<ClauseId>> = HashMap::new();
+    for (id, clause) in program.iter() {
+        if clause.is_rule() {
+            rules.entry(clause.head.pred).or_default().push(id);
+        }
+    }
+    rules
+}
+
+/// The worklist over demanded (predicate, adornment) pairs: each pair is
+/// queued once, and pairs are visited in the order first demanded.
+#[derive(Default)]
+struct Demanded {
+    seen: HashSet<(Symbol, Adornment)>,
+    work: VecDeque<(Symbol, Adornment)>,
+}
+
+impl Demanded {
+    fn demand(&mut self, pred: Symbol, adornment: Adornment) {
+        if self.seen.insert((pred, adornment.clone())) {
+            self.work.push_back((pred, adornment));
+        }
+    }
+}
+
+/// Every (predicate, columns) index a guarded variant can probe on a
+/// predicate `program` has facts for, over the transforms of all ground
+/// queries: the bound columns of each body atom over such a predicate, in
+/// each (rule, adornment) pair demanded from an IDB predicate queried
+/// all-bound. A magic rule probes a prefix of its variant's body under the
+/// same bindings, so it adds none. The shared [`crate::engine::FactBase`]
+/// registers these once, so no demand run indexes a base tuple.
+pub(crate) fn base_index_specs(program: &Program) -> BTreeSet<(Symbol, Box<[usize]>)> {
+    let rules_by_head = rules_by_head(program);
+    let with_facts: HashSet<Symbol> = program
+        .iter()
+        .filter(|(_, c)| c.is_fact())
+        .map(|(_, c)| c.head.pred)
+        .collect();
+    let mut demanded = Demanded::default();
+    for (&pred, rules) in &rules_by_head {
+        let arity = program.clause(rules[0]).head.args.len();
+        demanded.demand(pred, Adornment::all_bound(arity));
+    }
+    let mut specs = BTreeSet::new();
+    while let Some((pred, adornment)) = demanded.work.pop_front() {
+        for &rule_id in &rules_by_head[&pred] {
+            let clause = program.clause(rule_id);
+            let mut bound: HashSet<Symbol> = adornment
+                .bound_positions()
+                .filter_map(|i| clause.head.args[i].as_var())
+                .collect();
+            for atom in clause.body() {
+                let at = Adornment::of_atom(atom, &bound);
+                if with_facts.contains(&atom.pred) && at.num_bound() > 0 {
+                    specs.insert((atom.pred, at.bound_positions().collect()));
+                }
+                if rules_by_head.contains_key(&atom.pred) {
+                    demanded.demand(atom.pred, at);
+                }
+                bound.extend(atom.vars());
+            }
+        }
+    }
+    specs
+}
+
 /// Magic-transforms `program` for the ground query `query_pred(query_args)`.
+///
+/// The result holds the seed and the rules only; it evaluates over
+/// `program`'s fact base ([`Program::fact_base`], built here on the first
+/// call). `program` is a source program: a derived one's own facts are not
+/// in the base it passes on.
 pub fn magic_transform(
     program: &Program,
     query_pred: Symbol,
@@ -179,26 +272,12 @@ pub fn magic_transform(
     }
 
     let mut symbols = program.symbols().clone();
-    let mut rules_by_head: HashMap<Symbol, Vec<ClauseId>> = HashMap::new();
-    for (id, clause) in program.iter() {
-        if clause.is_rule() {
-            rules_by_head.entry(clause.head.pred).or_default().push(id);
-        }
-    }
-    let idb: HashSet<Symbol> = rules_by_head.keys().copied().collect();
+    let rules_by_head = rules_by_head(program);
 
     let mut clauses: Vec<Clause> = Vec::new();
     let mut orig_of: Vec<Option<ClauseId>> = Vec::new();
     let mut magic_preds: HashSet<Symbol> = HashSet::new();
     let mut stats = TransformStats::default();
-
-    // The EDB (and IDB base tuples) carry over verbatim.
-    for (id, clause) in program.iter() {
-        if clause.is_fact() {
-            clauses.push(clause.clone());
-            orig_of.push(Some(id));
-        }
-    }
 
     let magic_sym = |pred: Symbol, a: &Adornment, symbols: &mut crate::symbol::SymbolTable| {
         let name = format!("__magic_{}_{a}", symbols.resolve(pred).to_owned());
@@ -206,8 +285,9 @@ pub fn magic_transform(
     };
 
     // Seed the demand for the query itself.
+    let mut demanded = Demanded::default();
     let query_adornment = Adornment::all_bound(query_args.len());
-    if idb.contains(&query_pred) {
+    if rules_by_head.contains_key(&query_pred) {
         let seed_pred = magic_sym(query_pred, &query_adornment, &mut symbols);
         magic_preds.insert(seed_pred);
         clauses.push(Clause {
@@ -220,17 +300,10 @@ pub fn magic_transform(
             kind: ClauseKind::Fact,
         });
         orig_of.push(None);
+        demanded.demand(query_pred, query_adornment);
     }
 
-    // Worklist over demanded (predicate, adornment) pairs.
-    let mut seen: HashSet<(Symbol, Adornment)> = HashSet::new();
-    let mut work: VecDeque<(Symbol, Adornment)> = VecDeque::new();
-    if idb.contains(&query_pred) {
-        seen.insert((query_pred, query_adornment.clone()));
-        work.push_back((query_pred, query_adornment));
-    }
-
-    while let Some((pred, adornment)) = work.pop_front() {
+    while let Some((pred, adornment)) = demanded.work.pop_front() {
         stats.adornments += 1;
         let guard_pred = magic_sym(pred, &adornment, &mut symbols);
         magic_preds.insert(guard_pred);
@@ -272,7 +345,7 @@ pub fn magic_transform(
             // prefix before it (with prefix-ready constraints, which only
             // shrink demand to groundings that could actually fire).
             for (j, atom) in body.iter().enumerate() {
-                if idb.contains(&atom.pred) {
+                if rules_by_head.contains_key(&atom.pred) {
                     let sub = Adornment::of_atom(atom, &bound);
                     let magic_head_pred = magic_sym(atom.pred, &sub, &mut symbols);
                     magic_preds.insert(magic_head_pred);
@@ -304,17 +377,20 @@ pub fn magic_transform(
                     });
                     orig_of.push(None);
                     stats.magic_rules += 1;
-
-                    if seen.insert((atom.pred, sub.clone())) {
-                        work.push_back((atom.pred, sub));
-                    }
+                    demanded.demand(atom.pred, sub);
                 }
                 bound.extend(atom.vars());
             }
         }
     }
 
-    let program = Program::from_clauses(clauses, symbols).map_err(TransformError::Program)?;
+    // The base's relations are the source's: a magic predicate must not
+    // name one of them.
+    if let Some(&pred) = magic_preds.iter().find(|&&p| program.arity(p).is_some()) {
+        return Err(TransformError::MagicName(symbols.resolve(pred).to_string()));
+    }
+    let base = Arc::clone(program.fact_base());
+    let program = Program::over(clauses, symbols, base).map_err(TransformError::Program)?;
     span.add_field("adornments", stats.adornments);
     span.add_field("variants", stats.variants);
     span.add_field("magic_rules", stats.magic_rules);
@@ -329,7 +405,8 @@ pub fn magic_transform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, NoopSink};
+    use crate::engine::{Engine, NoopSink, TupleId};
+    use crate::program::T;
 
     const TRUST: &str = "
         r1 1.0: trustPath(P1,P2) :- trust(P1,P2).
@@ -389,10 +466,101 @@ mod tests {
         assert_eq!(dp.original_clause(variant), Some(r2));
         let seed = dp.program.clause_by_label("__magic_seed").unwrap();
         assert_eq!(dp.original_clause(seed), None);
-        // Facts keep their identity.
-        let t1_src = p.clause_by_label("t1").unwrap();
-        let t1_new = dp.program.clause_by_label("t1").unwrap();
-        assert_eq!(dp.original_clause(t1_new), Some(t1_src));
+        // Facts are not copied: the base lists them under their source ids.
+        let t1 = p.clause_by_label("t1").unwrap();
+        assert!(dp.program.clause_by_label("t1").is_none());
+        assert_eq!(dp.program.over_base().unwrap().facts()[0], (t1, TupleId(0)));
+    }
+
+    #[test]
+    fn transform_emits_the_seed_and_rules_over_the_shared_base() {
+        let p = Program::parse(TRUST).unwrap();
+        assert!(p.built_fact_base().is_none(), "parsing builds no base");
+        let (pred, args) = query(&p, "mutualTrustPath", &[1, 2]);
+        let dp = magic_transform(&p, pred, &args).unwrap();
+        let facts: Vec<&str> = dp
+            .program
+            .clauses()
+            .iter()
+            .filter(|c| c.is_fact())
+            .map(|c| c.label.as_str())
+            .collect();
+        assert_eq!(facts, ["__magic_seed"]);
+        assert_eq!(
+            dp.program.len(),
+            1 + dp.stats.variants + dp.stats.magic_rules
+        );
+        let base = p.built_fact_base().expect("the transform builds the base");
+        assert!(Arc::ptr_eq(dp.program.over_base().unwrap(), base));
+        assert_eq!(base.len(), 6);
+        // A second query, a clone and a what-if copy reuse it.
+        let (pred, args) = query(&p, "trustPath", &[2, 6]);
+        let again = magic_transform(&p, pred, &args).unwrap();
+        assert!(Arc::ptr_eq(again.program.over_base().unwrap(), base));
+        assert!(Arc::ptr_eq(p.clone().fact_base(), base));
+        let t1 = p.clause_by_label("t1").unwrap();
+        assert!(Arc::ptr_eq(
+            p.with_probability(t1, 0.5).unwrap().fact_base(),
+            base
+        ));
+    }
+
+    #[test]
+    fn demand_run_numbers_the_base_first_and_the_seed_next() {
+        let p = Program::parse(TRUST).unwrap();
+        let (pred, args) = query(&p, "mutualTrustPath", &[1, 2]);
+        let dp = magic_transform(&p, pred, &args).unwrap();
+        let db = Engine::new(&dp.program).run(&mut NoopSink);
+        let trust = p.symbols().get("trust").unwrap();
+        assert_eq!(
+            db.lookup(trust, &[Const::Int(1), Const::Int(2)]),
+            Some(TupleId(0))
+        );
+        assert_eq!(
+            db.lookup(trust, &[Const::Int(13), Const::Int(2)]),
+            Some(TupleId(5))
+        );
+        let seed = dp
+            .program
+            .symbols()
+            .get("__magic_mutualTrustPath_bb")
+            .unwrap();
+        assert_eq!(db.lookup(seed, &args), Some(TupleId(6)));
+        assert!(db.lookup(pred, &args).is_some());
+        assert_eq!(p.fact_base().len(), 6, "nothing lands in the base");
+    }
+
+    #[test]
+    fn base_indexes_cover_every_variant_probe() {
+        // trustPath^bb: r1 probes trust on (P1,P2), r2 on P1; r3's body is
+        // IDB only. trustPath^bf never arises from an all-bound query.
+        let p = Program::parse(TRUST).unwrap();
+        let trust = p.symbols().get("trust").unwrap();
+        let specs: Vec<(Symbol, Vec<usize>)> = base_index_specs(&p)
+            .into_iter()
+            .map(|(pred, cols)| (pred, cols.into_vec()))
+            .collect();
+        assert_eq!(specs, vec![(trust, vec![0]), (trust, vec![0, 1])]);
+    }
+
+    #[test]
+    fn a_magic_name_in_the_program_is_rejected() {
+        let mut b = crate::program::ProgramBuilder::new();
+        b.fact("t1", 1.0, "__magic_q_b", &[T::int(1)]);
+        b.rule(
+            "r1",
+            1.0,
+            ("q", &[T::var("X")]),
+            &[("e", &[T::var("X")])],
+            &[],
+        );
+        b.fact("t2", 1.0, "e", &[T::int(1)]);
+        let p = b.build().unwrap();
+        let q = p.symbols().get("q").unwrap();
+        assert!(matches!(
+            magic_transform(&p, q, &[Const::Int(1)]),
+            Err(TransformError::MagicName(name)) if name == "__magic_q_b"
+        ));
     }
 
     #[test]

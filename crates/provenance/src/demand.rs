@@ -3,11 +3,19 @@
 //!
 //! [`evaluate_query_with_provenance`] magic-transforms the program for one
 //! ground query (see [`p3_datalog::transform`]) and evaluates the
-//! transformed program through a sink that *un-rewrites* as it records:
-//! magic-rule firings and the seed fact are dropped, each guarded variant's
-//! firing is recorded as a firing of its source rule (the demand guard,
-//! body position 0, is stripped), and base facts keep their source clause.
-//! Tuples keep the engine's ids; magic tuples simply get no derivations.
+//! transformed program — its seed and rules, over the program's shared
+//! fact base — through a sink that *un-rewrites* as it records: magic-rule
+//! firings and the seed fact are dropped, each guarded variant's firing is
+//! recorded as a firing of its source rule (the demand guard, body
+//! position 0, is stripped), and the base's facts, which the engine
+//! reports with their source clauses, are recorded as they come. Tuples
+//! keep the engine's ids; magic tuples simply get no derivations.
+//!
+//! The fact base is built once per program, on its first demand
+//! evaluation ([`Program::fact_base`]); every later query reads it and
+//! puts its own tuples in a per-query database whose ids start after it,
+//! so [`DemandEvaluation::db`] holds the base by reference and only the
+//! query's own tuples by value.
 //!
 //! The resulting graph is *content-identical* to the query-reachable
 //! fragment of the naive-evaluation graph: the same source tuples, the same
@@ -33,7 +41,7 @@ use p3_datalog::symbol::Symbol;
 use p3_datalog::transform::{magic_transform, DemandProgram, TransformError, TransformStats};
 
 /// Counters describing one demand evaluation.
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct DemandStats {
     /// Transformation counters (adornments, variants, magic rules).
     pub transform: TransformStats,
@@ -49,8 +57,8 @@ pub struct DemandStats {
 /// The result of one demand evaluation: the engine's database and a
 /// provenance graph over the *source* program's clause ids.
 pub struct DemandEvaluation {
-    /// The engine's database over the transformed program: the source
-    /// tuples plus the magic tuples.
+    /// The engine's database over the transformed program: the shared
+    /// fact base, extended by the query's derived and magic tuples.
     pub db: Database,
     /// Provenance over the engine's tuple ids and source clause ids.
     pub graph: ProvGraph,
@@ -61,12 +69,12 @@ pub struct DemandEvaluation {
     pub plan: ExplainPlan,
 }
 
-/// Where a transformed clause's derivations go in the source graph.
+/// Where a transformed rule's derivations go in the source graph.
 #[derive(Clone, Copy)]
 enum Target {
     /// A magic rule or the seed: not recorded.
     Magic,
-    /// A fact clause, or the only variant of its source rule.
+    /// The only variant of its source rule.
     Once(ClauseId),
     /// One of several variants of its source rule: recorded through the
     /// duplicate guard.
@@ -77,6 +85,8 @@ enum Target {
 struct DemandSink {
     /// Per transformed clause id.
     targets: Vec<Target>,
+    /// The fact base's length: the facts below it are the source's.
+    base_len: usize,
     graph: ProvGraphBuilder,
 }
 
@@ -99,15 +109,18 @@ impl DemandSink {
             .collect();
         Self {
             targets,
+            base_len: dp.program.fact_base().len(),
             graph: ProvGraphBuilder::new(),
         }
     }
 }
 
 impl DerivationSink for DemandSink {
+    /// The base's facts arrive with their source clauses and are recorded
+    /// unchecked; the transformed program's own fact is the magic seed.
     fn base_fact(&mut self, clause: ClauseId, tuple: TupleId) {
-        if let Target::Once(orig) = self.targets[clause.index()] {
-            self.graph.add_base_unchecked(orig, tuple);
+        if tuple.index() < self.base_len {
+            self.graph.add_base_unchecked(clause, tuple);
         }
     }
 

@@ -187,8 +187,10 @@ impl ProvGraphBuilder {
 }
 
 /// The complete provenance graph of one evaluation, read-only once built
-/// by a [`ProvGraphBuilder`].
-#[derive(Debug, Clone)]
+/// by a [`ProvGraphBuilder`]. Two graphs are equal when they hold the same
+/// executions in the same order and each tuple's derivations in the same
+/// order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvGraph {
     exec_rules: Vec<ClauseId>,
     exec_heads: Vec<TupleId>,
@@ -251,11 +253,6 @@ impl ProvGraph {
     #[inline]
     pub fn exec_head(&self, id: ExecId) -> TupleId {
         self.exec_heads[id.index()]
-    }
-
-    /// Iterates over all rule executions.
-    pub fn execs(&self) -> impl Iterator<Item = (ExecId, RuleExec<'_>)> + '_ {
-        (0..self.exec_rules.len() as u32).map(|i| (ExecId(i), self.exec(ExecId(i))))
     }
 
     /// Number of rule-execution vertices.
@@ -434,7 +431,7 @@ mod tests {
         assert_eq!(g.exec_body(e1), &[t(2)]);
         let snap = g.exec(e1);
         assert_eq!((snap.rule, snap.head, snap.body), (c(3), t(1), &[t(2)][..]));
-        assert_eq!(g.execs().count(), 2);
+        assert_eq!(g.num_execs(), 2);
     }
 
     #[test]

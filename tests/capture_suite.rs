@@ -7,7 +7,10 @@
 //! * Demand capture: for every derived atom of the same programs, the
 //!   demand graph's fragment reachable from the atom is the naive graph's,
 //!   derivation for derivation. A fixed program in which one source rule
-//!   is demanded under two adornments covers the duplicate guard.
+//!   is demanded under two adornments covers the duplicate guard. The
+//!   same programs with facts appended over the derived predicates cover
+//!   relations that hold tuples both in the shared fact base and in a
+//!   query's own database.
 //! * The demand tuple counts of `examples/trust.pl` are pinned.
 
 use p3::datalog::ast::ClauseId;
@@ -18,6 +21,7 @@ use p3::provenance::{evaluate_query_with_provenance, Derivation, ProvGraph};
 use p3::workloads::random_programs::{all_derived_queries, generate, RandomConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 /// One derivation as the sink reported it: `(clause, body)`, with an
 /// empty body for a base assertion.
@@ -152,8 +156,63 @@ fn recursive_config(seed: u64) -> RandomConfig {
     }
 }
 
+/// `program` with three facts appended over its derived vocabulary
+/// `p0..p2`, so a relation can be both asserted and derived: a demand run
+/// then finds some of its tuples in the shared fact base and derives the
+/// rest into its own database.
+fn with_derived_facts(program: &Program, seed: u64) -> Program {
+    let mut src = program.to_source();
+    for i in 0..3u64 {
+        let (a, b) = ((seed + i) % 3, (seed / 3 + 2 * i) % 3);
+        let _ = writeln!(src, "d{i} 0.{}: p{i}({a},{b}).", 4 + i);
+    }
+    Program::parse(&src).expect("facts over p0..p2 keep the program valid")
+}
+
+/// Whether some demand run of `program` holds a relation with tuples in
+/// both the fact base and its own database.
+fn splits_a_relation(program: &Program) -> bool {
+    all_derived_queries(program).iter().any(|query| {
+        let (pred, args) = worlds::parse_ground_query(program, query).expect("ground atom");
+        let eval = evaluate_query_with_provenance(program, pred, &args).expect("negation-free");
+        let base = program.fact_base().len();
+        let split = eval.db.predicates().any(|p| {
+            let ids = eval.db.relation(p).expect("listed predicate").tuples();
+            ids.first().is_some_and(|t| t.index() < base)
+                && ids.last().is_some_and(|t| t.index() >= base)
+        });
+        split
+    })
+}
+
+#[test]
+fn derived_facts_split_relations_across_the_base() {
+    let split = (0..40u64)
+        .filter(|&seed| {
+            let program = generate(RandomConfig {
+                seed,
+                ..Default::default()
+            });
+            splits_a_relation(&with_derived_facts(&program, seed))
+        })
+        .count();
+    assert!(split >= 10, "only {split} of 40 programs split a relation");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn demand_capture_matches_naive_with_derived_facts(seed in 0u64..400) {
+        let program = generate(RandomConfig { seed, ..Default::default() });
+        assert_demand_matches_naive(&with_derived_facts(&program, seed));
+    }
+
+    #[test]
+    fn demand_capture_matches_naive_with_derived_facts_on_recursive_workloads(seed in 0u64..200) {
+        let program = with_derived_facts(&generate(recursive_config(seed)), seed);
+        assert_demand_matches_naive(&program);
+    }
 
     #[test]
     fn naive_capture_keeps_arrival_order(seed in 0u64..400) {

@@ -61,8 +61,11 @@ impl DerivationSink for Transcript {
     }
 }
 
-/// Runs `program` to fixpoint and renders what the engine reported.
-fn transcript(program: &Program) -> String {
+/// Runs `program` to fixpoint and renders what the engine reported. The
+/// facts of a shared fact base name clauses of `source`, the program the
+/// base was built from.
+fn transcript(program: &Program, source: &Program) -> String {
+    let base_len = program.over_base().map_or(0, |base| base.len());
     let mut sink = Transcript::default();
     let mut engine = Engine::new(program);
     let db = engine.run(&mut sink);
@@ -90,7 +93,12 @@ fn transcript(program: &Program) -> String {
         let derivations = sink.0.get(i).map(Vec::as_slice).unwrap_or(&[]);
         for (n, (clause, body)) in derivations.iter().enumerate() {
             out.push_str(if n == 0 { " = " } else { " | " });
-            out.push_str(&program.clause(*clause).label);
+            let labels = if body.is_empty() && i < base_len {
+                source
+            } else {
+                program
+            };
+            out.push_str(&labels.clause(*clause).label);
             if !body.is_empty() {
                 let ids: Vec<String> = body.iter().map(|b| format!("#{}", b.0)).collect();
                 let _ = write!(out, "({})", ids.join(","));
@@ -106,7 +114,7 @@ fn transcript(program: &Program) -> String {
 fn demand_transcript(program: &Program, query: &str) -> String {
     let (pred, args) = worlds::parse_ground_query(program, query).expect("ground query");
     let demand = magic_transform(program, pred, &args).expect("negation-free program");
-    transcript(&demand.program)
+    transcript(&demand.program, program)
 }
 
 /// FNV-1a, 64-bit: a stable digest that keeps large transcripts out of
@@ -133,7 +141,7 @@ fn trust_cold(out: &mut String) {
     })
     .sample_bfs(250, 11)
     .to_program();
-    let naive = transcript(&program);
+    let naive = transcript(&program, &program);
     let _ = writeln!(out, "== trust-cold naive\n{:016x}", fnv1a_64(&naive));
 
     let db = Engine::new(&program).run_plain();
@@ -161,7 +169,7 @@ fn snapshot() -> String {
     for (path, query) in EXAMPLES {
         let src = std::fs::read_to_string(root.join(path)).unwrap();
         let program = Program::parse(&src).unwrap();
-        let _ = write!(out, "== {path} naive\n{}", transcript(&program));
+        let _ = write!(out, "== {path} naive\n{}", transcript(&program, &program));
         let _ = write!(
             out,
             "== {path} demand {query}\n{}",
@@ -182,7 +190,7 @@ fn snapshot() -> String {
         });
         for (config, program) in [("default", default), ("recursive", recursive)] {
             let name = format!("random {config} seed {seed}");
-            let _ = write!(out, "== {name} naive\n{}", transcript(&program));
+            let _ = write!(out, "== {name} naive\n{}", transcript(&program, &program));
             if let Some(query) = all_derived_queries(&program).first() {
                 let _ = write!(
                     out,
@@ -194,7 +202,11 @@ fn snapshot() -> String {
     }
     for (i, src) in NEGATION.iter().enumerate() {
         let program = Program::parse(src).unwrap();
-        let _ = write!(out, "== negation #{i} naive\n{}", transcript(&program));
+        let _ = write!(
+            out,
+            "== negation #{i} naive\n{}",
+            transcript(&program, &program)
+        );
     }
     trust_cold(&mut out);
     out

@@ -3,10 +3,13 @@
 //! concurrent mixed workloads with the same answers as a sequential run.
 
 use p3::core::{
-    DerivationAlgo, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod, P3,
+    DerivationAlgo, EvalMode, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod,
+    SessionOptions, P3,
 };
 use p3::workloads::random_programs::{all_derived_queries, generate, RandomConfig};
+use p3::workloads::trust::{self, NetworkConfig};
 use proptest::prelude::*;
+use std::sync::{Arc, Barrier};
 
 /// `P3` and `QuerySession` must be shareable across threads.
 #[test]
@@ -225,4 +228,69 @@ fn batch_probabilities_match_sequential() {
         let expected = p3.probability(q, ProbMethod::Exact).unwrap();
         assert_eq!(*got.as_ref().unwrap(), expected, "{q}");
     }
+}
+
+/// What a demand session answers for one atom: the polynomial, the exact
+/// probability's bits and the demand core's counters.
+fn demand_answer(p3: &P3, atom: &str) -> (p3::prob::Dnf, u64, p3::provenance::DemandStats) {
+    let session = p3.session_with(SessionOptions {
+        eval_mode: EvalMode::Demand,
+        ..Default::default()
+    });
+    let dnf = session.provenance(atom).unwrap();
+    let p = session.probability(atom, ProbMethod::Exact).unwrap();
+    let (pred, args) = p3::datalog::worlds::parse_ground_query(p3.program(), atom).unwrap();
+    (dnf, p.to_bits(), p3.demand_stats(pred, &args).unwrap())
+}
+
+/// Threads that start at once on a fresh `P3`, each forcing the demand
+/// cores of its own atoms, race to build the program's fact base; one
+/// wins, all share it, and every answer is bit-identical to a sequential
+/// run's.
+#[test]
+fn concurrent_first_demand_queries_share_one_base() {
+    let program = trust::generate(NetworkConfig {
+        nodes: 400,
+        edges: 2_000,
+        seed: 9,
+        ..NetworkConfig::default()
+    })
+    .sample_bfs(60, 3)
+    .to_program();
+    let atoms: Vec<String> = all_derived_queries(&program)
+        .into_iter()
+        .filter(|q| q.starts_with("trustPath(") || q.starts_with("mutualTrustPath("))
+        .step_by(5)
+        .take(24)
+        .collect();
+    assert_eq!(atoms.len(), 24);
+    let src = program.to_source();
+
+    let sequential = P3::from_source(&src).unwrap();
+    let expected: Vec<_> = atoms
+        .iter()
+        .map(|a| demand_answer(&sequential, a))
+        .collect();
+
+    const THREADS: usize = 4;
+    let p3 = P3::from_source(&src).unwrap();
+    assert!(p3.program().built_fact_base().is_none());
+    let start = Barrier::new(THREADS);
+    let bases: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (p3, atoms, expected, start) = (&p3, &atoms, &expected, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in (t..atoms.len()).step_by(THREADS) {
+                        assert_eq!(demand_answer(p3, &atoms[i]), expected[i], "{}", atoms[i]);
+                    }
+                    Arc::clone(p3.program().built_fact_base().unwrap())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(bases.iter().all(|b| Arc::ptr_eq(b, &bases[0])));
+    assert_eq!(p3.demand_evaluations(), atoms.len());
 }
