@@ -8,7 +8,7 @@
 
 use p3_datalog::ast::ClauseId;
 use p3_datalog::diag::Diagnostic;
-use p3_obs::json::quote;
+use p3_obs::json::Value;
 use std::fmt::Write as _;
 
 /// Statically predicted cost of one rule; mirrors `RuleCost`.
@@ -191,96 +191,63 @@ impl AnalyzePlan {
         out
     }
 
-    /// Machine-readable JSON (hand-rolled like the rest of the suite).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"total_cost\":{},\"recommend\":\"{}\",\"reason\":{},\"analysis_us\":{}",
-            self.total_cost(),
-            if self.recommend_demand {
-                "demand"
-            } else {
-                "naive"
-            },
-            quote(&self.reason),
-            self.analysis_us,
-        );
-        out.push_str(",\"rules\":[");
-        for (i, r) in self.rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rank\":{},\"label\":{},\"head\":{},\"recursive\":{},\
-                 \"cost\":{},\"firings\":{},\"new_tuples\":{},\"candidates\":{},\
-                 \"iterations\":{}}}",
-                i + 1,
-                quote(&r.label),
-                quote(&r.head),
-                r.recursive,
-                r.cost(),
-                r.firings,
-                r.new_tuples,
-                r.candidates,
-                r.iterations,
-            );
-        }
-        out.push_str("],\"preds\":[");
-        for (i, p) in self.preds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"arity\":{},\"edb\":{},\"cardinality\":{},\
-                 \"widened\":{},\"dnf_width\":{},\"fan_in\":{},\"domains\":[",
-                quote(&p.name),
-                p.arity,
-                p.edb,
-                p.cardinality,
-                p.widened,
-                p.dnf_width,
-                p.fan_in,
-            );
-            for (j, d) in p.domains.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&quote(d));
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
+    /// The plan as a JSON object: the totals and recommendation, the
+    /// ranked `rules`, the per-predicate `preds`, the `query` prediction
+    /// when one was asked for, and the `diagnostics`.
+    pub fn to_value(&self) -> Value {
+        let rules = self.rules.iter().enumerate().map(|(i, r)| {
+            Value::object(vec![
+                ("rank", (i + 1).into()),
+                ("label", r.label.as_str().into()),
+                ("head", r.head.as_str().into()),
+                ("recursive", r.recursive.into()),
+                ("cost", r.cost().into()),
+                ("firings", r.firings.into()),
+                ("new_tuples", r.new_tuples.into()),
+                ("candidates", r.candidates.into()),
+                ("iterations", r.iterations.into()),
+            ])
+        });
+        let preds = self.preds.iter().map(|p| {
+            Value::object(vec![
+                ("name", p.name.as_str().into()),
+                ("arity", p.arity.into()),
+                ("edb", p.edb.into()),
+                ("cardinality", p.cardinality.into()),
+                ("widened", p.widened.into()),
+                ("dnf_width", p.dnf_width.into()),
+                ("fan_in", p.fan_in.into()),
+                ("domains", p.domains.iter().map(String::as_str).collect()),
+            ])
+        });
+        let recommend = if self.recommend_demand {
+            "demand"
+        } else {
+            "naive"
+        };
+        let mut fields = vec![
+            ("total_cost", self.total_cost().into()),
+            ("recommend", recommend.into()),
+            ("reason", self.reason.as_str().into()),
+            ("analysis_us", self.analysis_us.into()),
+            ("rules", rules.collect()),
+            ("preds", preds.collect()),
+        ];
         if let Some(q) = &self.query {
-            let _ = write!(
-                out,
-                ",\"query\":{{\"query\":{},\"pred\":{},\"cardinality\":{},\
-                 \"dnf_width\":{},\"proof_fanin\":{},\"classes\":{{",
-                quote(&q.query),
-                quote(&q.pred),
-                q.cardinality,
-                q.dnf_width,
-                q.proof_fanin,
-            );
-            for (i, (class, cost)) in q.classes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{class}\":{cost}");
-            }
-            out.push_str("}}");
+            let classes = q.classes.iter().map(|&(class, cost)| (class, cost.into()));
+            let query = Value::object(vec![
+                ("query", q.query.as_str().into()),
+                ("pred", q.pred.as_str().into()),
+                ("cardinality", q.cardinality.into()),
+                ("dnf_width", q.dnf_width.into()),
+                ("proof_fanin", q.proof_fanin.into()),
+                ("classes", Value::object(classes.collect())),
+            ]);
+            fields.push(("query", query));
         }
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&d.to_json());
-        }
-        out.push_str("]}");
-        out
+        let diagnostics = self.diagnostics.iter().map(Diagnostic::to_value);
+        fields.push(("diagnostics", diagnostics.collect()));
+        Value::object(fields)
     }
 }
 
@@ -424,7 +391,7 @@ mod tests {
             query: None,
             analysis_us: 3,
         };
-        let json = plan.to_json_string();
+        let json = plan.to_value().to_json();
         assert!(json.contains("\"recommend\":\"demand\""));
         assert!(json.contains("\\\""));
         assert!(json.contains("\\n"));

@@ -18,10 +18,11 @@
 //! size/age-based segment rotation with oldest-segment pruning, so it
 //! can run forever on a server meant for millions of users.
 //!
-//! This crate knows nothing about the service's protocol or JSON
-//! layer; `p3-service` builds records and serves them over `audit-tail`
-//! / `audit-top` ops and the `/audit` admin endpoints, and the `p3
-//! audit` CLI reads a directory offline via [`log::read_dir`].
+//! This crate knows nothing about the service's protocol: each record
+//! builds its one JSON object ([`AuditRecord::to_value`]) on the
+//! workspace codec, `p3-service` builds records and serves them over
+//! `audit-tail` / `audit-top` ops and the `/audit` admin endpoints, and
+//! the `p3 audit` CLI reads a directory offline via [`log::read_dir`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,6 +31,4 @@ pub mod log;
 pub mod record;
 
 pub use log::{read_dir, AuditConfig, AuditLog, AuditStats};
-pub use record::{
-    fnv1a_64, json_escape, AuditKey, AuditRecord, Outcome, StageTiming, MAX_TOP_RULES,
-};
+pub use record::{fnv1a_64, AuditKey, AuditRecord, Outcome, StageTiming, MAX_TOP_RULES};

@@ -7,10 +7,11 @@
 //! Client-controlled text (the trace id) is stored as opaque bytes
 //! inside the checksummed frame — newlines, quotes, or arbitrary
 //! unicode in it can never desynchronise the log — and is escaped
-//! per RFC 8259 on the JSON side. Query text itself is never stored:
+//! per RFC 8259 by the JSON encoder. Query text itself is never stored:
 //! only its FNV-1a-64 hash, so the audit log leaks no query contents
 //! and hostile query text cannot reach the exposition at all.
 
+use p3_obs::json::Value;
 pub use p3_store::frame::fnv1a_64;
 use p3_store::frame::{put_str, put_u32, put_u64, Reader};
 
@@ -329,67 +330,47 @@ impl AuditRecord {
         r.done().then_some(record)
     }
 
-    /// Canonical JSON object for this record — the exact shape served by
-    /// `GET /audit` and the `audit-tail` op. All strings are escaped per
-    /// RFC 8259, so hostile trace text cannot break the emitted JSON.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        out.push_str(&format!("\"ts_ms\":{}", self.ts_ms));
-        out.push_str(&format!(",\"trace\":{}", json_escape(&self.trace)));
-        out.push_str(&format!(",\"class\":{}", json_escape(&self.class)));
-        out.push_str(&format!(",\"eval_mode\":{}", json_escape(&self.eval_mode)));
-        out.push_str(&format!(",\"query_hash\":\"{:016x}\"", self.query_hash));
-        out.push_str(&format!(",\"outcome\":\"{}\"", self.outcome.label()));
-        out.push_str(&format!(",\"queue_wait_us\":{}", self.queue_wait_us));
-        out.push_str(&format!(",\"execute_us\":{}", self.execute_us));
-        out.push_str(&format!(",\"total_us\":{}", self.total_us));
-        out.push_str(",\"stages\":[");
-        for (i, stage) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"wall_us\":{}}}",
-                json_escape(&stage.name),
-                stage.wall_us
-            ));
-        }
-        out.push(']');
-        out.push_str(&format!(",\"derived_tuples\":{}", self.derived_tuples));
-        out.push_str(&format!(",\"dnf_monomials\":{}", self.dnf_monomials));
-        out.push_str(&format!(",\"dnf_literals\":{}", self.dnf_literals));
-        out.push_str(&format!(",\"session_hits\":{}", self.session_hits));
-        out.push_str(&format!(",\"session_misses\":{}", self.session_misses));
-        out.push_str(&format!(",\"store_records\":{}", self.store_records));
-        out.push_str(&format!(
-            ",\"extract_memo_hits\":{}",
-            self.extract_memo_hits
-        ));
-        out.push_str(&format!(
-            ",\"extract_memo_misses\":{}",
-            self.extract_memo_misses
-        ));
-        out.push_str(&format!(",\"rule_cost\":{}", self.rule_cost));
-        out.push_str(",\"top_rules\":[");
-        for (i, (label, cost)) in self.top_rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":{},\"cost\":{}}}",
-                json_escape(label),
-                cost
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The record as its one JSON object — the shape served by `GET
+    /// /audit`, `audit-tail` and `audit-top` and printed by `p3 audit
+    /// --json`. Hostile trace text is escaped by the encoder like every
+    /// other string, so it cannot break the emitted JSON.
+    pub fn to_value(&self) -> Value {
+        let stages = self.stages.iter().map(|stage| {
+            Value::object(vec![
+                ("name", stage.name.as_str().into()),
+                ("wall_us", stage.wall_us.into()),
+            ])
+        });
+        let top_rules = self.top_rules.iter().map(|(rule, cost)| {
+            Value::object(vec![
+                ("rule", rule.as_str().into()),
+                ("cost", (*cost).into()),
+            ])
+        });
+        Value::object(vec![
+            ("ts_ms", self.ts_ms.into()),
+            ("trace", self.trace.as_str().into()),
+            ("class", self.class.as_str().into()),
+            ("eval_mode", self.eval_mode.as_str().into()),
+            ("query_hash", format!("{:016x}", self.query_hash).into()),
+            ("outcome", self.outcome.label().into()),
+            ("queue_wait_us", self.queue_wait_us.into()),
+            ("execute_us", self.execute_us.into()),
+            ("total_us", self.total_us.into()),
+            ("stages", stages.collect()),
+            ("derived_tuples", self.derived_tuples.into()),
+            ("dnf_monomials", self.dnf_monomials.into()),
+            ("dnf_literals", self.dnf_literals.into()),
+            ("session_hits", self.session_hits.into()),
+            ("session_misses", self.session_misses.into()),
+            ("store_records", self.store_records.into()),
+            ("extract_memo_hits", self.extract_memo_hits.into()),
+            ("extract_memo_misses", self.extract_memo_misses.into()),
+            ("rule_cost", self.rule_cost.into()),
+            ("top_rules", top_rules.collect()),
+        ])
     }
 }
-
-/// JSON string literal (including surrounding quotes) per RFC 8259:
-/// quote, backslash, and all control characters below 0x20 escaped.
-pub use p3_obs::json::quote as json_escape;
 
 #[cfg(test)]
 mod tests {
@@ -508,7 +489,7 @@ mod tests {
     fn json_is_escaped_and_parseable_shape() {
         let mut record = sample();
         record.trace = "a\"b\\c\nd\u{0001}e".into();
-        let json = record.to_json_string();
+        let json = record.to_value().to_json();
         assert!(json.contains(r#""trace":"a\"b\\c\nd\u0001e""#), "{json}");
         // No raw control characters may survive into the JSON text.
         assert!(json.chars().all(|c| (c as u32) >= 0x20), "{json}");

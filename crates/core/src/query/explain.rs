@@ -6,8 +6,8 @@
 //! deltas) and the measured [`cost_recommendations`] the numbers justify.
 //! It renders three ways: a rustc-style text plan for humans
 //! ([`QueryExplain::render_text`]), folded `frame;frame count` lines for
-//! flamegraph tooling ([`QueryExplain::to_folded`]), and JSON for the
-//! service plane ([`QueryExplain::to_json_string`]).
+//! flamegraph tooling ([`QueryExplain::to_folded`]), and a JSON value for
+//! the service plane ([`QueryExplain::to_value`]).
 //!
 //! Explaining is **observation-only**: it runs the query through exactly
 //! the session paths an unexplained query takes (the one resolver, so the
@@ -18,7 +18,7 @@ use crate::report::CacheDelta;
 use p3_datalog::diag::Diagnostic;
 use p3_datalog::explain::ExplainPlan;
 use p3_lint::cost::cost_recommendations;
-use p3_obs::json::escape_into;
+use p3_obs::json::Value;
 use p3_prob::DnfShape;
 
 /// One query's cost story: engine plan + answer shape + recommendations.
@@ -169,101 +169,38 @@ impl QueryExplain {
         out
     }
 
-    /// Serialises the full explain result as one JSON object (the wire
-    /// form of the `explain` service op and `p3 explain --json`).
-    pub fn to_json_string(&self) -> String {
-        let plan = &self.plan;
-        let mut s = String::with_capacity(512);
-        s.push_str("{\"query\":\"");
-        escape_into(&mut s, &self.query);
-        s.push_str(&format!(
-            "\",\"mode\":\"{}\",\"total_cost\":{},\"iterations\":{},\"tuples\":{},\"firings\":{}",
-            plan.mode,
-            plan.total_cost(),
-            plan.stats.iterations,
-            plan.stats.tuples,
-            plan.stats.firings,
-        ));
-        s.push_str(",\"deltas\":[");
-        for (i, d) in plan.deltas.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_string());
+    /// The full explain result as one JSON object (the wire form of the
+    /// `explain` service op and `p3 explain --json`): the `query`, the
+    /// plan's fields ([`ExplainPlan::to_value`]), then the answer's `dnf`
+    /// shape, the `caches` deltas and the `recommendations`.
+    pub fn to_value(&self) -> Value {
+        let mut value = self.plan.to_value();
+        if let Value::Object(fields) = &mut value {
+            let (shape, c) = (&self.shape, &self.cache);
+            fields.insert(0, ("query".into(), self.query.as_str().into()));
+            let dnf = Value::object(vec![
+                ("monomials", shape.monomials.into()),
+                ("literals", shape.literals.into()),
+                ("max_width", shape.max_width.into()),
+                ("distinct_vars", shape.distinct_vars.into()),
+            ]);
+            let caches = Value::object(vec![
+                ("session_hits", c.session_hits.into()),
+                ("session_misses", c.session_misses.into()),
+                ("intern_hits", c.store_intern_hits.into()),
+                ("intern_misses", c.store_intern_misses.into()),
+                ("store_op_hits", c.store_op_hits.into()),
+                ("store_op_misses", c.store_op_misses.into()),
+                ("extract_memo_hits", c.extract_memo_hits.into()),
+                ("extract_memo_misses", c.extract_memo_misses.into()),
+            ]);
+            let recommendations = self.recommendations.iter().map(Diagnostic::to_value);
+            fields.extend([
+                ("dnf".into(), dnf),
+                ("caches".into(), caches),
+                ("recommendations".into(), recommendations.collect()),
+            ]);
         }
-        s.push_str("],\"strata\":[");
-        for (i, st) in plan.strata.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"iterations\":{},\"firings\":{},\"tuples\":{}}}",
-                st.iterations, st.firings, st.derived_tuples
-            ));
-        }
-        s.push_str("],\"rules\":[");
-        for (i, r) in plan.rules.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"rule\":\"");
-            escape_into(&mut s, &r.label);
-            s.push_str("\",\"head\":\"");
-            escape_into(&mut s, &r.head);
-            s.push_str(&format!(
-                "\",\"recursive\":{},\"cost\":{},\"firings\":{},\"new_tuples\":{},\
-                 \"candidates\":{},\"iterations\":{},\"indexed_probes\":{},\
-                 \"scanned_probes\":{},\"variants\":{}}}",
-                r.recursive,
-                r.cost(),
-                r.firings,
-                r.new_tuples,
-                r.candidates,
-                r.iterations,
-                r.indexed_probes,
-                r.scanned_probes,
-                r.variants,
-            ));
-        }
-        s.push(']');
-        if let Some(m) = &plan.magic {
-            s.push_str(&format!(
-                ",\"magic\":{{\"rules\":{},\"firings\":{},\"new_tuples\":{},\"cost\":{}}}",
-                m.rules,
-                m.firings,
-                m.new_tuples,
-                m.cost()
-            ));
-        }
-        s.push_str(&format!(
-            ",\"dnf\":{{\"monomials\":{},\"literals\":{},\"max_width\":{},\"distinct_vars\":{}}}",
-            self.shape.monomials,
-            self.shape.literals,
-            self.shape.max_width,
-            self.shape.distinct_vars
-        ));
-        let c = &self.cache;
-        s.push_str(&format!(
-            ",\"caches\":{{\"session_hits\":{},\"session_misses\":{},\"intern_hits\":{},\
-             \"intern_misses\":{},\"store_op_hits\":{},\"store_op_misses\":{},\
-             \"extract_memo_hits\":{},\"extract_memo_misses\":{}}}",
-            c.session_hits,
-            c.session_misses,
-            c.store_intern_hits,
-            c.store_intern_misses,
-            c.store_op_hits,
-            c.store_op_misses,
-            c.extract_memo_hits,
-            c.extract_memo_misses,
-        ));
-        s.push_str(",\"recommendations\":[");
-        for (i, d) in self.recommendations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&d.to_json());
-        }
-        s.push_str("]}");
-        s
+        value
     }
 }

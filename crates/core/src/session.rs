@@ -1189,7 +1189,7 @@ mod tests {
             folded.lines().any(|l| l.starts_with("p3;naive;r3 ")),
             "{folded}"
         );
-        let json = ex.to_json_string();
+        let json = ex.to_value().to_json();
         assert!(json.contains("\"mode\":\"demand\""), "{json}");
         assert!(json.contains("\"rule\":\"r3\""), "{json}");
         assert!(json.contains("\"magic\":{"), "{json}");

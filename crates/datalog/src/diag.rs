@@ -7,10 +7,11 @@
 //! [`Span`] resolved to a 1-based line and column. Two renderings are
 //! provided: [`Diagnostic::render`] produces rustc-style text with the
 //! offending source line and a caret underline, and
-//! [`Diagnostic::to_json`] produces a machine-readable object for the
+//! [`Diagnostic::to_value`] builds a machine-readable JSON object for the
 //! service protocol and `p3 lint --json`.
 
 use crate::parser::Span;
+use p3_obs::json::Value;
 use std::fmt;
 
 /// How serious a finding is.
@@ -168,35 +169,29 @@ impl Diagnostic {
         out
     }
 
-    /// Machine-readable JSON object (one diagnostic).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\":\"{}\"", self.code));
-        out.push_str(&format!(",\"severity\":\"{}\"", self.severity));
-        out.push_str(&format!(
-            ",\"message\":{}",
-            p3_obs::json::quote(&self.message)
-        ));
+    /// The diagnostic as a JSON object: `code`, `severity`, `message`,
+    /// then `span`, `line`/`column`, `clause` and `help` when known.
+    pub fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("code", Value::from(self.code)),
+            ("severity", Value::from(self.severity.as_str())),
+            ("message", Value::from(self.message.as_str())),
+        ];
         if let Some(span) = self.span {
-            out.push_str(&format!(
-                ",\"span\":{{\"start\":{},\"end\":{}}}",
-                span.start, span.end
-            ));
+            let span = Value::object(vec![("start", span.start.into()), ("end", span.end.into())]);
+            fields.push(("span", span));
         }
         if self.line > 0 {
-            out.push_str(&format!(
-                ",\"line\":{},\"column\":{}",
-                self.line, self.column
-            ));
+            fields.push(("line", self.line.into()));
+            fields.push(("column", self.column.into()));
         }
         if let Some(clause) = &self.clause {
-            out.push_str(&format!(",\"clause\":{}", p3_obs::json::quote(clause)));
+            fields.push(("clause", clause.as_str().into()));
         }
         if let Some(help) = &self.help {
-            out.push_str(&format!(",\"help\":{}", p3_obs::json::quote(help)));
+            fields.push(("help", help.as_str().into()));
         }
-        out.push('}');
-        out
+        Value::object(fields)
     }
 }
 
@@ -279,7 +274,7 @@ mod tests {
             .with_span(Some(Span::new(3, 7)))
             .locate("abcdefgh")
             .with_clause("r1");
-        let json = d.to_json();
+        let json = d.to_value().to_json();
         assert!(json.contains(r#""code":"P3105""#), "{json}");
         assert!(json.contains(r#""severity":"error""#), "{json}");
         assert!(json.contains(r#"\"weird\"\narity"#), "{json}");

@@ -16,6 +16,7 @@ use crate::ast::ClauseId;
 use crate::engine::{Engine, EngineStats, RuleStats, StratumStats};
 use crate::program::Program;
 use crate::transform::DemandProgram;
+use p3_obs::json::Value;
 use std::collections::HashMap;
 
 /// How many rules (ranked by cost) each plan contributes to the
@@ -109,6 +110,56 @@ impl ExplainPlan {
     /// demand run included), summed over strata.
     pub fn derived_tuples(&self) -> u64 {
         self.strata.iter().map(|s| s.derived_tuples as u64).sum()
+    }
+
+    /// The plan as a JSON object: `mode`, the run's `total_cost`,
+    /// `iterations`, `tuples` and `firings`, the `deltas` and per-stratum
+    /// counters, the ranked `rules`, and the `magic` bucket when the
+    /// transformation did work. These are the fields of the `explain`
+    /// op's payload after its `query`, and each entry of `GET /explain`.
+    pub fn to_value(&self) -> Value {
+        let strata = self.strata.iter().map(|st| {
+            Value::object(vec![
+                ("iterations", st.iterations.into()),
+                ("firings", st.firings.into()),
+                ("tuples", st.derived_tuples.into()),
+            ])
+        });
+        let rules = self.rules.iter().map(|r| {
+            Value::object(vec![
+                ("rule", r.label.as_str().into()),
+                ("head", r.head.as_str().into()),
+                ("recursive", r.recursive.into()),
+                ("cost", r.cost().into()),
+                ("firings", r.firings.into()),
+                ("new_tuples", r.new_tuples.into()),
+                ("candidates", r.candidates.into()),
+                ("iterations", r.iterations.into()),
+                ("indexed_probes", r.indexed_probes.into()),
+                ("scanned_probes", r.scanned_probes.into()),
+                ("variants", r.variants.into()),
+            ])
+        });
+        let mut fields = vec![
+            ("mode", Value::from(self.mode)),
+            ("total_cost", self.total_cost().into()),
+            ("iterations", self.stats.iterations.into()),
+            ("tuples", self.stats.tuples.into()),
+            ("firings", self.stats.firings.into()),
+            ("deltas", self.deltas.iter().copied().collect()),
+            ("strata", strata.collect()),
+            ("rules", rules.collect()),
+        ];
+        if let Some(m) = &self.magic {
+            let magic = Value::object(vec![
+                ("rules", m.rules.into()),
+                ("firings", m.firings.into()),
+                ("new_tuples", m.new_tuples.into()),
+                ("cost", m.cost().into()),
+            ]);
+            fields.push(("magic", magic));
+        }
+        Value::object(fields)
     }
 
     /// Builds a plan from a naive run: compiled rules map one-to-one onto

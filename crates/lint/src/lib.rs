@@ -22,8 +22,8 @@
 //! Unlike [`Program`] validation — which stops at the
 //! first error — a lint run reports *every* finding, each with a source
 //! span, a severity, and a stable `P3xxx` code. [`LintReport::render`]
-//! produces rustc-style text; [`LintReport::to_json`] a machine-readable
-//! array.
+//! produces rustc-style text; [`LintReport::to_value`] a machine-readable
+//! JSON array.
 
 pub mod cost;
 mod ctx;
@@ -35,6 +35,7 @@ use p3_datalog::ast::Clause;
 use p3_datalog::parser::{self, ClauseSpans};
 use p3_datalog::symbol::SymbolTable;
 use p3_datalog::Program;
+use p3_obs::json::Value;
 
 pub use p3_datalog::diag::{Diagnostic, Severity};
 
@@ -114,18 +115,9 @@ impl LintReport {
         )
     }
 
-    /// A JSON array of the findings (objects as produced by
-    /// [`Diagnostic::to_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&d.to_json());
-        }
-        out.push(']');
-        out
+    /// The findings as a JSON array of [`Diagnostic::to_value`] objects.
+    pub fn to_value(&self) -> Value {
+        self.diagnostics.iter().map(Diagnostic::to_value).collect()
     }
 }
 
@@ -321,7 +313,7 @@ mod tests {
     #[test]
     fn json_output_is_an_array() {
         let report = lint_source("f(X).\n");
-        let json = report.to_json();
+        let json = report.to_value().to_json();
         assert!(json.starts_with('['), "{json}");
         assert!(json.contains("\"code\":\"P3102\""), "{json}");
     }

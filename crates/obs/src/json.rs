@@ -1,15 +1,221 @@
-//! The workspace's one JSON string escaper (RFC 8259).
+//! The workspace's one JSON codec (RFC 8259): a [`Value`] tree, its
+//! encoder and its parser.
 //!
-//! Every crate that writes JSON by hand — audit records, explain and
-//! analyze plans, lint diagnostics, Chrome traces and the service's wire
-//! encoder — escapes strings here, so their outputs agree byte for byte.
+//! Every JSON document P3 prints — the service's wire protocol, audit
+//! records, explain and analyze plans, lint diagnostics, the admin
+//! plane's bodies, Chrome traces and the CLI's `--json` outputs — is a
+//! `Value` that a type builds (`to_value`) and this module encodes, so
+//! escaping, separators and number formatting are decided in one place.
+//!
+//! The workspace builds fully offline (no registry), so the codec is
+//! hand-rolled instead of pulling `serde_json`. Supported: the full JSON
+//! value grammar with `\uXXXX` escapes (surrogate pairs included); numbers
+//! are `f64` (integers print without a fraction part, exactly up to
+//! 2^53); objects preserve insertion order (handy for stable golden
+//! tests). Not supported: anything beyond JSON — no comments, no trailing
+//! commas, no NaN/Infinity literals.
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-/// Appends `s` to `out` with JSON string escaping: quotes, backslashes and
-/// control characters are escaped, everything else is copied verbatim. No
-/// surrounding quotes are added.
-pub fn escape_into(out: &mut String, s: &str) {
+/// A JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (always stored as `f64`).
+    Number(f64),
+    /// A string.
+    String(String),
+    /// An array.
+    Array(Vec<Value>),
+    /// An object, in insertion order.
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Builds an object from key/value pairs.
+    pub fn object(pairs: Vec<(&str, Value)>) -> Value {
+        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Looks up `key` in an object; `None` for other variants.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a non-negative integer, if it is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The element list, if this is an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Serialises to compact (single-line) JSON.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        write_value(&mut out, self);
+        out
+    }
+
+    /// Parses a JSON document, requiring it to span the whole input.
+    pub fn parse(input: &str) -> Result<Value, ParseError> {
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after JSON value"));
+        }
+        Ok(v)
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.to_json())
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::String(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::String(s)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Number(n)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Number(n as f64)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Number(n as f64)
+    }
+}
+
+impl From<u32> for Value {
+    fn from(n: u32) -> Self {
+        Value::Number(f64::from(n))
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+/// Collects into an array.
+impl<V: Into<Value>> FromIterator<V> for Value {
+    fn from_iter<I: IntoIterator<Item = V>>(items: I) -> Self {
+        Value::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+fn write_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(true) => out.push_str("true"),
+        Value::Bool(false) => out.push_str("false"),
+        Value::Number(n) => write_number(out, *n),
+        Value::String(s) => write_string(out, s),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(out, item);
+            }
+            out.push(']');
+        }
+        Value::Object(pairs) => {
+            out.push('{');
+            for (i, (k, val)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_string(out, k);
+                out.push(':');
+                write_value(out, val);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_number(out: &mut String, n: f64) {
+    if n.is_finite() {
+        // Rust's shortest-roundtrip formatting is valid JSON for finite
+        // numbers (integers render without a fraction part).
+        let _ = write!(out, "{n}");
+    } else {
+        // JSON has no NaN/Infinity; null is the conventional stand-in.
+        out.push_str("null");
+    }
+}
+
+/// Writes `s` as a JSON string literal: quotes, backslashes and control
+/// characters are escaped, everything else is copied verbatim.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -23,15 +229,242 @@ pub fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
-/// `s` as a complete JSON string literal, quotes included.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
-    out
+/// A decode failure, with the byte offset where it happened.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// What went wrong.
+    pub message: String,
+    /// Byte offset in the input.
+    pub offset: usize,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.message, self.offset)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn err(&self, message: &str) -> ParseError {
+        ParseError {
+            message: message.to_string(),
+            offset: self.pos,
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", byte as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected '{word}'")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, ParseError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b'[') => self.array(),
+            Some(b'{') => self.object(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, ParseError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, ParseError> {
+        self.expect(b'{')?;
+        let mut pairs: Vec<(String, Value)> = Vec::new();
+        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            // Last duplicate key wins, mirroring serde_json.
+            if let Some(&i) = seen.get(&key) {
+                pairs[i].1 = val;
+            } else {
+                seen.insert(key.clone(), pairs.len());
+                pairs.push((key, val));
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(pairs));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let start = self.pos;
+            // Fast path: copy unescaped UTF-8 runs wholesale.
+            while let Some(c) = self.peek() {
+                if c == b'"' || c == b'\\' || c < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            if self.pos > start {
+                out.push_str(
+                    std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8 in string"))?,
+                );
+            }
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{0008}'),
+                        b'f' => out.push('\u{000C}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hi = self.hex4()?;
+                            let code = if (0xD800..0xDC00).contains(&hi) {
+                                // Surrogate pair: expect \uXXXX low half.
+                                self.expect(b'\\')?;
+                                self.expect(b'u')?;
+                                let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("invalid low surrogate"));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                            } else {
+                                hi
+                            };
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
+                            );
+                        }
+                        _ => return Err(self.err("unknown escape")),
+                    }
+                }
+                Some(_) => return Err(self.err("control character in string")),
+                None => return Err(self.err("unterminated string")),
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        if self.pos + 4 > self.bytes.len() {
+            return Err(self.err("truncated \\u escape"));
+        }
+        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+            .map_err(|_| self.err("invalid \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    fn number(&mut self) -> Result<Value, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        text.parse::<f64>()
+            .map(Value::Number)
+            .map_err(|_| self.err("invalid number"))
+    }
 }
 
 #[cfg(test)]
@@ -39,13 +472,85 @@ mod tests {
     use super::*;
 
     #[test]
+    fn round_trips_scalars() {
+        for text in ["null", "true", "false", "0", "-1.5", "1e3", "\"hi\""] {
+            let v = Value::parse(text).unwrap();
+            assert_eq!(Value::parse(&v.to_json()).unwrap(), v, "{text}");
+        }
+        assert_eq!(Value::parse("1e3").unwrap(), Value::Number(1000.0));
+    }
+
+    #[test]
+    fn round_trips_nested_structures() {
+        let text = r#"{"op":"probability","query":"know(\"Ben\",\"Elena\")","nested":{"a":[1,2,{"b":null}],"t":true},"x":-0.25}"#;
+        let v = Value::parse(text).unwrap();
+        assert_eq!(v.to_json(), text);
+        assert_eq!(
+            v.get("query").unwrap().as_str().unwrap(),
+            r#"know("Ben","Elena")"#
+        );
+        assert_eq!(v.get("x").unwrap().as_f64(), Some(-0.25));
+    }
+
+    #[test]
+    fn escapes_and_unicode() {
+        let v = Value::String("tab\t \"quote\" \\ newline\n λ €".to_string());
+        let json = v.to_json();
+        assert_eq!(Value::parse(&json).unwrap(), v);
+        // Escaped input forms, including a surrogate pair.
+        let parsed = Value::parse(r#""λ 😀 \n""#).unwrap();
+        assert_eq!(parsed.as_str().unwrap(), "λ 😀 \n");
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "{\"a\":1} extra",
+            "01a",
+            r#""\q""#,
+            "nan",
+        ] {
+            assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_last_wins() {
+        let v = Value::parse(r#"{"a":1,"a":2}"#).unwrap();
+        assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
+    }
+
+    #[test]
+    fn accessors_are_type_safe() {
+        let v = Value::parse(r#"{"n":3,"s":"x","b":true,"arr":[1]}"#).unwrap();
+        assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
+        assert_eq!(v.get("n").unwrap().as_str(), None);
+        assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
+        assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("arr").unwrap().as_array().unwrap().len(), 1);
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(Value::Number(-1.0).as_u64(), None);
+        assert_eq!(Value::Number(1.5).as_u64(), None);
+    }
+
+    #[test]
+    fn non_finite_numbers_encode_as_null() {
+        assert_eq!(Value::Number(f64::NAN).to_json(), "null");
+        assert_eq!(Value::Number(f64::INFINITY).to_json(), "null");
+    }
+
+    #[test]
     fn escapes_quotes_backslashes_and_control_characters() {
         assert_eq!(
-            quote("a\"b\\c\nd\re\tf\u{1}g λ"),
+            Value::from("a\"b\\c\nd\re\tf\u{1}g λ").to_json(),
             r#""a\"b\\c\nd\re\tf\u0001g λ""#
         );
-        let mut out = String::from("x");
-        escape_into(&mut out, "\u{1f}");
-        assert_eq!(out, "x\\u001f");
+        assert_eq!(Value::from("\u{1f}").to_json(), r#""\u001f""#);
     }
 }

@@ -22,8 +22,9 @@
 //!   (the admin plane's `GET /slo` endpoint and `/readyz` gate).
 //! * [`process`]: `p3_build_info` and process self-metrics (RSS, open
 //!   fds, uptime) sampled from `/proc/self`.
-//! * [`json`]: the one JSON string escaper every hand-written JSON
-//!   encoder in the workspace shares.
+//! * [`json`]: the workspace's one JSON codec — the [`json::Value`] tree
+//!   every JSON-printing type builds, its encoder (the only place that
+//!   escapes strings) and its parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

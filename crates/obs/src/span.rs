@@ -21,6 +21,7 @@
 //! (unfinished) span names, published through [`live_stacks`] — the raw
 //! material of the sampling wall-clock profiler in [`crate::profile`].
 
+use crate::json::Value;
 use std::cell::{Cell, OnceCell};
 use std::collections::VecDeque;
 use std::fmt::Display;
@@ -297,40 +298,39 @@ pub fn recent_roots(name: Option<&str>, n: usize) -> Vec<SpanTree> {
         .collect()
 }
 
-fn push_event(out: &mut String, record: &SpanRecord) {
-    out.push_str("{\"name\":\"");
-    crate::json::escape_into(out, record.name);
-    out.push_str("\",\"ph\":\"X\",\"cat\":\"p3\",\"pid\":1,\"tid\":");
-    out.push_str(&record.tid.to_string());
-    out.push_str(",\"ts\":");
-    out.push_str(&record.start_us.to_string());
-    out.push_str(",\"dur\":");
-    out.push_str(&record.dur_us.to_string());
-    out.push_str(",\"args\":{\"span_id\":\"");
-    out.push_str(&record.id.to_string());
-    out.push_str("\",\"parent_id\":\"");
-    out.push_str(&record.parent.to_string());
-    out.push('"');
-    for (key, value) in &record.fields {
-        out.push_str(",\"");
-        crate::json::escape_into(out, key);
-        out.push_str("\":\"");
-        crate::json::escape_into(out, value);
-        out.push('"');
-    }
-    out.push_str("}}");
+/// One span as a Chrome "complete" (`ph:"X"`) trace event.
+fn event(record: &SpanRecord) -> Value {
+    let mut args = vec![
+        ("span_id".to_string(), Value::from(record.id.to_string())),
+        (
+            "parent_id".to_string(),
+            Value::from(record.parent.to_string()),
+        ),
+    ];
+    args.extend(
+        record
+            .fields
+            .iter()
+            .map(|(key, value)| (key.to_string(), Value::from(value.as_str()))),
+    );
+    Value::object(vec![
+        ("name", Value::from(record.name)),
+        ("ph", Value::from("X")),
+        ("cat", Value::from("p3")),
+        ("pid", Value::from(1u64)),
+        ("tid", Value::from(record.tid)),
+        ("ts", Value::from(record.start_us)),
+        ("dur", Value::from(record.dur_us)),
+        ("args", Value::Object(args)),
+    ])
 }
 
 fn render_chrome<'a>(records: impl IntoIterator<Item = &'a SpanRecord>) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, record) in records.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_event(&mut out, record);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    Value::object(vec![
+        ("traceEvents", records.into_iter().map(event).collect()),
+        ("displayTimeUnit", Value::from("ms")),
+    ])
+    .to_json()
 }
 
 /// Renders every span in the ring as Chrome trace-event JSON ("complete"

@@ -42,6 +42,7 @@
 //! scrapers and probes. Unknown paths get 404, non-GET methods 405 with
 //! an `Allow: GET` header.
 
+use crate::json::Value;
 use crate::server::{
     analyze_snapshot, audit_tail_snapshot, audit_top_snapshot, explain_snapshot, refresh_gauges,
     slo_snapshot, Shared,
@@ -91,6 +92,16 @@ impl HttpResponse {
             status,
             content_type: "text/plain; charset=utf-8",
             body: body.into(),
+            allow: None,
+        }
+    }
+
+    /// One JSON document and a newline.
+    fn json(status: u16, value: Value) -> Self {
+        Self {
+            status,
+            content_type: "application/json",
+            body: value.to_json() + "\n",
             allow: None,
         }
     }
@@ -180,19 +191,10 @@ fn query_param(target: &str, key: &str) -> Option<String> {
 
 /// A 400 with a JSON error body naming the offending parameter. The raw
 /// value is client-controlled, so it is echoed as its own JSON string
-/// field (`json_escape` quotes as well as escapes), never spliced into
-/// the error message.
-fn bad_param(key: &str, raw: &str, min: u64, max: u64) -> HttpResponse {
-    HttpResponse {
-        status: 400,
-        content_type: "application/json",
-        body: format!(
-            "{{\"error\":\"query parameter '{key}' must be an integer in \
-             {min}..={max}\",\"got\":{}}}\n",
-            p3_audit::json_escape(raw)
-        ),
-        allow: None,
-    }
+/// field, never spliced into the error message.
+fn bad_param(error: String, raw: &str) -> HttpResponse {
+    let body = Value::object(vec![("error", error.into()), ("got", raw.into())]);
+    HttpResponse::json(400, body)
 }
 
 /// Parses integer query parameter `key`: absent means `default`;
@@ -210,7 +212,10 @@ fn parse_count(
     };
     match raw.parse::<u64>() {
         Ok(v) if (min..=max).contains(&v) => Ok(v),
-        _ => Err(bad_param(key, &raw, min, max)),
+        _ => Err(bad_param(
+            format!("query parameter '{key}' must be an integer in {min}..={max}"),
+            &raw,
+        )),
     }
 }
 
@@ -266,10 +271,7 @@ pub(crate) fn respond(method: &str, target: &str, shared: &Shared) -> HttpRespon
                 Ok(n) => n as usize,
                 Err(resp) => return resp,
             };
-            HttpResponse::ok(
-                "application/json",
-                audit_tail_snapshot(shared, n).to_json() + "\n",
-            )
+            HttpResponse::json(200, audit_tail_snapshot(shared, n))
         }
         "/audit/top" => {
             let n = match parse_count(target, "n", 10, 1, MAX_AUDIT_N) {
@@ -281,34 +283,17 @@ pub(crate) fn respond(method: &str, target: &str, shared: &Shared) -> HttpRespon
                 Some(raw) => match AuditKey::parse(raw) {
                     Ok(by) => by,
                     Err(_) => {
-                        return HttpResponse {
-                            status: 400,
-                            content_type: "application/json",
-                            body: format!(
-                                "{{\"error\":\"query parameter 'by' must be one of {}\",\
-                                 \"got\":{}}}\n",
-                                AuditKey::EXPECTED,
-                                p3_audit::json_escape(raw)
-                            ),
-                            allow: None,
-                        }
+                        let error =
+                            format!("query parameter 'by' must be one of {}", AuditKey::EXPECTED);
+                        return bad_param(error, raw);
                     }
                 },
             };
-            HttpResponse::ok(
-                "application/json",
-                audit_top_snapshot(shared, by, n).to_json() + "\n",
-            )
+            HttpResponse::json(200, audit_top_snapshot(shared, by, n))
         }
-        "/slo" => HttpResponse::ok("application/json", slo_snapshot(shared).to_json() + "\n"),
-        "/explain" => HttpResponse::ok(
-            "application/json",
-            explain_snapshot(shared).to_json() + "\n",
-        ),
-        "/analyze" => HttpResponse::ok(
-            "application/json",
-            analyze_snapshot(shared).to_json() + "\n",
-        ),
+        "/slo" => HttpResponse::json(200, slo_snapshot(shared)),
+        "/explain" => HttpResponse::json(200, explain_snapshot(shared)),
+        "/analyze" => HttpResponse::json(200, analyze_snapshot(shared)),
         _ => HttpResponse::text(404, format!("no such route: {path}\n")),
     }
 }

@@ -1234,14 +1234,12 @@ fn execute(
         }
         Op::Lint { source: text } => {
             let report = timed(record, "lint", || p3_lint::lint_source(text));
-            let findings = Value::parse(&report.to_json())
-                .map_err(|e| format!("internal: bad findings JSON: {e}"))?;
             Ok(Value::object(vec![
                 ("clean", Value::from(report.is_clean())),
                 ("errors", Value::from(report.error_count())),
                 ("warnings", Value::from(report.warn_count())),
                 ("notes", Value::from(report.info_count())),
-                ("findings", findings),
+                ("findings", report.to_value()),
                 (
                     "content_type",
                     Value::from("text/plain; lint=p3".to_string()),
@@ -1255,18 +1253,11 @@ fn execute(
         Op::Explain { query } => {
             let (explained, report) = session.explain(query);
             audit_report(record, &report);
-            let explained = explained.map_err(|e| e.to_string())?;
-            // The explain type owns the canonical JSON shape (shared with
-            // `p3 explain --json`); parse it back rather than re-encoding.
-            Value::parse(&explained.to_json_string())
-                .map_err(|e| format!("explain payload encoding: {e}"))
+            Ok(explained.map_err(|e| e.to_string())?.to_value())
         }
         Op::Analyze { query } => {
             let plan = timed(record, "analyze", || session.analyze(query.as_deref()));
-            // The plan type owns the canonical JSON shape (shared with
-            // `p3 analyze --json`); parse it back rather than re-encoding.
-            Value::parse(&plan.to_json_string())
-                .map_err(|e| format!("analyze payload encoding: {e}"))
+            Ok(plan.to_value())
         }
         op => unreachable!("OPS answers {op:?} inline"),
     }
@@ -1522,20 +1513,13 @@ fn engine_stats_value(session: &QuerySession) -> Value {
 /// its reason, and any `P37xx` diagnostics. Computed fresh per request
 /// (analysis is microseconds) and evaluates nothing.
 pub(crate) fn analyze_snapshot(shared: &Shared) -> Value {
-    let session = shared.current_session();
-    let plan = session.analyze(None);
-    Value::parse(&plan.to_json_string()).unwrap_or_else(|e| {
-        Value::object(vec![(
-            "error",
-            Value::from(format!("analyze payload encoding: {e}")),
-        )])
-    })
+    shared.current_session().analyze(None).to_value()
 }
 
 /// The `GET /explain` payload: the current session's accumulated cost
-/// attribution — every retained [`ExplainPlan`] plus the cross-plan
-/// top-rules ranking — for operators who want "which rules are burning
-/// the CPU?" without crafting a query.
+/// attribution — every retained [`ExplainPlan`], in the `explain` op's
+/// plan shape, plus the cross-plan top-rules ranking — for operators who
+/// want "which rules are burning the CPU?" without crafting a query.
 ///
 /// [`ExplainPlan`]: p3_datalog::explain::ExplainPlan
 pub(crate) fn explain_snapshot(shared: &Shared) -> Value {
@@ -1566,47 +1550,7 @@ pub(crate) fn explain_snapshot(shared: &Shared) -> Value {
                     .collect(),
             ),
         ),
-        (
-            "plans",
-            Value::Array(plans.iter().map(explain_plan_value).collect()),
-        ),
-    ])
-}
-
-/// One retained [`ExplainPlan`](p3_datalog::explain::ExplainPlan) as JSON
-/// (the per-evaluation entries of `GET /explain`).
-fn explain_plan_value(plan: &p3_datalog::explain::ExplainPlan) -> Value {
-    Value::object(vec![
-        ("mode", Value::from(plan.mode.to_string())),
-        ("total_cost", Value::from(plan.total_cost())),
-        ("iterations", Value::from(plan.stats.iterations)),
-        ("firings", Value::from(plan.stats.firings)),
-        ("tuples", Value::from(plan.stats.tuples)),
-        (
-            "rules",
-            Value::Array(
-                plan.rules
-                    .iter()
-                    .map(|r| {
-                        Value::object(vec![
-                            ("rule", Value::from(r.label.clone())),
-                            ("head", Value::from(r.head.clone())),
-                            ("recursive", Value::from(r.recursive)),
-                            ("cost", Value::from(r.cost())),
-                            ("firings", Value::from(r.firings)),
-                            ("new_tuples", Value::from(r.new_tuples)),
-                            ("candidates", Value::from(r.candidates)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "magic_cost",
-            plan.magic
-                .map(|m| Value::from(m.cost()))
-                .unwrap_or(Value::Null),
-        ),
+        ("plans", plans.iter().map(ExplainPlan::to_value).collect()),
     ])
 }
 
@@ -1663,12 +1607,6 @@ fn store_stats_snapshot(shared: &Shared) -> Value {
     ])
 }
 
-/// One audit record as a JSON value — the audit crate owns the canonical
-/// JSON shape; the service parses it back rather than re-encoding.
-fn audit_record_value(record: &AuditRecord) -> Value {
-    Value::parse(&record.to_json_string()).unwrap_or(Value::Null)
-}
-
 /// The audit log's live counters as a JSON object.
 fn audit_stats_value(stats: &p3_audit::AuditStats) -> Value {
     Value::object(vec![
@@ -1696,7 +1634,7 @@ pub(crate) fn audit_tail_snapshot(shared: &Shared, n: usize) -> Value {
         ("enabled", Value::from(true)),
         (
             "records",
-            Value::Array(records.iter().map(audit_record_value).collect()),
+            records.iter().map(AuditRecord::to_value).collect(),
         ),
         ("stats", audit_stats_value(&audit.stats())),
     ])
@@ -1715,7 +1653,7 @@ pub(crate) fn audit_top_snapshot(shared: &Shared, by: AuditKey, n: usize) -> Val
         ("by", Value::from(by.as_str().to_string())),
         (
             "records",
-            Value::Array(records.iter().map(audit_record_value).collect()),
+            records.iter().map(AuditRecord::to_value).collect(),
         ),
     ])
 }

@@ -277,7 +277,7 @@ fn every_request_is_one_record_and_the_log_survives_sigkill_and_a_torn_tail() {
         .expect("hostile record survived the crash");
     // Its canonical JSON is still well-formed despite the embedded
     // quotes, newline, and structural characters.
-    let parsed = Value::parse(&hostile.to_json_string()).unwrap();
+    let parsed = Value::parse(&hostile.to_value().to_json()).unwrap();
     assert_eq!(
         parsed.get("trace").and_then(Value::as_str),
         Some(HOSTILE_TRACE)

@@ -15,6 +15,7 @@ use p3::core::{
     DerivationAlgo, EvalMode, InfluenceMethod, InfluenceOptions, ModificationOptions, ProbMethod,
     QueryAnswer, QueryClass, SessionOptions, Strategy, P3,
 };
+use p3::obs::json::Value;
 use p3::prob::McConfig;
 use p3::provenance::extract::ExtractOptions;
 use std::process::ExitCode;
@@ -411,9 +412,7 @@ fn run_explain(opts: &ExplainOptions) -> Result<String, String> {
     });
     let explained = session.explain(&opts.query).0.map_err(|e| e.to_string())?;
     if opts.json {
-        let mut out = explained.to_json_string();
-        out.push('\n');
-        Ok(out)
+        Ok(explained.to_value().to_json() + "\n")
     } else if opts.folded {
         Ok(explained.to_folded())
     } else {
@@ -479,7 +478,7 @@ fn run_analyze(opts: &AnalyzeOptions) -> Result<String, String> {
     }
     if !opts.calibrate {
         return Ok(if opts.json {
-            plan.to_json_string() + "\n"
+            plan.to_value().to_json() + "\n"
         } else {
             plan.render_text()
         });
@@ -519,20 +518,20 @@ fn run_analyze(opts: &AnalyzeOptions) -> Result<String, String> {
     let top_match = top_predicted.is_some() && top_predicted == top_measured;
 
     if opts.json {
-        let mut out = String::from("{\"analyze\":");
-        out.push_str(&plan.to_json_string());
-        let quote = p3::obs::json::quote;
-        out.push_str(&format!(
-            ",\"calibration\":{{\"query\":{},\"eval_mode\":\"{}\",\"correlation\":{:.4},\
-             \"top_predicted\":{},\"top_measured\":{},\"top_match\":{}}}}}\n",
-            quote(query),
-            session.eval_mode().as_str(),
-            correlation,
-            quote(top_predicted.as_deref().unwrap_or("-")),
-            quote(top_measured.as_deref().unwrap_or("-")),
-            top_match,
-        ));
-        return Ok(out);
+        let top = |label: &Option<String>| Value::from(label.as_deref().unwrap_or("-"));
+        let calibration = Value::object(vec![
+            ("query", query.into()),
+            ("eval_mode", session.eval_mode().as_str().into()),
+            ("correlation", correlation.into()),
+            ("top_predicted", top(&top_predicted)),
+            ("top_measured", top(&top_measured)),
+            ("top_match", top_match.into()),
+        ]);
+        let out = Value::object(vec![
+            ("analyze", plan.to_value()),
+            ("calibration", calibration),
+        ]);
+        return Ok(out.to_json() + "\n");
     }
 
     let mut out = plan.render_text();
@@ -595,12 +594,12 @@ fn parse_lint_args(args: &[String]) -> Result<LintOptions, String> {
 fn lint_one(name: &str, src: &str, json: bool, out: &mut String) -> bool {
     let report = p3::lint::lint_source(src);
     if json {
-        out.push_str(&format!(
-            "{{\"file\":{},\"clean\":{},\"findings\":{}}}\n",
-            p3::obs::json::quote(name),
-            report.is_clean(),
-            report.to_json()
-        ));
+        let line = Value::object(vec![
+            ("file", name.into()),
+            ("clean", report.is_clean().into()),
+            ("findings", report.to_value()),
+        ]);
+        out.push_str(&format!("{line}\n"));
     } else if report.diagnostics.is_empty() {
         out.push_str(&format!("{name}: clean\n"));
     } else {
@@ -679,8 +678,7 @@ fn run_audit(opts: &AuditOptions) -> Result<(String, bool), String> {
     let mut out = String::new();
     if opts.json {
         for r in &records {
-            out.push_str(&r.to_json_string());
-            out.push('\n');
+            out.push_str(&format!("{}\n", r.to_value()));
         }
     } else {
         for r in &records {
@@ -694,7 +692,7 @@ fn run_audit(opts: &AuditOptions) -> Result<(String, bool), String> {
                 r.dnf_monomials,
                 r.dnf_literals,
                 // Trace ids are client-supplied; escape before terminal output.
-                p3::audit::json_escape(&r.trace),
+                Value::from(r.trace.as_str()),
             ));
         }
         out.push_str(&format!(

@@ -33,7 +33,7 @@ fn analyze_all_paths(program: &p3::datalog::program::Program) -> p3::core::Analy
     // Both renderers must succeed on any plan.
     let text = plan.render_text();
     assert!(text.starts_with("analyze:"), "header missing:\n{text}");
-    let json = plan.to_json_string();
+    let json = plan.to_value().to_json();
     assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
     // Diagnostics, if any, carry P37xx codes only.
     for d in &plan.diagnostics {

@@ -93,7 +93,7 @@ fn section(name: &str, src: &str) -> String {
     let mut plan = p3::analyze::analyze(&program);
     plan.analysis_us = 0;
     out.push_str("-- analyze\n");
-    out.push_str(&plan.to_json_string());
+    out.push_str(&plan.to_value().to_json());
     out.push_str("\n-- strata\n");
     out.push_str(&strata(&program));
     out.push_str("-- explain naive\n");
