@@ -426,44 +426,53 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The four hex digits of a `\u` escape: no sign, no fewer digits.
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self.peek().and_then(|b| char::from(b).to_digit(16));
+            code = code << 4 | digit.ok_or_else(|| self.err("invalid \\u escape"))?;
+            self.pos += 1;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos += 4;
         Ok(code)
     }
 
+    /// Skips a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// An RFC 8259 number: an optional minus, an integer part without
+    /// leading zeros, then optionally a fraction and an exponent, each
+    /// with at least one digit.
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        let mut valid = int_digits == 1 || (int_digits > 1 && self.bytes[int_start] != b'0');
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(n) if valid => Ok(Value::Number(n)),
+            _ => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -473,7 +482,9 @@ mod tests {
 
     #[test]
     fn round_trips_scalars() {
-        for text in ["null", "true", "false", "0", "-1.5", "1e3", "\"hi\""] {
+        for text in [
+            "null", "true", "false", "0", "-0", "-1.5", "1e3", "10.25E-2", "0.5e+1", "\"hi\"",
+        ] {
             let v = Value::parse(text).unwrap();
             assert_eq!(Value::parse(&v.to_json()).unwrap(), v, "{text}");
         }
@@ -515,6 +526,16 @@ mod tests {
             "01a",
             r#""\q""#,
             "nan",
+            r#"{"id":01}"#,
+            "1.",
+            "1.e5",
+            "00.5",
+            "-01",
+            "-",
+            "1e",
+            "1e+",
+            r#""\u+041""#,
+            r#""\u04""#,
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }
