@@ -25,7 +25,7 @@
 
 use crate::json::Value;
 use crate::protocol::{Op, Request, Response};
-use crate::stats::{Outcome, ServiceStats};
+use crate::stats::ServiceStats;
 use p3_audit::{AuditKey, AuditLog, AuditRecord, StageTiming};
 use p3_core::{
     EvalMode, QueryAnswer, QueryClass, QueryReport, QuerySession, SessionOptions, WarmRestore, P3,
@@ -859,14 +859,14 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
                 .ok()
                 .and_then(|v| v.get("id").and_then(Value::as_u64));
             let elapsed = start.elapsed();
-            shared.stats.record("malformed", elapsed, Outcome::Error);
-            record_request_metrics("malformed", elapsed);
             let record = AuditRecord {
                 class: "malformed".to_string(),
                 eval_mode: shared.eval_mode.as_str().to_string(),
                 outcome: p3_audit::Outcome::Error,
                 ..Default::default()
             };
+            shared.stats.record("malformed", elapsed, record.outcome);
+            record_request_metrics("malformed", elapsed);
             audit_request(shared, record, elapsed);
             return Response::error(id, msg);
         }
@@ -874,21 +874,16 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
     let class = request.spec.name;
     let mut record = AuditRecord::default();
     let response = dispatch(&request, shared, start, &mut record);
-    let outcome = match response.status {
-        crate::protocol::Status::Ok => Outcome::Ok,
-        crate::protocol::Status::Error => Outcome::Error,
-        crate::protocol::Status::Timeout => Outcome::Timeout,
-    };
-    let elapsed = start.elapsed();
-    shared.stats.record(class, elapsed, outcome);
-    record_request_metrics(class, elapsed);
     record.outcome = match response.status {
         crate::protocol::Status::Ok => p3_audit::Outcome::Ok,
         crate::protocol::Status::Timeout => p3_audit::Outcome::Timeout,
-        // `Error`, or `LintReject` when the worker said the lint gate
-        // rejected the program.
+        // `Error`, or what the worker said went wrong: `LintReject` when
+        // the lint gate rejected the program, `Internal` on a panic.
         crate::protocol::Status::Error => record.outcome,
     };
+    let elapsed = start.elapsed();
+    shared.stats.record(class, elapsed, record.outcome);
+    record_request_metrics(class, elapsed);
     record.class = class.to_string();
     record.trace = request.trace.clone().unwrap_or_default();
     record.eval_mode = request
@@ -900,7 +895,7 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
     p3_obs::debug!(
         "request served",
         class = class,
-        outcome = format!("{outcome:?}"),
+        outcome = format!("{:?}", record.outcome),
         latency_us = elapsed.as_micros(),
     );
     if let Some(slow_ms) = shared.slow_ms {

@@ -7,6 +7,7 @@
 //! copy). Counters are lifetime totals.
 
 use crate::json::Value;
+use p3_audit::Outcome;
 use p3_obs::metrics::RingHistogram;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -41,8 +42,8 @@ impl ClassStats {
         self.count += 1;
         match outcome {
             Outcome::Ok => {}
-            Outcome::Error => self.errors += 1,
             Outcome::Timeout => self.timeouts += 1,
+            Outcome::Error | Outcome::Internal | Outcome::LintReject => self.errors += 1,
         }
         let us = latency.as_micros().min(u64::MAX as u128) as u64;
         self.sum_us += us;
@@ -77,17 +78,6 @@ impl ClassStats {
     }
 }
 
-/// How a request ended, for the error/timeout counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome {
-    /// Served successfully.
-    Ok,
-    /// Failed (bad request, unknown tuple, …).
-    Error,
-    /// Deadline expired before the answer was ready.
-    Timeout,
-}
-
 /// Thread-safe request accounting, grouped by op class.
 #[derive(Default)]
 pub struct ServiceStats {
@@ -100,7 +90,8 @@ impl ServiceStats {
         Self::default()
     }
 
-    /// Records one finished request.
+    /// Records one finished request: a timeout counts as a timeout, and
+    /// every other failed outcome as an error.
     pub fn record(&self, class: &'static str, latency: Duration, outcome: Outcome) {
         self.classes
             .lock()
@@ -139,25 +130,33 @@ mod tests {
         }
         stats.record("probability", Duration::from_millis(500), Outcome::Timeout);
         stats.record("influence", Duration::from_millis(2), Outcome::Error);
-        assert_eq!(stats.total(), 102);
+        stats.record("influence", Duration::from_millis(3), Outcome::Internal);
+        stats.record(
+            "load-program",
+            Duration::from_millis(1),
+            Outcome::LintReject,
+        );
+        assert_eq!(stats.total(), 104);
 
         let snap = stats.snapshot();
         let prob = snap.get("probability").unwrap();
         assert_eq!(prob.get("count").unwrap().as_u64(), Some(101));
         assert_eq!(prob.get("timeouts").unwrap().as_u64(), Some(1));
+        assert_eq!(prob.get("errors").unwrap().as_u64(), Some(0));
         let lat = prob.get("latency_ms").unwrap();
         let p50 = lat.get("p50").unwrap().as_f64().unwrap();
         let p99 = lat.get("p99").unwrap().as_f64().unwrap();
         assert!((40.0..=60.0).contains(&p50), "p50 = {p50}");
         assert!(p99 >= p50, "p99 = {p99}");
-        assert_eq!(
-            snap.get("influence")
-                .unwrap()
-                .get("errors")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
+        for (class, errors) in [("influence", 2), ("load-program", 1)] {
+            let counts = snap.get(class).unwrap();
+            assert_eq!(
+                counts.get("errors").unwrap().as_u64(),
+                Some(errors),
+                "{class}"
+            );
+            assert_eq!(counts.get("timeouts").unwrap().as_u64(), Some(0), "{class}");
+        }
     }
 
     #[test]
