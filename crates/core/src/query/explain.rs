@@ -129,13 +129,11 @@ impl QueryExplain {
         ));
         let c = &self.cache;
         out.push_str(&format!(
-            "  caches: session {}/{}  intern {}/{}  store-ops {}/{}  extract-memo {}/{} (hits/misses)\n",
+            "  caches: session {}/{}  intern {}/{}  extract-memo {}/{} (hits/misses)\n",
             c.session_hits,
             c.session_misses,
             c.store_intern_hits,
             c.store_intern_misses,
-            c.store_op_hits,
-            c.store_op_misses,
             c.extract_memo_hits,
             c.extract_memo_misses,
         ));
@@ -189,8 +187,6 @@ impl QueryExplain {
                 ("session_misses", c.session_misses.into()),
                 ("intern_hits", c.store_intern_hits.into()),
                 ("intern_misses", c.store_intern_misses.into()),
-                ("store_op_hits", c.store_op_hits.into()),
-                ("store_op_misses", c.store_op_misses.into()),
                 ("extract_memo_hits", c.extract_memo_hits.into()),
                 ("extract_memo_misses", c.extract_memo_misses.into()),
             ]);

@@ -105,10 +105,6 @@ pub struct CacheDelta {
     pub store_intern_hits: u64,
     /// Hash-cons intern misses in the shared store.
     pub store_intern_misses: u64,
-    /// Memoized or/and hits in the shared store.
-    pub store_op_hits: u64,
-    /// Memoized or/and misses in the shared store.
-    pub store_op_misses: u64,
     /// Clean-tuple extraction-memo hits (process-global counter).
     pub extract_memo_hits: u64,
     /// Clean-tuple extraction-memo misses (process-global counter).
@@ -123,8 +119,6 @@ impl CacheDelta {
             session_misses: op(self.session_misses, other.session_misses),
             store_intern_hits: op(self.store_intern_hits, other.store_intern_hits),
             store_intern_misses: op(self.store_intern_misses, other.store_intern_misses),
-            store_op_hits: op(self.store_op_hits, other.store_op_hits),
-            store_op_misses: op(self.store_op_misses, other.store_op_misses),
             extract_memo_hits: op(self.extract_memo_hits, other.extract_memo_hits),
             extract_memo_misses: op(self.extract_memo_misses, other.extract_memo_misses),
         }

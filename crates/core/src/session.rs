@@ -781,8 +781,6 @@ impl QuerySession {
             session_misses: self.caches.misses.load(Ordering::Relaxed),
             store_intern_hits: store.intern_hits,
             store_intern_misses: store.intern_misses,
-            store_op_hits: store.op_hits,
-            store_op_misses: store.op_misses,
             extract_memo_hits,
             extract_memo_misses,
         }

@@ -6,31 +6,26 @@
 //!
 //! * equality between stored formulas is an integer compare;
 //! * downstream caches (probability memo tables, extraction results) can key
-//!   on `DnfId` instead of hashing whole formulas;
-//! * the algebraic operations [`DnfStore::or`] and [`DnfStore::and`] are
-//!   memoized per *id* pair, so combining the same two stored formulas
-//!   normalises the result only once per process lifetime.
+//!   on `DnfId` instead of hashing whole formulas.
 //!
 //! The store is append-only: interning never invalidates an id, which is
 //! what makes it safe to share one store across concurrent query sessions
 //! (see `p3-core`'s `QuerySession`). To keep concurrent workers from
-//! serialising on one big lock, the intern index and the op caches are
-//! split into [`SHARDS`] hash-keyed shards, each behind its own `RwLock`;
-//! only the id → formula table (`formulas`) is global, because ids must be
-//! allocated from a single sequence. Lock order is always
-//! shard-then-formulas, and no two shard locks are ever held together, so
-//! the scheme is deadlock-free.
+//! serialising on one big lock, the intern index is split into [`SHARDS`]
+//! hash-keyed shards, each behind its own `RwLock`; only the id → formula
+//! table (`formulas`) is global, because ids must be allocated from a
+//! single sequence. Lock order is always shard-then-formulas, and no two
+//! shard locks are ever held together, so the scheme is deadlock-free.
 
 use crate::dnf::Dnf;
-use crate::var::VarId;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Number of lock shards for the intern index and the op caches. A power of
-/// two so the hash → shard map is a mask.
+/// Number of lock shards for the intern index. A power of two so the hash
+/// → shard map is a mask.
 pub const SHARDS: usize = 16;
 
 /// A stable handle to an interned formula. Ids are only meaningful for the
@@ -77,10 +72,6 @@ pub struct StoreStats {
     pub intern_hits: u64,
     /// `intern` calls that added a new formula.
     pub intern_misses: u64,
-    /// Memoized op lookups (`or`/`and`) answered from cache.
-    pub op_hits: u64,
-    /// Memoized op lookups that had to compute.
-    pub op_misses: u64,
 }
 
 /// A snapshot of one shard's counters and occupancy, for per-shard
@@ -93,17 +84,6 @@ pub struct ShardStats {
     pub intern_hits: u64,
     /// Intern lookups that inserted into this shard's index.
     pub intern_misses: u64,
-    /// Op-cache lookups answered by this shard.
-    pub op_hits: u64,
-    /// Op-cache lookups that had to compute.
-    pub op_misses: u64,
-}
-
-/// Per-shard memo tables for the algebraic operations.
-#[derive(Default)]
-struct OpCaches {
-    or: HashMap<(DnfId, DnfId), DnfId>,
-    and: HashMap<(DnfId, DnfId), DnfId>,
 }
 
 /// Per-shard hit/miss counters (atomics so hit paths stay read-locked).
@@ -111,8 +91,6 @@ struct OpCaches {
 struct ShardCounters {
     intern_hits: AtomicU64,
     intern_misses: AtomicU64,
-    op_hits: AtomicU64,
-    op_misses: AtomicU64,
 }
 
 fn shard_of<T: Hash>(key: &T) -> usize {
@@ -130,22 +108,8 @@ fn intern_hits_metric() -> &'static p3_obs::metrics::Counter {
     )
 }
 
-fn op_hits_metric() -> &'static p3_obs::metrics::Counter {
-    p3_obs::counter!(
-        "p3_prob_store_op_hits_total",
-        "Memoized DNF or/and lookups answered from cache"
-    )
-}
-
-fn op_misses_metric() -> &'static p3_obs::metrics::Counter {
-    p3_obs::counter!(
-        "p3_prob_store_op_misses_total",
-        "Memoized DNF or/and lookups that had to compute"
-    )
-}
-
-/// A thread-safe, append-only interner of [`Dnf`] formulas with memoized
-/// algebraic operations. See the module docs for the design rationale.
+/// A thread-safe, append-only interner of [`Dnf`] formulas. See the module
+/// docs for the design rationale.
 ///
 /// Counters are atomics so cache-hit paths never touch a write lock, and
 /// all maps are hash-sharded so concurrent workers interning unrelated
@@ -155,9 +119,7 @@ pub struct DnfStore {
     formulas: RwLock<Vec<Arc<Dnf>>>,
     /// Hash-sharded formula → id index.
     index: [RwLock<HashMap<Arc<Dnf>, u32>>; SHARDS],
-    /// Hash-sharded op memo tables (keyed by the op's argument tuple).
-    ops: [RwLock<OpCaches>; SHARDS],
-    /// Hit/miss counters, sharded like the maps they describe.
+    /// Hit/miss counters, sharded like the index they describe.
     counters: [ShardCounters; SHARDS],
     /// Optional observer of new interns (the persistence journal). Lock
     /// order: formulas, then journal; set/clear take only the journal lock.
@@ -177,7 +139,6 @@ impl DnfStore {
         let store = Self {
             formulas: RwLock::new(Vec::new()),
             index: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            ops: std::array::from_fn(|_| RwLock::new(OpCaches::default())),
             counters: std::array::from_fn(|_| ShardCounters::default()),
             journal: RwLock::new(None),
         };
@@ -189,11 +150,9 @@ impl DnfStore {
         for shard in &store.counters {
             shard.intern_misses.store(0, Ordering::Relaxed);
         }
-        // Register the hit-side families up front so a scrape lists them
-        // even before any workload produces a cache hit.
+        // Register the hit-side family up front so a scrape lists it even
+        // before any workload produces a cache hit.
         intern_hits_metric();
-        op_hits_metric();
-        op_misses_metric();
         store
     }
 
@@ -253,74 +212,6 @@ impl DnfStore {
         Arc::clone(&self.formulas.read().unwrap()[id.index()])
     }
 
-    /// Shorthand for interning a single-literal formula.
-    pub fn literal(&self, var: VarId) -> DnfId {
-        self.intern(Dnf::literal(var))
-    }
-
-    /// Memoized disjunction `a + b`.
-    pub fn or(&self, a: DnfId, b: DnfId) -> DnfId {
-        // Identities dodge both the cache and the normalisation.
-        if a == DnfId::FALSE || a == b {
-            return b;
-        }
-        if b == DnfId::FALSE {
-            return a;
-        }
-        if a == DnfId::TRUE || b == DnfId::TRUE {
-            return DnfId::TRUE;
-        }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let shard_idx = shard_of(&("or", key));
-        let shard = &self.ops[shard_idx];
-        if let Some(&id) = shard.read().unwrap().or.get(&key) {
-            self.counters[shard_idx]
-                .op_hits
-                .fetch_add(1, Ordering::Relaxed);
-            op_hits_metric().inc();
-            return id;
-        }
-        let (fa, fb) = (self.get(a), self.get(b));
-        let id = self.intern(fa.or(&fb));
-        shard.write().unwrap().or.insert(key, id);
-        self.counters[shard_idx]
-            .op_misses
-            .fetch_add(1, Ordering::Relaxed);
-        op_misses_metric().inc();
-        id
-    }
-
-    /// Memoized conjunction `a · b`.
-    pub fn and(&self, a: DnfId, b: DnfId) -> DnfId {
-        if a == DnfId::FALSE || b == DnfId::FALSE {
-            return DnfId::FALSE;
-        }
-        if a == DnfId::TRUE || a == b {
-            return b;
-        }
-        if b == DnfId::TRUE {
-            return a;
-        }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let shard_idx = shard_of(&("and", key));
-        let shard = &self.ops[shard_idx];
-        if let Some(&id) = shard.read().unwrap().and.get(&key) {
-            self.counters[shard_idx]
-                .op_hits
-                .fetch_add(1, Ordering::Relaxed);
-            op_hits_metric().inc();
-            return id;
-        }
-        let (fa, fb) = (self.get(a), self.get(b));
-        let id = self.intern(fa.and(&fb));
-        shard.write().unwrap().and.insert(key, id);
-        self.counters[shard_idx]
-            .op_misses
-            .fetch_add(1, Ordering::Relaxed);
-        op_misses_metric().inc();
-        id
-    }
-
     /// Installs `journal` as the intern observer. Formulas already present
     /// are NOT replayed to it — persistence restores state *before*
     /// installing the journal, so nothing is double-logged.
@@ -359,8 +250,6 @@ impl DnfStore {
         for shard in &self.counters {
             stats.intern_hits += shard.intern_hits.load(Ordering::Relaxed);
             stats.intern_misses += shard.intern_misses.load(Ordering::Relaxed);
-            stats.op_hits += shard.op_hits.load(Ordering::Relaxed);
-            stats.op_misses += shard.op_misses.load(Ordering::Relaxed);
         }
         stats
     }
@@ -374,8 +263,6 @@ impl DnfStore {
                 entries: self.index[i].read().unwrap().len(),
                 intern_hits: self.counters[i].intern_hits.load(Ordering::Relaxed),
                 intern_misses: self.counters[i].intern_misses.load(Ordering::Relaxed),
-                op_hits: self.counters[i].op_hits.load(Ordering::Relaxed),
-                op_misses: self.counters[i].op_misses.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -385,6 +272,7 @@ impl DnfStore {
 mod tests {
     use super::*;
     use crate::dnf::Monomial;
+    use crate::var::VarId;
 
     fn m(lits: &[u32]) -> Monomial {
         Monomial::new(lits.iter().map(|&i| VarId(i)).collect())
@@ -412,57 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn or_and_match_direct_operations() {
-        let store = DnfStore::new();
-        let fa = Dnf::new(vec![m(&[1, 2])]);
-        let fb = Dnf::new(vec![m(&[2, 3]), m(&[4])]);
-        let a = store.intern(fa.clone());
-        let b = store.intern(fb.clone());
-        assert_eq!(*store.get(store.or(a, b)), fa.or(&fb));
-        assert_eq!(*store.get(store.and(a, b)), fa.and(&fb));
-    }
-
-    #[test]
-    fn identities_short_circuit() {
-        let store = DnfStore::new();
-        let a = store.intern(Dnf::new(vec![m(&[1])]));
-        assert_eq!(store.or(a, DnfId::FALSE), a);
-        assert_eq!(store.or(DnfId::FALSE, a), a);
-        assert_eq!(store.or(a, DnfId::TRUE), DnfId::TRUE);
-        assert_eq!(store.or(a, a), a);
-        assert_eq!(store.and(a, DnfId::TRUE), a);
-        assert_eq!(store.and(DnfId::TRUE, a), a);
-        assert_eq!(store.and(a, DnfId::FALSE), DnfId::FALSE);
-        assert_eq!(store.and(a, a), a);
-        // None of the above should have populated an op cache.
-        assert_eq!(store.stats().op_misses, 0);
-    }
-
-    #[test]
-    fn ops_are_memoized() {
-        let store = DnfStore::new();
-        let a = store.intern(Dnf::new(vec![m(&[1, 2]), m(&[3])]));
-        let b = store.intern(Dnf::new(vec![m(&[4])]));
-        let first = store.and(a, b);
-        let misses_after_first = store.stats().op_misses;
-        let second = store.and(a, b);
-        assert_eq!(first, second);
-        assert_eq!(store.stats().op_misses, misses_after_first);
-        assert!(store.stats().op_hits >= 1);
-        // Commutative key: or(a, b) and or(b, a) share a cache entry.
-        let ab = store.or(a, b);
-        let hits = store.stats().op_hits;
-        assert_eq!(store.or(b, a), ab);
-        assert_eq!(store.stats().op_hits, hits + 1);
-    }
-
-    #[test]
     fn shard_stats_sum_to_store_stats() {
         let store = DnfStore::new();
         let mut prev = DnfId::FALSE;
         for i in 0..40u32 {
             let id = store.intern(Dnf::new(vec![m(&[i, i + 1])]));
-            let _ = store.or(prev, id);
+            store.intern(store.get(prev).or(&store.get(id)));
             store.intern(Dnf::new(vec![m(&[i, i + 1])])); // guaranteed hit
             prev = id;
         }
@@ -476,11 +319,6 @@ mod tests {
         assert_eq!(
             shards.iter().map(|s| s.intern_misses).sum::<u64>(),
             total.intern_misses
-        );
-        assert_eq!(shards.iter().map(|s| s.op_hits).sum::<u64>(), total.op_hits);
-        assert_eq!(
-            shards.iter().map(|s| s.op_misses).sum::<u64>(),
-            total.op_misses
         );
         assert_eq!(
             shards.iter().map(|s| s.entries).sum::<usize>(),
@@ -501,7 +339,7 @@ mod tests {
                         let back = store.get(id);
                         assert_eq!(store.intern((*back).clone()), id);
                         let other = store.intern(Dnf::new(vec![m(&[20 + t])]));
-                        let _ = store.or(id, other);
+                        store.intern(store.get(id).or(&store.get(other)));
                     }
                 });
             }

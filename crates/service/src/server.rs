@@ -1377,7 +1377,6 @@ fn profile_value(report: &QueryReport, probability: Option<f64>) -> Value {
                                 "store_intern",
                                 pair(c.store_intern_hits, c.store_intern_misses),
                             ),
-                            ("store_ops", pair(c.store_op_hits, c.store_op_misses)),
                             (
                                 "extract_memo",
                                 pair(c.extract_memo_hits, c.extract_memo_misses),
@@ -1440,8 +1439,6 @@ fn stats_snapshot(shared: &Shared) -> Value {
                 ("formulas", Value::from(store.formulas)),
                 ("intern_hits", Value::from(store.intern_hits)),
                 ("intern_misses", Value::from(store.intern_misses)),
-                ("op_hits", Value::from(store.op_hits)),
-                ("op_misses", Value::from(store.op_misses)),
             ]),
         ),
         ("engine", engine_stats_value(&session)),
@@ -1747,16 +1744,6 @@ pub(crate) fn refresh_gauges(shared: &Shared) {
             "p3_prob_store_shard_intern_misses",
             "Hash-cons intern misses per DnfStore shard",
             shard.intern_misses,
-        );
-        set(
-            "p3_prob_store_shard_op_hits",
-            "Memoized or/and hits per DnfStore shard",
-            shard.op_hits,
-        );
-        set(
-            "p3_prob_store_shard_op_misses",
-            "Memoized or/and misses per DnfStore shard",
-            shard.op_misses,
         );
     }
 }
@@ -2152,7 +2139,6 @@ mod tests {
         for stage in stages {
             assert!(stage.get("wall_us").unwrap().as_u64().is_some());
             assert!(stage.get("session").unwrap().get("hits").is_some());
-            assert!(stage.get("store_ops").unwrap().get("misses").is_some());
             assert!(stage.get("extract_memo").is_some());
         }
         // A profiled derivation ends in its class stage.
