@@ -114,9 +114,9 @@ impl ExplainPlan {
 
     /// The plan as a JSON object: `mode`, the run's `total_cost`,
     /// `iterations`, `tuples` and `firings`, the `deltas` and per-stratum
-    /// counters, the ranked `rules`, and the `magic` bucket when the
-    /// transformation did work. These are the fields of the `explain`
-    /// op's payload after its `query`, and each entry of `GET /explain`.
+    /// counters, the ranked `rules`, and after a demand run the `magic`
+    /// bucket. These are the fields of the `explain` op's payload after
+    /// its `query`, and each entry of `GET /explain`.
     pub fn to_value(&self) -> Value {
         let strata = self.strata.iter().map(|st| {
             Value::object(vec![

@@ -300,35 +300,33 @@ pub fn recent_roots(name: Option<&str>, n: usize) -> Vec<SpanTree> {
 
 /// One span as a Chrome "complete" (`ph:"X"`) trace event.
 fn event(record: &SpanRecord) -> Value {
-    let mut args = vec![
-        ("span_id".to_string(), Value::from(record.id.to_string())),
-        (
-            "parent_id".to_string(),
-            Value::from(record.parent.to_string()),
-        ),
-    ];
-    args.extend(
+    let ids = [("span_id", record.id), ("parent_id", record.parent)];
+    let args = ids.iter().map(|&(key, id)| (key, id.to_string()));
+    let args = args.chain(
         record
             .fields
             .iter()
-            .map(|(key, value)| (key.to_string(), Value::from(value.as_str()))),
+            .map(|(key, value)| (*key, value.clone())),
     );
     Value::object(vec![
-        ("name", Value::from(record.name)),
-        ("ph", Value::from("X")),
-        ("cat", Value::from("p3")),
-        ("pid", Value::from(1u64)),
-        ("tid", Value::from(record.tid)),
-        ("ts", Value::from(record.start_us)),
-        ("dur", Value::from(record.dur_us)),
-        ("args", Value::Object(args)),
+        ("name", record.name.into()),
+        ("ph", "X".into()),
+        ("cat", "p3".into()),
+        ("pid", 1u64.into()),
+        ("tid", record.tid.into()),
+        ("ts", record.start_us.into()),
+        ("dur", record.dur_us.into()),
+        (
+            "args",
+            Value::object(args.map(|(key, value)| (key, value.into())).collect()),
+        ),
     ])
 }
 
 fn render_chrome<'a>(records: impl IntoIterator<Item = &'a SpanRecord>) -> String {
     Value::object(vec![
         ("traceEvents", records.into_iter().map(event).collect()),
-        ("displayTimeUnit", Value::from("ms")),
+        ("displayTimeUnit", "ms".into()),
     ])
     .to_json()
 }
