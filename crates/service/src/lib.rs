@@ -9,7 +9,9 @@
 //! newline-delimited JSON protocol on TCP and Unix-domain sockets.
 //!
 //! Everything is hand-rolled on `std::net` / `std::os::unix::net`: the
-//! [`json`] module is a minimal JSON codec, [`protocol`] the op table
+//! [`json`] module re-exports the workspace's one JSON codec
+//! (`p3_obs::json`; every answer, audit record and plan is a `Value`
+//! encoded once, never parsed back), [`protocol`] the op table
 //! ([`protocol::OPS`], which the decoder, the server and `p3-client` all
 //! read) and the request and response envelopes, [`server`] the
 //! accept-loop → bounded-queue → worker-pool machinery (deadlines,
