@@ -186,7 +186,7 @@ struct StoreJournal(Arc<dyn StorageBackend>);
 
 impl p3_prob::InternJournal for StoreJournal {
     fn on_intern(&self, _id: DnfId, dnf: &Dnf) {
-        // Called in id-allocation order (under the store's id lock), and
+        // Called in id-allocation order (under the store's write lock), and
         // `append` only queues in memory — no I/O on the intern path.
         self.0.append(persist::dnf_record(dnf));
     }

@@ -22,7 +22,7 @@
 //! * [`parallel`] — multi-threaded Monte-Carlo drivers (the paper's GPU
 //!   parallelisation, reproduced with CPU threads);
 //! * [`store`] — a hash-consed [`DnfStore`] interning formulas behind stable
-//!   [`DnfId`]s, with memoized disjunction/conjunction; the foundation of
+//!   [`DnfId`]s, one table behind one lock; the foundation of
 //!   `p3-core`'s shared query sessions.
 
 #![warn(missing_docs)]
@@ -42,5 +42,5 @@ pub use assignment::Assignment;
 pub use circuit::Circuit;
 pub use dnf::{Dnf, DnfShape, Monomial, MonomialStack, Normalized};
 pub use mc::McConfig;
-pub use store::{DnfId, DnfStore, InternJournal, ShardStats, StoreStats};
+pub use store::{DnfId, DnfStore, InternJournal, StoreStats};
 pub use var::{VarId, VarTable};

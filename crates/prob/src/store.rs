@@ -10,23 +10,17 @@
 //!
 //! The store is append-only: interning never invalidates an id, which is
 //! what makes it safe to share one store across concurrent query sessions
-//! (see `p3-core`'s `QuerySession`). To keep concurrent workers from
-//! serialising on one big lock, the intern index is split into [`SHARDS`]
-//! hash-keyed shards, each behind its own `RwLock`; only the id → formula
-//! table (`formulas`) is global, because ids must be allocated from a
-//! single sequence. Lock order is always shard-then-formulas, and no two
-//! shard locks are ever held together, so the scheme is deadlock-free.
+//! (see `p3-core`'s `QuerySession`). One `RwLock` guards one table: the
+//! id → formula list, the formula → id index and the intern journal. A hit
+//! is one read-locked lookup; a miss allocates, journals and indexes its id
+//! in one write-locked step, so ids stay dense and the journal sees new
+//! formulas in id order.
 
 use crate::dnf::Dnf;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Number of lock shards for the intern index. A power of two so the hash
-/// → shard map is a mask.
-pub const SHARDS: usize = 16;
 
 /// A stable handle to an interned formula. Ids are only meaningful for the
 /// store that produced them.
@@ -54,7 +48,7 @@ impl DnfId {
 }
 
 /// A sink observing every *new* formula interned into a [`DnfStore`], in
-/// `DnfId` allocation order (the call happens while the id sequence lock
+/// `DnfId` allocation order (the call happens while the store's write lock
 /// is held, so observed order == id order — the property a durable log
 /// needs to replay ids faithfully). Implementations must be cheap and
 /// must never call back into the store.
@@ -74,33 +68,8 @@ pub struct StoreStats {
     pub intern_misses: u64,
 }
 
-/// A snapshot of one shard's counters and occupancy, for per-shard
-/// gauges (balance across shards is what these exist to reveal).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Formulas interned via this shard's index.
-    pub entries: usize,
-    /// Intern lookups answered by this shard's index.
-    pub intern_hits: u64,
-    /// Intern lookups that inserted into this shard's index.
-    pub intern_misses: u64,
-}
-
-/// Per-shard hit/miss counters (atomics so hit paths stay read-locked).
-#[derive(Default)]
-struct ShardCounters {
-    intern_hits: AtomicU64,
-    intern_misses: AtomicU64,
-}
-
-fn shard_of<T: Hash>(key: &T) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) & (SHARDS - 1)
-}
-
-// Cached process-wide metric handles for the hot paths (the per-shard
-// atomics above are store-local; these aggregate across stores).
+// Process-wide intern counters, summed over every store (each store keeps
+// its own pair for `stats`).
 fn intern_hits_metric() -> &'static p3_obs::metrics::Counter {
     p3_obs::counter!(
         "p3_prob_store_intern_hits_total",
@@ -108,22 +77,34 @@ fn intern_hits_metric() -> &'static p3_obs::metrics::Counter {
     )
 }
 
+fn intern_misses_metric() -> &'static p3_obs::metrics::Counter {
+    p3_obs::counter!(
+        "p3_prob_store_intern_misses_total",
+        "DnfStore intern calls that added a new formula"
+    )
+}
+
+const POISONED: &str = "a thread panicked while holding the DnfStore lock";
+
+/// Everything the store's one lock guards.
+struct Table {
+    /// Id → formula, in allocation order.
+    formulas: Vec<Arc<Dnf>>,
+    /// Formula → id.
+    index: HashMap<Arc<Dnf>, DnfId>,
+    /// Optional observer of new interns (the persistence journal).
+    journal: Option<Arc<dyn InternJournal>>,
+}
+
 /// A thread-safe, append-only interner of [`Dnf`] formulas. See the module
 /// docs for the design rationale.
 ///
-/// Counters are atomics so cache-hit paths never touch a write lock, and
-/// all maps are hash-sharded so concurrent workers interning unrelated
-/// formulas proceed without contention.
+/// The hit and miss counters are atomics, so the hit path needs only the
+/// read lock.
 pub struct DnfStore {
-    /// Global id → formula table; the only store-wide lock.
-    formulas: RwLock<Vec<Arc<Dnf>>>,
-    /// Hash-sharded formula → id index.
-    index: [RwLock<HashMap<Arc<Dnf>, u32>>; SHARDS],
-    /// Hit/miss counters, sharded like the index they describe.
-    counters: [ShardCounters; SHARDS],
-    /// Optional observer of new interns (the persistence journal). Lock
-    /// order: formulas, then journal; set/clear take only the journal lock.
-    journal: RwLock<Option<Arc<dyn InternJournal>>>,
+    table: RwLock<Table>,
+    intern_hits: AtomicU64,
+    intern_misses: AtomicU64,
 }
 
 impl Default for DnfStore {
@@ -136,71 +117,59 @@ impl DnfStore {
     /// An empty store with the constants pre-interned at [`DnfId::FALSE`]
     /// and [`DnfId::TRUE`].
     pub fn new() -> Self {
-        let store = Self {
-            formulas: RwLock::new(Vec::new()),
-            index: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            counters: std::array::from_fn(|_| ShardCounters::default()),
-            journal: RwLock::new(None),
-        };
-        let zero = store.intern(Dnf::zero());
-        let one = store.intern(Dnf::one());
-        debug_assert_eq!(zero, DnfId::FALSE);
-        debug_assert_eq!(one, DnfId::TRUE);
-        // The two constants are structural, not client traffic.
-        for shard in &store.counters {
-            shard.intern_misses.store(0, Ordering::Relaxed);
-        }
-        // Register the hit-side family up front so a scrape lists it even
-        // before any workload produces a cache hit.
+        // The two constants are structural, not client traffic: no counter
+        // sees them. Both counter families are registered up front so a
+        // scrape lists them before any workload interns.
         intern_hits_metric();
-        store
+        intern_misses_metric();
+        let (zero, one) = (Arc::new(Dnf::zero()), Arc::new(Dnf::one()));
+        let index = HashMap::from([
+            (Arc::clone(&zero), DnfId::FALSE),
+            (Arc::clone(&one), DnfId::TRUE),
+        ]);
+        Self {
+            table: RwLock::new(Table {
+                formulas: vec![zero, one],
+                index,
+                journal: None,
+            }),
+            intern_hits: AtomicU64::new(0),
+            intern_misses: AtomicU64::new(0),
+        }
     }
 
     /// Interns `dnf`, returning its stable id. Structurally equal formulas
     /// always receive the same id (and share one allocation).
     pub fn intern(&self, dnf: Dnf) -> DnfId {
-        let shard_idx = shard_of(&dnf);
-        let shard = &self.index[shard_idx];
-        let counters = &self.counters[shard_idx];
-        // Fast path: a read lock on one shard suffices for known formulas.
-        {
-            let index = shard.read().unwrap();
-            if let Some(&id) = index.get(&dnf) {
-                counters.intern_hits.fetch_add(1, Ordering::Relaxed);
-                intern_hits_metric().inc();
-                return DnfId(id);
+        if let Some(&id) = self.table.read().expect(POISONED).index.get(&dnf) {
+            return self.hit(id);
+        }
+        let mut guard = self.table.write().expect(POISONED);
+        let table = &mut *guard;
+        match table.index.entry(Arc::new(dnf)) {
+            // Lost a race: another thread interned it between the two locks.
+            Entry::Occupied(entry) => self.hit(*entry.get()),
+            Entry::Vacant(entry) => {
+                let id = DnfId(u32::try_from(table.formulas.len()).expect("DnfStore overflow"));
+                table.formulas.push(Arc::clone(entry.key()));
+                // Journal under the write lock: the log then receives interns
+                // in exactly allocation order, which is what lets a replay
+                // reproduce identical ids.
+                if let Some(journal) = &table.journal {
+                    journal.on_intern(id, entry.key());
+                }
+                entry.insert(id);
+                self.intern_misses.fetch_add(1, Ordering::Relaxed);
+                intern_misses_metric().inc();
+                id
             }
         }
-        let mut index = shard.write().unwrap();
-        if let Some(&id) = index.get(&dnf) {
-            // Lost a race: someone interned it between the two locks.
-            counters.intern_hits.fetch_add(1, Ordering::Relaxed);
-            intern_hits_metric().inc();
-            return DnfId(id);
-        }
-        let arc = Arc::new(dnf);
-        // Id allocation is the only cross-shard step; the formulas lock is
-        // taken strictly after the shard lock, never the other way round.
-        let id = {
-            let mut formulas = self.formulas.write().unwrap();
-            let id = u32::try_from(formulas.len()).expect("DnfStore overflow");
-            formulas.push(Arc::clone(&arc));
-            // Journal inside the id-sequence lock: the log then receives
-            // interns in exactly allocation order, which is what lets a
-            // replay reproduce identical ids.
-            if let Some(journal) = self.journal.read().unwrap().as_ref() {
-                journal.on_intern(DnfId(id), &arc);
-            }
-            id
-        };
-        index.insert(arc, id);
-        counters.intern_misses.fetch_add(1, Ordering::Relaxed);
-        p3_obs::counter!(
-            "p3_prob_store_intern_misses_total",
-            "DnfStore intern calls that added a new formula"
-        )
-        .inc();
-        DnfId(id)
+    }
+
+    fn hit(&self, id: DnfId) -> DnfId {
+        self.intern_hits.fetch_add(1, Ordering::Relaxed);
+        intern_hits_metric().inc();
+        id
     }
 
     /// The formula behind `id`. The `Arc` is shared with the store, so two
@@ -209,31 +178,31 @@ impl DnfStore {
     /// # Panics
     /// If `id` did not come from this store.
     pub fn get(&self, id: DnfId) -> Arc<Dnf> {
-        Arc::clone(&self.formulas.read().unwrap()[id.index()])
+        Arc::clone(&self.table.read().expect(POISONED).formulas[id.index()])
     }
 
     /// Installs `journal` as the intern observer. Formulas already present
     /// are NOT replayed to it — persistence restores state *before*
     /// installing the journal, so nothing is double-logged.
     pub fn set_journal(&self, journal: Arc<dyn InternJournal>) {
-        *self.journal.write().unwrap() = Some(journal);
+        self.table.write().expect(POISONED).journal = Some(journal);
     }
 
     /// Removes the intern observer, if any.
     pub fn clear_journal(&self) {
-        *self.journal.write().unwrap() = None;
+        self.table.write().expect(POISONED).journal = None;
     }
 
     /// A point-in-time copy of every interned formula, in id order
     /// (`result[i]` is the formula behind `DnfId` `i`). Compaction walks
     /// this to rebuild a snapshot.
     pub fn export_formulas(&self) -> Vec<Arc<Dnf>> {
-        self.formulas.read().unwrap().clone()
+        self.table.read().expect(POISONED).formulas.clone()
     }
 
     /// Number of distinct formulas interned (including the two constants).
     pub fn len(&self) -> usize {
-        self.formulas.read().unwrap().len()
+        self.table.read().expect(POISONED).formulas.len()
     }
 
     /// Whether only the constants are present.
@@ -241,30 +210,13 @@ impl DnfStore {
         self.len() <= 2
     }
 
-    /// A snapshot of the effectiveness counters (summed across shards).
+    /// A snapshot of the effectiveness counters.
     pub fn stats(&self) -> StoreStats {
-        let mut stats = StoreStats {
+        StoreStats {
             formulas: self.len(),
-            ..StoreStats::default()
-        };
-        for shard in &self.counters {
-            stats.intern_hits += shard.intern_hits.load(Ordering::Relaxed);
-            stats.intern_misses += shard.intern_misses.load(Ordering::Relaxed);
+            intern_hits: self.intern_hits.load(Ordering::Relaxed),
+            intern_misses: self.intern_misses.load(Ordering::Relaxed),
         }
-        stats
-    }
-
-    /// Per-shard counters and index occupancy, in shard order. Feeds the
-    /// service's per-shard gauges; a skewed `entries` distribution means
-    /// the shard hash is funnelling contention onto a few locks.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        (0..SHARDS)
-            .map(|i| ShardStats {
-                entries: self.index[i].read().unwrap().len(),
-                intern_hits: self.counters[i].intern_hits.load(Ordering::Relaxed),
-                intern_misses: self.counters[i].intern_misses.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 }
 
@@ -276,6 +228,15 @@ mod tests {
 
     fn m(lits: &[u32]) -> Monomial {
         Monomial::new(lits.iter().map(|&i| VarId(i)).collect())
+    }
+
+    /// A journal that records every call it gets.
+    struct Tape(std::sync::Mutex<Vec<(DnfId, Dnf)>>);
+
+    impl InternJournal for Tape {
+        fn on_intern(&self, id: DnfId, dnf: &Dnf) {
+            self.0.lock().unwrap().push((id, dnf.clone()));
+        }
     }
 
     #[test]
@@ -297,34 +258,6 @@ mod tests {
         assert!(Arc::ptr_eq(&store.get(a), &store.get(b)));
         let stats = store.stats();
         assert_eq!(stats.intern_hits, 1);
-    }
-
-    #[test]
-    fn shard_stats_sum_to_store_stats() {
-        let store = DnfStore::new();
-        let mut prev = DnfId::FALSE;
-        for i in 0..40u32 {
-            let id = store.intern(Dnf::new(vec![m(&[i, i + 1])]));
-            store.intern(store.get(prev).or(&store.get(id)));
-            store.intern(Dnf::new(vec![m(&[i, i + 1])])); // guaranteed hit
-            prev = id;
-        }
-        let total = store.stats();
-        let shards = store.shard_stats();
-        assert_eq!(shards.len(), SHARDS);
-        assert_eq!(
-            shards.iter().map(|s| s.intern_hits).sum::<u64>(),
-            total.intern_hits
-        );
-        assert_eq!(
-            shards.iter().map(|s| s.intern_misses).sum::<u64>(),
-            total.intern_misses
-        );
-        assert_eq!(
-            shards.iter().map(|s| s.entries).sum::<usize>(),
-            total.formulas,
-            "every interned formula lives in exactly one shard index"
-        );
     }
 
     #[test]
@@ -357,12 +290,6 @@ mod tests {
 
     #[test]
     fn journal_sees_new_interns_in_id_order_and_no_hits() {
-        struct Tape(std::sync::Mutex<Vec<(DnfId, Dnf)>>);
-        impl InternJournal for Tape {
-            fn on_intern(&self, id: DnfId, dnf: &Dnf) {
-                self.0.lock().unwrap().push((id, dnf.clone()));
-            }
-        }
         let store = DnfStore::new();
         let pre = store.intern(Dnf::new(vec![m(&[9])])); // before the journal
         let tape = Arc::new(Tape(std::sync::Mutex::new(Vec::new())));
@@ -390,14 +317,20 @@ mod tests {
     }
 
     #[test]
-    fn ids_stay_dense_and_distinct_across_shards() {
-        // Interning K distinct formulas from many threads allocates exactly
-        // K consecutive ids even though the index is sharded.
+    fn ids_stay_dense_and_distinct() {
+        // Interning K distinct formulas from many threads at once allocates
+        // exactly K consecutive ids, and the journal sees each new id once,
+        // in ascending order: what a warm-boot replay relies on while
+        // several workers intern.
         let store = DnfStore::new();
+        let tape = Arc::new(Tape(std::sync::Mutex::new(Vec::new())));
+        store.set_journal(Arc::clone(&tape) as Arc<dyn InternJournal>);
+        let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for t in 0..4u32 {
-                let store = &store;
+                let (store, start) = (&store, &start);
                 scope.spawn(move || {
+                    start.wait();
                     for i in 0..64u32 {
                         store.intern(Dnf::new(vec![m(&[t * 64 + i])]));
                     }
@@ -405,11 +338,17 @@ mod tests {
             }
         });
         assert_eq!(store.len(), 2 + 4 * 64);
-        let mut seen = std::collections::HashSet::new();
+        let seen = tape.0.lock().unwrap().clone();
+        let ids: Vec<usize> = seen.iter().map(|(id, _)| id.index()).collect();
+        assert_eq!(ids, (2..2 + 4 * 64).collect::<Vec<_>>());
+        for (id, dnf) in &seen {
+            assert_eq!(*store.get(*id), *dnf);
+        }
+        let mut distinct = std::collections::HashSet::new();
         for i in 0..64u32 {
             for t in 0..4u32 {
                 let id = store.intern(Dnf::new(vec![m(&[t * 64 + i])]));
-                assert!(seen.insert(id), "duplicate id {id:?}");
+                assert!(distinct.insert(id), "duplicate id {id:?}");
                 assert_eq!(*store.get(id), Dnf::new(vec![m(&[t * 64 + i])]));
             }
         }

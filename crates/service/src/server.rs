@@ -1705,7 +1705,6 @@ pub(crate) fn refresh_gauges(shared: &Shared) {
     }
     let session = shared.current_session();
     let s = session.stats();
-    let store = session.p3().store();
 
     set_queue_depth_gauge(shared.queue.depth());
     set_workers_busy_gauge(shared.workers_busy.load(Ordering::SeqCst));
@@ -1724,28 +1723,7 @@ pub(crate) fn refresh_gauges(shared: &Shared) {
         "p3_prob_store_formulas",
         "Interned DNF formulas in the hash-consed store"
     )
-    .set(store.stats().formulas as i64);
-    for (i, shard) in store.shard_stats().iter().enumerate() {
-        let labels = format!("shard=\"{i}\"");
-        let set = |name, help, value: u64| {
-            p3_obs::metrics::labeled_gauge(name, help, &labels).set(value as i64);
-        };
-        set(
-            "p3_prob_store_shard_entries",
-            "Interned nodes held by each DnfStore shard",
-            shard.entries as u64,
-        );
-        set(
-            "p3_prob_store_shard_intern_hits",
-            "Hash-cons intern hits per DnfStore shard",
-            shard.intern_hits,
-        );
-        set(
-            "p3_prob_store_shard_intern_misses",
-            "Hash-cons intern misses per DnfStore shard",
-            shard.intern_misses,
-        );
-    }
+    .set(session.p3().store().len() as i64);
 }
 
 /// The `metrics` payload: refreshes scrape-time gauges from live state,

@@ -587,7 +587,7 @@ fn metrics_op_emits_valid_prometheus_text_with_monotone_counters() {
         "p3_datalog_delta_tuples",         // datalog (histogram)
         "p3_provenance_memo_misses_total", // provenance
         "p3_prob_store_intern_hits_total", // prob
-        "p3_prob_store_shard_entries",     // prob (per-shard gauges)
+        "p3_prob_store_formulas",          // prob (scrape-time gauge)
         "p3_core_session_misses_total",    // core
         "p3_service_requests_total",       // service
         "p3_service_request_latency_us",   // service (histogram)
