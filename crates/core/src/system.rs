@@ -189,18 +189,19 @@ impl P3 {
     }
 
     /// Snapshots the [`ExplainPlan`] of every evaluation forced so far:
-    /// the naive full core (if forced) followed by the demand cores.
-    /// Evaluation is never forced here — an unqueried system returns an
-    /// empty vector.
+    /// the naive full core (if forced) followed by the demand cores in
+    /// the order of their atoms (predicate, then arguments), so the list
+    /// is the same in every process. Evaluation is never forced here — an
+    /// unqueried system returns an empty vector.
     pub fn explain_plans(&self) -> Vec<ExplainPlan> {
-        let mut out = Vec::new();
-        if let Some(full) = self.full.get() {
-            out.push(full.plan.clone());
-        }
-        for core in self.demand.read().unwrap().values() {
-            out.push(core.plan.clone());
-        }
-        out
+        let demand = self.demand.read().unwrap();
+        let mut cores: Vec<_> = demand.iter().collect();
+        cores.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let full = self.full.get().map(|full| &full.plan);
+        full.into_iter()
+            .chain(cores.into_iter().map(|(_, core)| &core.plan))
+            .cloned()
+            .collect()
     }
 
     /// Opens a query session: a cheap handle with memo tables for
@@ -508,6 +509,40 @@ mod tests {
         let top = p3_datalog::explain::top_rules(&plans, 3);
         assert!(top.iter().any(|(l, _)| l == "r3"), "{top:?}");
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
+
+        // Demand plans come in atom order, whatever order forced them and
+        // whatever hash keys each system's core map drew.
+        let atoms = [
+            r#"know("Ben","Elena")"#,
+            r#"know("Steve","Elena")"#,
+            r#"know("Elena","Steve")"#,
+            r#"know("Ben","Steve")"#,
+            r#"know("Mary","Elena")"#,
+        ];
+        let listed = |order: &[usize]| {
+            let p3 = P3::from_source(ACQ).unwrap();
+            for &i in order {
+                let (pred, args) = worlds::parse_ground_query(p3.program(), atoms[i]).unwrap();
+                p3.demand_core(pred, &args).unwrap();
+            }
+            let plans = p3.explain_plans();
+            assert_eq!(plans.len(), atoms.len());
+            plans
+                .iter()
+                .map(|p| p.to_value().to_json())
+                .collect::<Vec<_>>()
+        };
+        let first = listed(&[0, 1, 2, 3, 4]);
+        let mut distinct = first.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert!(
+            distinct.len() > 1,
+            "the plans must differ for order to show"
+        );
+        for order in [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 3, 0, 4, 2]] {
+            assert_eq!(listed(&order), first, "forced in order {order:?}");
+        }
     }
 
     #[test]
