@@ -34,6 +34,9 @@ const ACQ: &str = r#"
 
 const QUERY: &str = r#"know(\"Ben\",\"Elena\")"#;
 
+/// A second demand atom, so `GET /explain` lists two demand plans.
+const OTHER: &str = r#"know(\"Steve\",\"Elena\")"#;
+
 /// Replaces wall-clock readings, and the trace events' thread, time and
 /// span ids, which differ run to run.
 fn mask(value: &mut Value) {
@@ -120,8 +123,7 @@ fn plane_documents_match_the_golden_snapshot() {
         format!(r#"{{"op":"analyze","query":"{QUERY}"}}"#),
         format!(r#"{{"op":"probability","query":"{QUERY}","eval_mode":"naive","trace":"tr-\"1\""}}"#),
         format!(r#"{{"op":"probability","query":"{QUERY}","eval_mode":"demand"}}"#),
-        // One demand atom only: `GET /explain` lists demand plans in hash
-        // order.
+        format!(r#"{{"op":"probability","query":"{OTHER}","eval_mode":"demand"}}"#),
         format!(r#"{{"op":"explanation","query":"{QUERY}","eval_mode":"demand","hop_limit":2}}"#),
     ];
     for line in &requests {
