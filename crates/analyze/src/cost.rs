@@ -16,7 +16,7 @@
 //! iteration stops — mirroring how the engine's semi-naive fixpoint is
 //! bounded by the finite Herbrand base.
 
-use crate::domain::{var_domains, ArgDomain, Domains};
+use crate::domain::{var_domains, Domains};
 use crate::plan::PredictedRuleCost;
 use p3_datalog::ast::{Clause, ClauseId, CmpOp, Term};
 use p3_datalog::diag::Diagnostic;
@@ -540,12 +540,6 @@ fn domain_mismatches(
         }
     }
     out
-}
-
-/// Helper shared by the plan and mode recommendation: an [`ArgDomain`]
-/// rendered against the universe size (re-exported for tests).
-pub fn domain_size(domain: &ArgDomain, universe: u64) -> u64 {
-    domain.size(universe)
 }
 
 #[cfg(test)]

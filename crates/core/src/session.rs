@@ -219,8 +219,6 @@ pub struct QuerySession {
     caches: Arc<SessionCaches>,
     /// The resolved evaluation mode (never [`EvalMode::Auto`]).
     mode: EvalMode,
-    /// Why [`Self::mode`] was picked (see [`EvalMode::decide`]).
-    mode_reason: Arc<str>,
 }
 
 impl QuerySession {
@@ -245,7 +243,6 @@ impl QuerySession {
             p3,
             caches: Arc::new(SessionCaches::new(opts)),
             mode: decision.mode,
-            mode_reason: decision.reason.into(),
         }
     }
 
@@ -253,12 +250,6 @@ impl QuerySession {
     /// or [`EvalMode::Demand`], never [`EvalMode::Auto`].
     pub fn eval_mode(&self) -> EvalMode {
         self.mode
-    }
-
-    /// Why [`Self::eval_mode`] was picked: the static-analysis prediction
-    /// for auto sessions, or the explicit override.
-    pub fn eval_mode_reason(&self) -> &str {
-        &self.mode_reason
     }
 
     /// Loads `src` into a fresh session with the lint pre-flight gate on:
@@ -397,11 +388,6 @@ impl QuerySession {
     pub fn detach_store(&self) {
         self.p3.store.clear_journal();
         *self.caches.persist.write().unwrap() = None;
-    }
-
-    /// The attached storage backend, if any.
-    pub fn store_backend(&self) -> Option<Arc<dyn StorageBackend>> {
-        self.caches.persist.read().unwrap().clone()
     }
 
     /// The full persistable state — every interned formula in id order,

@@ -663,40 +663,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Adds a rule with negated body atoms (`\+`).
-    pub fn rule_with_negation(
-        &mut self,
-        label: &str,
-        prob: f64,
-        head: (&str, &[T]),
-        body: &[(&str, &[T])],
-        negated: &[(&str, &[T])],
-        constraints: &[ConstraintSpec<'_>],
-    ) -> &mut Self {
-        let head = self.atom(head.0, head.1);
-        let body = body.iter().map(|(p, args)| self.atom(p, args)).collect();
-        let negated = negated.iter().map(|(p, args)| self.atom(p, args)).collect();
-        let constraints = constraints
-            .iter()
-            .map(|(lhs, op, rhs)| Constraint {
-                op: *op,
-                lhs: self.term(lhs),
-                rhs: self.term(rhs),
-            })
-            .collect();
-        self.clauses.push(Clause {
-            label: label.to_string(),
-            prob,
-            head,
-            kind: ClauseKind::Rule {
-                body,
-                negated,
-                constraints,
-            },
-        });
-        self
-    }
-
     /// Validates and returns the finished program.
     pub fn build(self) -> Result<Program, ProgramError> {
         Program::from_clauses(self.clauses, self.symbols)

@@ -93,11 +93,6 @@ pub fn open_fds() -> Option<u64> {
     Some(entries.filter(|e| e.is_ok()).count() as u64)
 }
 
-/// Seconds since [`init`] was first called; 0 before that.
-pub fn uptime_seconds() -> u64 {
-    STARTED.get().map(|s| s.elapsed().as_secs()).unwrap_or(0)
-}
-
 fn page_size() -> u64 {
     // Linux x86-64/aarch64 default. A wrong guess skews RSS by a constant
     // factor only; the fallback path via VmRSS (kB) is exact.

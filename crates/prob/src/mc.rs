@@ -49,22 +49,6 @@ impl Default for McConfig {
     }
 }
 
-impl McConfig {
-    /// A config with `samples` samples and the default seed.
-    pub fn with_samples(samples: usize) -> Self {
-        Self {
-            samples,
-            ..Self::default()
-        }
-    }
-
-    /// Returns a copy with a different seed (used to give worker threads
-    /// independent streams).
-    pub fn reseeded(self, seed: u64) -> Self {
-        Self { seed, ..self }
-    }
-}
-
 /// A DNF compiled to bitset rows over dense slots, one per variable it
 /// uses (see the module docs). Sampling then touches only live variables.
 #[derive(Clone, Debug)]

@@ -3,7 +3,7 @@
 //! already links. The handler only flips a static flag — the accept loops
 //! poll it and turn it into a graceful shutdown.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 static SHUTDOWN_FLAG: AtomicBool = AtomicBool::new(false);
 
@@ -39,9 +39,4 @@ mod sys {
 pub fn install_shutdown_flag() -> &'static AtomicBool {
     sys::install();
     &SHUTDOWN_FLAG
-}
-
-/// Whether a shutdown signal has been received.
-pub fn shutdown_requested() -> bool {
-    SHUTDOWN_FLAG.load(Ordering::Relaxed)
 }
