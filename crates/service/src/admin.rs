@@ -49,12 +49,9 @@ use crate::server::{
 };
 use p3_audit::AuditKey;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How often the accept loop re-checks the shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
 
 /// Longest `/profile` sampling window, seconds.
 const MAX_PROFILE_SECS: u64 = 30;
@@ -118,29 +115,10 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Accepts admin connections until shutdown; one short-lived thread per
-/// connection (probes and scrapers are low-rate, `/profile` blocks for
-/// its sampling window).
-pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("p3-admin-conn".into())
-                    .spawn(move || handle(stream, shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-/// Serves exactly one request on `stream`.
-fn handle(mut stream: TcpStream, shared: Arc<Shared>) {
+/// Serves exactly one request on `stream`, on a short-lived thread of its
+/// own (probes and scrapers are low-rate, `/profile` blocks for its
+/// sampling window).
+pub(crate) fn handle(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let head = match read_head(&mut stream) {
         Some(head) => head,

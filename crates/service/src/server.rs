@@ -35,7 +35,7 @@ use p3_obs::slo::{SloConfig, SloEngine};
 use p3_provenance::extract::ExtractOptions;
 use p3_store::{FileBackend, RecoveryReport, StorageBackend};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::panic::AssertUnwindSafe;
@@ -596,12 +596,18 @@ impl Server {
             let listener = TcpListener::bind(addr)?;
             listener.set_nonblocking(true)?;
             tcp_addr = Some(listener.local_addr()?);
-            let shared = Arc::clone(&shared);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name("p3-accept-tcp".into())
-                    .spawn(move || accept_loop_tcp(listener, shared))?,
-            );
+            let accept = move || {
+                let (stream, _) = listener.accept()?;
+                let _ = stream.set_nodelay(true);
+                Ok(stream)
+            };
+            accept_threads.push(accept_loop(
+                "p3-accept-tcp",
+                accept,
+                "p3-conn",
+                handle_connection,
+                &shared,
+            )?);
         }
         let mut unix_path = None;
         if let Some(path) = &config.unix {
@@ -612,12 +618,14 @@ impl Server {
             let listener = UnixListener::bind(path)?;
             listener.set_nonblocking(true)?;
             unix_path = Some(path.clone());
-            let shared = Arc::clone(&shared);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name("p3-accept-unix".into())
-                    .spawn(move || accept_loop_unix(listener, shared))?,
-            );
+            let accept = move || listener.accept().map(|(stream, _)| stream);
+            accept_threads.push(accept_loop(
+                "p3-accept-unix",
+                accept,
+                "p3-conn",
+                handle_connection,
+                &shared,
+            )?);
         }
 
         let mut admin_addr = None;
@@ -625,12 +633,14 @@ impl Server {
             let listener = TcpListener::bind(addr)?;
             listener.set_nonblocking(true)?;
             admin_addr = Some(listener.local_addr()?);
-            let shared = Arc::clone(&shared);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name("p3-admin".into())
-                    .spawn(move || crate::admin::accept_loop(listener, shared))?,
-            );
+            let accept = move || listener.accept().map(|(stream, _)| stream);
+            accept_threads.push(accept_loop(
+                "p3-admin",
+                accept,
+                "p3-admin-conn",
+                crate::admin::handle,
+                &shared,
+            )?);
         }
 
         let worker_threads = (0..workers)
@@ -728,57 +738,41 @@ impl Server {
     }
 }
 
-fn accept_loop_tcp(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("p3-conn".into())
-                    .spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        handle_connection(BufReader::new(reader), stream, shared);
-                    });
+/// Spawns the thread `thread`, which accepts connections until shutdown
+/// and serves each with `serve` on a thread of its own named `conn`.
+/// `accept` is a nonblocking listener's accept; on `WouldBlock`, or any
+/// other error, the loop sleeps [`POLL`] and re-checks the shutdown flag.
+fn accept_loop<S: Send + 'static>(
+    thread: &str,
+    accept: impl Fn() -> std::io::Result<S> + Send + 'static,
+    conn: &'static str,
+    serve: fn(S, Arc<Shared>),
+    shared: &Arc<Shared>,
+) -> std::io::Result<JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(thread.into())
+        .spawn(move || {
+            while !shared.shutting_down() {
+                match accept() {
+                    Ok(stream) => {
+                        let shared = Arc::clone(&shared);
+                        let _ = std::thread::Builder::new()
+                            .name(conn.into())
+                            .spawn(move || serve(stream, shared));
+                    }
+                    Err(_) => std::thread::sleep(POLL),
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-fn accept_loop_unix(listener: UnixListener, shared: Arc<Shared>) {
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("p3-conn".into())
-                    .spawn(move || {
-                        let reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        handle_connection(BufReader::new(reader), stream, shared);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
+        })
 }
 
 /// Serves one connection until EOF, write failure, or shutdown.
-fn handle_connection<R: BufRead, W: Write>(mut reader: R, mut writer: W, shared: Arc<Shared>) {
+fn handle_connection<S>(stream: S, shared: Arc<Shared>)
+where
+    for<'a> &'a S: Read + Write,
+{
+    let (mut reader, mut writer) = (BufReader::new(&stream), &stream);
     let mut line = String::new();
     loop {
         line.clear();
