@@ -74,7 +74,6 @@ impl ServedSetup {
         let load_line = request_line(vec![
             ("op", Value::from("load-program")),
             ("source", Value::from(source)),
-            ("lint", Value::Bool(false)),
         ]);
         let query_lines = queries
             .iter()

@@ -1,6 +1,5 @@
 //! Errors surfaced by the P3 facade.
 
-use p3_datalog::diag::Diagnostic;
 use p3_datalog::program::ProgramError;
 use p3_datalog::worlds::WorldsError;
 use std::error::Error;
@@ -9,12 +8,10 @@ use std::fmt;
 /// Errors from loading programs or resolving queried tuples.
 #[derive(Debug)]
 pub enum P3Error {
-    /// The program failed to parse or validate.
+    /// The program failed to parse or validate. A validation failure holds
+    /// every error-severity finding, each with a stable `P3xxx` code and
+    /// (for parsed sources) a located span.
     Program(ProgramError),
-    /// The lint pre-flight gate rejected the program. Holds the
-    /// error-severity findings, each with a stable `P3xxx` code and (for
-    /// parsed sources) a span. See `QuerySession::load_program`.
-    Lint(Vec<Diagnostic>),
     /// The query string is not a ground atom over known symbols.
     BadQuery(String),
     /// The queried tuple is not derivable from the program.
@@ -28,13 +25,6 @@ impl fmt::Display for P3Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             P3Error::Program(e) => write!(f, "{e}"),
-            P3Error::Lint(diags) => {
-                write!(f, "program rejected by lint: {} error(s)", diags.len())?;
-                for d in diags {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
             P3Error::BadQuery(q) => write!(f, "bad query: {q}"),
             P3Error::NotDerivable(q) => write!(f, "tuple {q} is not derivable"),
             P3Error::UnsupportedNegation => write!(

@@ -76,10 +76,8 @@ struct SufficientKey {
 /// Options for [`QuerySession::load_program_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoadOptions {
-    /// Run the `p3-lint` pre-flight gate and reject the program when it has
-    /// error-severity findings (default `true`). Disabling skips straight to
-    /// parse + validate, which stops at the *first* defect and reports less
-    /// context.
+    /// Ignored: it changes neither what loads nor what a rejection says.
+    /// Validation reports every error-severity finding either way.
     pub lint: bool,
     /// Session cache tuning, as for [`P3::session_with`].
     pub session: SessionOptions,
@@ -252,30 +250,17 @@ impl QuerySession {
         self.mode
     }
 
-    /// Loads `src` into a fresh session with the lint pre-flight gate on:
-    /// the program is statically analyzed first, and any error-severity
-    /// finding rejects it — with *every* defect reported, each carrying a
-    /// `P3xxx` code and source span — before evaluation starts.
+    /// Loads `src` into a fresh session. A program that breaks a validity
+    /// rule is rejected before evaluation starts, with *every* defect
+    /// reported, each carrying a `P3xxx` code and source span.
     pub fn load_program(src: &str) -> Result<Self, P3Error> {
         Self::load_program_with(src, LoadOptions::default())
     }
 
     /// Like [`QuerySession::load_program`], with explicit [`LoadOptions`]
-    /// (lint opt-out and session cache tuning).
+    /// (session cache tuning).
     pub fn load_program_with(src: &str, opts: LoadOptions) -> Result<Self, P3Error> {
-        if opts.lint {
-            let report = p3_lint::lint_source(src);
-            if report.has_errors() {
-                let errors = report
-                    .diagnostics
-                    .into_iter()
-                    .filter(|d| d.severity == p3_lint::Severity::Error)
-                    .collect();
-                return Err(P3Error::Lint(errors));
-            }
-        }
-        let p3 = P3::from_source(src)?;
-        Ok(p3.session_with(opts.session))
+        Ok(P3::from_source(src)?.session_with(opts.session))
     }
 
     /// The underlying system.
@@ -936,6 +921,7 @@ mod tests {
     use super::*;
     use crate::query::influence::influence_query;
     use crate::query::modification::modification_query;
+    use p3_datalog::ProgramError;
     use p3_prob::McConfig;
 
     const ACQ: &str = r#"
@@ -1359,14 +1345,14 @@ mod tests {
             Ok(_) => panic!("unsafe program must be rejected"),
         };
         match err {
-            P3Error::Lint(diags) => {
+            P3Error::Program(ProgramError::Invalid(diags)) => {
                 assert!(!diags.is_empty());
                 assert_eq!(diags[0].code, "P3101");
                 let span = diags[0].span.expect("spanned");
                 assert_eq!(&src[span.start..span.end], "path(X,Y)");
                 assert!(diags[0].line > 0, "located");
             }
-            other => panic!("expected lint rejection, got {other}"),
+            other => panic!("expected a validation rejection, got {other}"),
         }
     }
 
@@ -1378,28 +1364,29 @@ mod tests {
             Ok(_) => panic!("unstratified program must be rejected"),
         };
         match err {
-            P3Error::Lint(diags) => {
+            P3Error::Program(ProgramError::Invalid(diags)) => {
                 assert!(diags.iter().any(|d| d.code == "P3201"), "{diags:?}");
             }
-            other => panic!("expected lint rejection, got {other}"),
+            other => panic!("expected a validation rejection, got {other}"),
         }
     }
 
     #[test]
-    fn load_program_gate_opt_out_falls_back_to_validation() {
-        let src = "t1 0.5: edge(a,b).\nr1 0.9: path(X,Y) :- edge(X,Z), Y != Z.\n";
-        let opts = LoadOptions {
-            lint: false,
-            session: SessionOptions::default(),
-        };
-        let err = match QuerySession::load_program_with(src, opts) {
-            Err(e) => e,
-            Ok(_) => panic!("validation must still reject"),
-        };
-        assert!(
-            matches!(err, P3Error::Program(_)),
-            "validation still rejects: {err}"
-        );
+    fn load_program_reports_every_error_whatever_lint_says() {
+        for lint in [true, false] {
+            let opts = LoadOptions {
+                lint,
+                session: SessionOptions::default(),
+            };
+            match QuerySession::load_program_with("f(X).\ng(a) :- X != a.\n", opts) {
+                Err(P3Error::Program(ProgramError::Invalid(diags))) => {
+                    let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
+                    assert_eq!(codes, ["P3102", "P3103", "P3101"], "lint: {lint}");
+                }
+                Err(other) => panic!("expected a validation rejection, got {other}"),
+                Ok(_) => panic!("an invalid program loaded"),
+            }
+        }
     }
 
     #[test]

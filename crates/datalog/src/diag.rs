@@ -18,7 +18,7 @@ use std::fmt;
 ///
 /// Ordered so that `Info < Warn < Error` — `report.worst() >=
 /// Severity::Error` is the gate condition used by the CLI, CI, and the
-/// session pre-flight check.
+/// `load-program` op.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
     /// Advisory only (cost estimates, style).

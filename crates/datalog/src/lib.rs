@@ -39,6 +39,7 @@ pub mod parser;
 pub mod program;
 pub mod symbol;
 pub mod transform;
+pub mod validate;
 pub mod worlds;
 
 pub use ast::{Atom, Clause, ClauseId, ClauseKind, CmpOp, Const, Constraint, Term};

@@ -1,14 +1,16 @@
 //! Validated probabilistic logic programs.
 //!
 //! A [`Program`] owns its clauses and symbol table and guarantees the static
-//! well-formedness properties the engine relies on:
+//! well-formedness properties the engine relies on, which
+//! [`validate`](crate::validate) checks, reporting every violation:
 //!
 //! * base tuples are ground;
-//! * rules are *safe*: every head variable and every constraint variable
-//!   occurs in a positive body atom;
+//! * rules are *safe*: they have a positive body atom, and every head,
+//!   constraint and negated-atom variable occurs in one;
 //! * predicates are used at a consistent arity;
 //! * clause labels are unique;
-//! * clause probabilities lie in `[0, 1]`.
+//! * clause probabilities lie in `[0, 1]`;
+//! * negation is stratified.
 //!
 //! A program also owns the [`FactBase`] its demand evaluations share: its
 //! facts interned once, on first use, for every clone, what-if copy and
@@ -18,9 +20,10 @@ use crate::ast::{Atom, Clause, ClauseId, ClauseKind, CmpOp, Const, Constraint, T
 use crate::diag::Diagnostic;
 use crate::engine::FactBase;
 use crate::graph::DepGraph;
-use crate::parser::{self, ClauseSpans, ParseError, Span};
+use crate::parser::{self, ClauseSpans, ParseError};
 use crate::symbol::{Symbol, SymbolTable};
-use std::collections::{HashMap, HashSet};
+use crate::validate::validate;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -54,172 +57,29 @@ enum Facts {
     Over(Arc<FactBase>),
 }
 
-/// Errors raised by program validation (or the parser, wrapped).
-///
-/// Every variant maps onto the shared [`Diagnostic`] structure — stable
-/// `P3xxx` code, severity, optional source span — via
-/// [`ProgramError::to_diagnostic`], so validation failures and `p3-lint`
-/// findings render through one path.
+/// Why a program was refused: its source failed to parse, or its clauses
+/// break the language's validity rules.
 #[derive(Debug)]
 pub enum ProgramError {
     /// The source text failed to parse.
     Parse(ParseError),
-    /// A base tuple contains a variable.
-    NonGroundFact {
-        /// The offending clause's label.
-        label: String,
-        /// The fact's head span, when parsed from source.
-        span: Option<Span>,
-    },
-    /// A head or constraint variable is not bound by any body atom.
-    UnsafeVariable {
-        /// The offending clause's label.
-        label: String,
-        /// The unbound variable's name.
-        var: String,
-        /// The span of the clause part using the unbound variable.
-        span: Option<Span>,
-    },
-    /// A predicate is used with two different arities.
-    ArityMismatch {
-        /// The predicate name.
-        pred: String,
-        /// Arity seen first.
-        expected: usize,
-        /// Conflicting arity.
-        found: usize,
-        /// The conflicting atom's span, when parsed from source.
-        span: Option<Span>,
-    },
-    /// Two clauses share a label.
-    DuplicateLabel {
-        /// The repeated label.
-        label: String,
-        /// The second clause's span, when parsed from source.
-        span: Option<Span>,
-    },
-    /// A clause probability outside `[0, 1]` (programmatic construction).
-    BadProbability {
-        /// The offending clause's label.
-        label: String,
-        /// The out-of-range value.
-        prob: f64,
-        /// The probability literal's span, when parsed from source.
-        span: Option<Span>,
-    },
-    /// A rule whose body contains no atoms (only constraints, or nothing).
-    EmptyBody {
-        /// The offending clause's label.
-        label: String,
-        /// The rule's span, when parsed from source.
-        span: Option<Span>,
-    },
-    /// Negation occurs inside a recursive cycle, so no stratification
-    /// exists.
-    NotStratified {
-        /// The head of the first clause, in source order, that negates a
-        /// predicate of its own SCC.
-        pred: String,
-        /// That clause's span, when parsed from source.
-        span: Option<Span>,
-    },
-}
-
-impl ProgramError {
-    /// The stable diagnostic code (`P3xxx`) for this error.
-    pub fn code(&self) -> &'static str {
-        match self {
-            ProgramError::Parse(e) => e.code(),
-            ProgramError::UnsafeVariable { .. } => "P3101",
-            ProgramError::NonGroundFact { .. } => "P3102",
-            ProgramError::EmptyBody { .. } => "P3103",
-            ProgramError::DuplicateLabel { .. } => "P3104",
-            ProgramError::ArityMismatch { .. } => "P3105",
-            ProgramError::NotStratified { .. } => "P3201",
-            ProgramError::BadProbability { .. } => "P3301",
-        }
-    }
-
-    /// The source span of the offending construct, when known.
-    pub fn span(&self) -> Option<Span> {
-        match self {
-            ProgramError::Parse(e) => Some(e.span),
-            ProgramError::NonGroundFact { span, .. }
-            | ProgramError::UnsafeVariable { span, .. }
-            | ProgramError::ArityMismatch { span, .. }
-            | ProgramError::DuplicateLabel { span, .. }
-            | ProgramError::BadProbability { span, .. }
-            | ProgramError::EmptyBody { span, .. }
-            | ProgramError::NotStratified { span, .. } => *span,
-        }
-    }
-
-    /// The label of the offending clause, when the error concerns one.
-    pub fn clause_label(&self) -> Option<&str> {
-        match self {
-            ProgramError::NonGroundFact { label, .. }
-            | ProgramError::UnsafeVariable { label, .. }
-            | ProgramError::DuplicateLabel { label, .. }
-            | ProgramError::BadProbability { label, .. }
-            | ProgramError::EmptyBody { label, .. } => Some(label),
-            _ => None,
-        }
-    }
-
-    /// The human message, without code or location.
-    pub fn message(&self) -> String {
-        match self {
-            ProgramError::Parse(e) => e.to_diagnostic().message,
-            ProgramError::NonGroundFact { label, .. } => {
-                format!("base tuple '{label}' contains a variable")
-            }
-            ProgramError::UnsafeVariable { label, var, .. } => format!(
-                "clause '{label}' is unsafe: variable {var} does not occur in any body atom"
-            ),
-            ProgramError::ArityMismatch {
-                pred,
-                expected,
-                found,
-                ..
-            } => format!(
-                "predicate '{pred}' used with arity {found} but previously with arity {expected}"
-            ),
-            ProgramError::DuplicateLabel { label, .. } => {
-                format!("duplicate clause label '{label}'")
-            }
-            ProgramError::BadProbability { label, prob, .. } => {
-                format!("clause '{label}' has probability {prob} outside [0, 1]")
-            }
-            ProgramError::EmptyBody { label, .. } => {
-                format!("rule '{label}' has no body atoms")
-            }
-            ProgramError::NotStratified { pred, .. } => format!(
-                "program is not stratified: predicate '{pred}' is negated within a \
-                 recursive cycle"
-            ),
-        }
-    }
-
-    /// Converts to the shared diagnostic structure. All validation errors
-    /// are error severity; the span (when present) still needs
-    /// [`Diagnostic::locate`] against the source to resolve line/column.
-    pub fn to_diagnostic(&self) -> Diagnostic {
-        if let ProgramError::Parse(e) = self {
-            return e.to_diagnostic();
-        }
-        let mut d = Diagnostic::error(self.code(), self.message()).with_span(self.span());
-        if let Some(label) = self.clause_label() {
-            d = d.with_clause(label);
-        }
-        d
-    }
+    /// Every error-severity finding of [`validate`], in source order, each
+    /// located against the source when there is one.
+    Invalid(Vec<Diagnostic>),
 }
 
 impl fmt::Display for ProgramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // One formatting path for parse, validation, and lint findings:
-        // everything renders through `Diagnostic`.
-        write!(f, "{}", self.to_diagnostic())
+        match self {
+            ProgramError::Parse(e) => write!(f, "{}", e.to_diagnostic()),
+            ProgramError::Invalid(errors) => {
+                write!(f, "program rejected: {} error(s)", errors.len())?;
+                for d in errors {
+                    write!(f, "\n  {d}")?;
+                }
+                Ok(())
+            }
+        }
     }
 }
 
@@ -263,134 +123,21 @@ impl Program {
         spans: Vec<ClauseSpans>,
         source: Option<String>,
     ) -> Result<Self, ProgramError> {
-        let mut labels = HashMap::new();
-        let mut arities: HashMap<Symbol, usize> = HashMap::new();
-
-        let mut check_arity =
-            |atom: &Atom, span: Option<Span>, syms: &SymbolTable| -> Result<(), ProgramError> {
-                match arities.get(&atom.pred) {
-                    Some(&expected) if expected != atom.args.len() => {
-                        Err(ProgramError::ArityMismatch {
-                            pred: syms.resolve(atom.pred).to_string(),
-                            expected,
-                            found: atom.args.len(),
-                            span,
-                        })
-                    }
-                    Some(_) => Ok(()),
-                    None => {
-                        arities.insert(atom.pred, atom.args.len());
-                        Ok(())
-                    }
-                }
-            };
-
-        for (i, clause) in clauses.iter().enumerate() {
-            let cspans = spans.get(i);
-            if !(0.0..=1.0).contains(&clause.prob) {
-                return Err(ProgramError::BadProbability {
-                    label: clause.label.clone(),
-                    prob: clause.prob,
-                    span: cspans.map(|s| s.prob.unwrap_or(s.clause)),
-                });
+        let checked = validate(&clauses, &symbols, &spans);
+        if !checked.errors.is_empty() {
+            let mut errors = checked.errors;
+            if let Some(src) = &source {
+                errors = errors.into_iter().map(|d| d.locate(src)).collect();
             }
-            if labels
-                .insert(clause.label.clone(), ClauseId(i as u32))
-                .is_some()
-            {
-                return Err(ProgramError::DuplicateLabel {
-                    label: clause.label.clone(),
-                    span: cspans.map(|s| s.clause),
-                });
-            }
-            check_arity(&clause.head, cspans.map(|s| s.head), &symbols)?;
-            match &clause.kind {
-                ClauseKind::Fact => {
-                    if !clause.head.is_ground() {
-                        return Err(ProgramError::NonGroundFact {
-                            label: clause.label.clone(),
-                            span: cspans.map(|s| s.head),
-                        });
-                    }
-                }
-                ClauseKind::Rule {
-                    body,
-                    negated,
-                    constraints,
-                } => {
-                    if body.is_empty() {
-                        return Err(ProgramError::EmptyBody {
-                            label: clause.label.clone(),
-                            span: cspans.map(|s| s.clause),
-                        });
-                    }
-                    let mut bound: HashSet<Symbol> = HashSet::new();
-                    for (j, atom) in body.iter().enumerate() {
-                        check_arity(atom, cspans.and_then(|s| s.body.get(j).copied()), &symbols)?;
-                        bound.extend(atom.vars());
-                    }
-                    // Safety: each unbound use is reported at the span of
-                    // the clause part (head, constraint, negated atom)
-                    // that uses the variable.
-                    let unsafe_var =
-                        |var: Symbol, span: Option<Span>| ProgramError::UnsafeVariable {
-                            label: clause.label.clone(),
-                            var: symbols.resolve(var).to_string(),
-                            span,
-                        };
-                    for var in clause.head.vars() {
-                        if !bound.contains(&var) {
-                            return Err(unsafe_var(var, cspans.map(|s| s.head)));
-                        }
-                    }
-                    for (j, constraint) in constraints.iter().enumerate() {
-                        for var in constraint.vars() {
-                            if !bound.contains(&var) {
-                                return Err(unsafe_var(
-                                    var,
-                                    cspans.and_then(|s| s.constraints.get(j).copied()),
-                                ));
-                            }
-                        }
-                    }
-                    for (j, atom) in negated.iter().enumerate() {
-                        let span = cspans.and_then(|s| s.negated.get(j).copied());
-                        for var in atom.vars() {
-                            if !bound.contains(&var) {
-                                return Err(unsafe_var(var, span));
-                            }
-                        }
-                        check_arity(atom, span, &symbols)?;
-                    }
-                }
-            }
+            return Err(ProgramError::Invalid(errors));
         }
-
-        // `check_arity` captured `arities` mutably; it is no longer used
-        // past this point, so the borrow ends here.
-        let _ = &arities;
-        let mut arities_final: HashMap<Symbol, usize> = HashMap::new();
-        for clause in &clauses {
-            arities_final.insert(clause.head.pred, clause.head.args.len());
-            for atom in clause.body().iter().chain(clause.negated()) {
-                arities_final.insert(atom.pred, atom.args.len());
-            }
-        }
-
-        let graph = DepGraph::build(&clauses);
-        let strata = graph
-            .strata(&clauses)
-            .map_err(|i| ProgramError::NotStratified {
-                pred: symbols.resolve(clauses[i].head.pred).to_string(),
-                span: spans.get(i).map(|s| s.clause),
-            })?;
         Ok(Self {
             clauses,
             symbols,
-            labels,
-            arities: arities_final,
-            graph,
-            strata,
+            labels: checked.labels,
+            arities: checked.arities,
+            graph: checked.graph,
+            strata: checked.strata,
             spans,
             source,
             facts: Facts::Own(Arc::default()),
@@ -694,37 +441,49 @@ mod tests {
         assert!(r3.is_rule());
     }
 
+    /// The codes of a validation error's findings, in order.
+    fn codes(err: &ProgramError) -> Vec<&'static str> {
+        match err {
+            ProgramError::Invalid(errors) => errors.iter().map(|d| d.code).collect(),
+            ProgramError::Parse(e) => panic!("expected a validation error, got {e}"),
+        }
+    }
+
     #[test]
     fn rejects_non_ground_fact() {
         let err = Program::parse("t1 0.5: live(X).").unwrap_err();
-        assert!(matches!(err, ProgramError::NonGroundFact { .. }), "{err}");
+        assert_eq!(codes(&err), ["P3102"], "{err}");
     }
 
     #[test]
     fn rejects_unsafe_head_variable() {
         let err = Program::parse("r1 0.5: p(X,Y) :- q(X).").unwrap_err();
-        assert!(matches!(err, ProgramError::UnsafeVariable { .. }), "{err}");
+        assert_eq!(codes(&err), ["P3101"], "{err}");
     }
 
     #[test]
     fn rejects_unsafe_constraint_variable() {
         let err = Program::parse("r1 0.5: p(X) :- q(X), X != Z.").unwrap_err();
-        match err {
-            ProgramError::UnsafeVariable { var, .. } => assert_eq!(var, "Z"),
-            other => panic!("unexpected error: {other}"),
-        }
+        assert_eq!(codes(&err), ["P3101"], "{err}");
+        assert!(err.to_string().contains("variable Z"), "{err}");
     }
 
     #[test]
     fn rejects_duplicate_labels() {
         let err = Program::parse("t1 0.5: p(a). t1 0.5: p(b).").unwrap_err();
-        assert!(matches!(err, ProgramError::DuplicateLabel { .. }), "{err}");
+        assert_eq!(codes(&err), ["P3104"], "{err}");
     }
 
     #[test]
     fn rejects_arity_mismatch() {
         let err = Program::parse("t1 0.5: p(a). r1 1.0: q(X) :- p(X,X).").unwrap_err();
-        assert!(matches!(err, ProgramError::ArityMismatch { .. }), "{err}");
+        assert_eq!(codes(&err), ["P3105"], "{err}");
+    }
+
+    #[test]
+    fn reports_every_violation_in_source_order() {
+        let err = Program::parse("f(X).\ng(a) :- X != a.\n").unwrap_err();
+        assert_eq!(codes(&err), ["P3102", "P3103", "P3101"], "{err}");
     }
 
     #[test]
@@ -748,10 +507,7 @@ mod tests {
     fn builder_rejects_bad_probability() {
         let mut b = ProgramBuilder::new();
         b.fact("t1", 1.5, "p", &[T::sym("a")]);
-        assert!(matches!(
-            b.build(),
-            Err(ProgramError::BadProbability { .. })
-        ));
+        assert_eq!(codes(&b.build().unwrap_err()), ["P3301"]);
     }
 
     #[test]
@@ -766,11 +522,15 @@ mod tests {
     fn validation_errors_carry_spans_and_codes() {
         // Multi-line program: the error is on line 3 and must resolve there.
         let src = "t1 1.0: p(a).\nt2 1.0: p(b).\nr1 0.5: q(X) :- p(X), X != Z.\n";
-        let err = Program::parse(src).unwrap_err();
-        assert_eq!(err.code(), "P3101");
-        let span = err.span().expect("parsed programs have spans");
+        let ProgramError::Invalid(errors) = Program::parse(src).unwrap_err() else {
+            panic!("expected a validation error");
+        };
+        let [d] = &errors[..] else {
+            panic!("{errors:?}")
+        };
+        assert_eq!(d.code, "P3101");
+        let span = d.span.expect("parsed programs have spans");
         assert_eq!(&src[span.start..span.end], "X != Z");
-        let d = err.to_diagnostic().locate(src);
         assert_eq!(d.line, 3);
         assert!(d.column > 1);
         let rendered = d.render(Some(src), Some("bad.pl"));
@@ -780,15 +540,33 @@ mod tests {
     }
 
     #[test]
-    fn not_stratified_names_the_first_clause_negating_its_own_scc() {
+    fn not_stratified_names_each_negated_predicate_at_its_atom() {
         // `lose` only reads the cycle through `win`; it is not on it.
         let src = "t1 1.0: base(a).\n\
                    r1 1.0: win(X) :- base(X), \\+ win(X).\n\
                    r2 1.0: lose(X) :- base(X), \\+ win(X).\n";
-        let err = Program::parse(src).unwrap_err();
-        assert_eq!(err.code(), "P3201");
-        assert!(matches!(&err, ProgramError::NotStratified { pred, .. } if pred == "win"));
-        assert_eq!(err.to_diagnostic().locate(src).line, 2);
+        let ProgramError::Invalid(errors) = Program::parse(src).unwrap_err() else {
+            panic!("expected a validation error");
+        };
+        let [d] = &errors[..] else {
+            panic!("{errors:?}")
+        };
+        assert_eq!(d.code, "P3201");
+        assert!(d.message.contains("predicate 'win'"), "{}", d.message);
+        assert_eq!(d.line, 2);
+        // `b` negates `c` inside their cycle: the negated predicate is named,
+        // at the negated atom.
+        let src = "a(x).\nb(X) :- a(X), \\+ c(X).\nc(X) :- b(X).\n";
+        let ProgramError::Invalid(errors) = Program::parse(src).unwrap_err() else {
+            panic!("expected a validation error");
+        };
+        let [d] = &errors[..] else {
+            panic!("{errors:?}")
+        };
+        assert_eq!(d.code, "P3201");
+        assert!(d.message.contains("predicate 'c'"), "{}", d.message);
+        let span = d.span.expect("parsed programs have spans");
+        assert_eq!(&src[span.start..span.end], "\\+ c(X)");
     }
 
     #[test]
@@ -796,8 +574,11 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.fact("t1", 1.5, "p", &[T::sym("a")]);
         let err = b.build().unwrap_err();
-        assert_eq!(err.code(), "P3301");
-        assert!(err.span().is_none());
+        let ProgramError::Invalid(errors) = &err else {
+            panic!("expected a validation error");
+        };
+        assert_eq!(errors[0].code, "P3301");
+        assert!(errors[0].span.is_none());
         assert!(err.to_string().contains("P3301"), "{err}");
     }
 

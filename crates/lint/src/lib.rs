@@ -1,39 +1,36 @@
 //! `p3-lint` — static analysis for probabilistic logic programs.
 //!
 //! A multi-pass analyzer over the parsed AST and the predicate dependency
-//! graph. Passes, in order:
+//! graph. Its errors are the language's validity rules, which
+//! [`validate()`] checks for [`Program`] too (`P3101`–`P3105`, `P3201`,
+//! `P3301`); its own passes add the warnings and notes, in order:
 //!
-//! 1. **safety** — range restriction: unsafe variables (`P3101`), non-ground
-//!    facts (`P3102`), empty rule bodies (`P3103`).
-//! 2. **names** — duplicate clause labels (`P3104`), arity mismatches
-//!    (`P3105`), undefined predicates with edit-distance-1 typo suggestions
-//!    (`P3501`).
-//! 3. **prob** — probabilities outside `[0, 1]` (`P3301`), zero-probability
-//!    clauses (`P3302`), duplicate ground facts (`P3303`).
-//! 4. **reach** — dead rules that can never fire (`P3401`), unused fact
+//! 1. **names** — undefined predicates with edit-distance-1 typo
+//!    suggestions (`P3501`).
+//! 2. **prob** — zero-probability clauses (`P3302`), duplicate ground facts
+//!    (`P3303`).
+//! 3. **reach** — dead rules that can never fire (`P3401`), unused fact
 //!    predicates (`P3402`).
-//! 5. **strata** — unstratified negation via Tarjan SCCs (`P3201`), negation
-//!    outside the provenance model (`P3202`), recursive-SCC cost notes
-//!    (`P3601`), high rule fan-in (`P3602`), demand-mode recommendation for
-//!    programs whose shape suits query-directed evaluation (`P3603`),
-//!    persistent-store recommendation for recursion-heavy programs whose
-//!    provenance is worth journaling across restarts (`P3604`).
+//! 4. **strata** — negation outside the provenance model (`P3202`),
+//!    recursive-SCC cost notes (`P3601`), high rule fan-in (`P3602`),
+//!    demand-mode recommendation for programs whose shape suits
+//!    query-directed evaluation (`P3603`), persistent-store recommendation
+//!    for recursion-heavy programs whose provenance is worth journaling
+//!    across restarts (`P3604`).
 //!
-//! Unlike [`Program`] validation — which stops at the
-//! first error — a lint run reports *every* finding, each with a source
-//! span, a severity, and a stable `P3xxx` code. [`LintReport::render`]
-//! produces rustc-style text; [`LintReport::to_value`] a machine-readable
-//! JSON array.
+//! A lint run reports *every* finding, each with a source span, a
+//! severity, and a stable `P3xxx` code. [`LintReport::render`] produces
+//! rustc-style text; [`LintReport::to_value`] a machine-readable JSON
+//! array.
 
 pub mod cost;
-mod ctx;
 pub mod messages;
 mod passes;
 
-use ctx::Ctx;
 use p3_datalog::ast::Clause;
 use p3_datalog::parser::{self, ClauseSpans};
 use p3_datalog::symbol::SymbolTable;
+use p3_datalog::validate::{self, validate, Ctx};
 use p3_datalog::Program;
 use p3_obs::json::Value;
 
@@ -126,67 +123,50 @@ impl LintReport {
 /// the analyzer never returns `Err`.
 pub fn lint_source(src: &str) -> LintReport {
     match parser::parse(src) {
-        Ok(parsed) => {
-            let mut report = lint_clauses(&parsed.clauses, &parsed.symbols, &parsed.spans);
-            report.diagnostics = report
-                .diagnostics
-                .into_iter()
-                .map(|d| d.locate(src))
-                .collect();
-            sort(&mut report);
-            record_metrics(&report);
-            report
-        }
-        Err(e) => {
-            let report = LintReport {
-                diagnostics: vec![e.to_diagnostic()],
-            };
-            record_metrics(&report);
-            report
-        }
+        Ok(parsed) => lint_clauses(&parsed.clauses, &parsed.symbols, &parsed.spans, Some(src)),
+        Err(e) => finish(vec![e.to_diagnostic()]),
     }
 }
 
-/// Lints an already-validated [`Program`]. Validation has ruled out the
-/// error-level structural defects, so this surfaces the warning- and
-/// info-level findings (plus any error findings a programmatically built
-/// program might still carry).
+/// Lints an already-validated [`Program`]. Validation has ruled out every
+/// error, so this surfaces the warning- and info-level findings.
 pub fn lint_program(program: &Program) -> LintReport {
-    let mut report = lint_clauses(program.clauses(), program.symbols(), program.spans());
-    if let Some(src) = program.source() {
-        report.diagnostics = report
-            .diagnostics
-            .into_iter()
-            .map(|d| d.locate(src))
-            .collect();
-    }
-    sort(&mut report);
-    record_metrics(&report);
-    report
+    lint_clauses(
+        program.clauses(),
+        program.symbols(),
+        program.spans(),
+        program.source(),
+    )
 }
 
-/// Runs the pass pipeline over raw clauses. Spans may be empty (or shorter
-/// than the clause list) for programmatically built programs.
-fn lint_clauses(clauses: &[Clause], symbols: &SymbolTable, spans: &[ClauseSpans]) -> LintReport {
+/// Runs the validator, then the pass pipeline, over raw clauses, and
+/// locates the findings against `src` when there is one. Spans may be
+/// empty (or shorter than the clause list) for programmatically built
+/// programs.
+fn lint_clauses(
+    clauses: &[Clause],
+    symbols: &SymbolTable,
+    spans: &[ClauseSpans],
+    src: Option<&str>,
+) -> LintReport {
+    let validation = validate(clauses, symbols, spans);
     let mut ctx = Ctx::new(clauses, symbols, spans);
-    passes::safety::run(&mut ctx);
+    ctx.diagnostics = validation.errors;
     passes::names::run(&mut ctx);
     passes::prob::run(&mut ctx);
     passes::reach::run(&mut ctx);
-    passes::strata::run(&mut ctx);
-    LintReport {
-        diagnostics: ctx.diagnostics,
+    passes::strata::run(&mut ctx, &validation.graph);
+    let mut diagnostics = ctx.diagnostics;
+    if let Some(src) = src {
+        diagnostics = diagnostics.into_iter().map(|d| d.locate(src)).collect();
     }
+    validate::sort(&mut diagnostics);
+    finish(diagnostics)
 }
 
-fn sort(report: &mut LintReport) {
-    report.diagnostics.sort_by(|a, b| {
-        let pos = |d: &Diagnostic| d.span.map_or((usize::MAX, 0), |s| (s.start, s.end));
-        pos(a).cmp(&pos(b)).then_with(|| a.code.cmp(b.code))
-    });
-}
-
-fn record_metrics(report: &LintReport) {
+/// The report of `diagnostics`, counted in the lint metrics.
+fn finish(diagnostics: Vec<Diagnostic>) -> LintReport {
+    let report = LintReport { diagnostics };
     p3_obs::counter!("p3_lint_runs_total", "Lint runs executed").inc();
     for severity in [Severity::Error, Severity::Warn, Severity::Info] {
         let n = report.count(severity);
@@ -203,6 +183,7 @@ fn record_metrics(report: &LintReport) {
             counter.inc();
         }
     }
+    report
 }
 
 #[cfg(test)]

@@ -1,101 +1,11 @@
-//! Name hygiene: duplicate labels (P3104), arity mismatches (P3105) and
-//! undefined predicates with typo suggestions (P3501).
+//! Name hygiene: undefined predicates with typo suggestions (P3501).
 
-use crate::ctx::Ctx;
 use p3_datalog::diag::Diagnostic;
-use p3_datalog::parser::Span;
 use p3_datalog::symbol::Symbol;
-use std::collections::{HashMap, HashSet};
+use p3_datalog::validate::Ctx;
+use std::collections::HashSet;
 
 pub(crate) fn run(ctx: &mut Ctx<'_>) {
-    duplicate_labels(ctx);
-    arities(ctx);
-    undefined_predicates(ctx);
-}
-
-fn duplicate_labels(ctx: &mut Ctx<'_>) {
-    let mut seen: HashMap<&str, usize> = HashMap::new();
-    let mut findings = Vec::new();
-    for (i, clause) in ctx.clauses.iter().enumerate() {
-        if let Some(&first) = seen.get(clause.label.as_str()) {
-            findings.push((i, first, clause.label.clone()));
-        } else {
-            seen.insert(&clause.label, i);
-        }
-    }
-    for (i, first, label) in findings {
-        let d = Diagnostic::error("P3104", format!("duplicate clause label '{label}'"))
-            .with_span(ctx.clause_span(i))
-            .with_clause(&label)
-            .with_help(format!(
-                "the label was first used by clause {}; labels name the Boolean \
-                 random variables, so each must be unique",
-                first + 1
-            ));
-        ctx.emit(d);
-    }
-}
-
-fn arities(ctx: &mut Ctx<'_>) {
-    let mut arities: HashMap<Symbol, usize> = HashMap::new();
-    let mut findings: Vec<(Symbol, usize, usize, Option<Span>, String)> = Vec::new();
-    let mut check = |arities: &mut HashMap<Symbol, usize>,
-                     pred: Symbol,
-                     arity: usize,
-                     span: Option<Span>,
-                     label: &str| {
-        match arities.get(&pred) {
-            Some(&expected) if expected != arity => {
-                findings.push((pred, expected, arity, span, label.to_string()));
-            }
-            Some(_) => {}
-            None => {
-                arities.insert(pred, arity);
-            }
-        }
-    };
-    for (i, clause) in ctx.clauses.iter().enumerate() {
-        check(
-            &mut arities,
-            clause.head.pred,
-            clause.head.args.len(),
-            ctx.head_span(i),
-            &clause.label,
-        );
-        for (j, atom) in clause.body().iter().enumerate() {
-            check(
-                &mut arities,
-                atom.pred,
-                atom.args.len(),
-                ctx.body_span(i, j),
-                &clause.label,
-            );
-        }
-        for (j, atom) in clause.negated().iter().enumerate() {
-            check(
-                &mut arities,
-                atom.pred,
-                atom.args.len(),
-                ctx.negated_span(i, j),
-                &clause.label,
-            );
-        }
-    }
-    for (pred, expected, found, span, label) in findings {
-        let d = Diagnostic::error(
-            "P3105",
-            format!(
-                "predicate '{}' used with arity {found} but previously with arity {expected}",
-                ctx.name(pred)
-            ),
-        )
-        .with_span(span)
-        .with_clause(&label);
-        ctx.emit(d);
-    }
-}
-
-fn undefined_predicates(ctx: &mut Ctx<'_>) {
     let defined: HashSet<Symbol> = ctx.clauses.iter().map(|c| c.head.pred).collect();
     let mut reported: HashSet<Symbol> = HashSet::new();
     let mut findings = Vec::new();

@@ -1,25 +1,14 @@
-//! Probability checks: out-of-range (P3301), zero-probability clauses
-//! (P3302) and duplicate ground facts combined by noisy-or (P3303).
+//! Probability checks: zero-probability clauses (P3302) and duplicate
+//! ground facts combined by noisy-or (P3303).
 
-use crate::ctx::Ctx;
 use p3_datalog::ast::{Atom, Term};
 use p3_datalog::diag::Diagnostic;
+use p3_datalog::validate::Ctx;
 use std::collections::HashMap;
 
 pub(crate) fn run(ctx: &mut Ctx<'_>) {
     for (i, clause) in ctx.clauses.iter().enumerate() {
-        if !(0.0..=1.0).contains(&clause.prob) {
-            let d = Diagnostic::error(
-                "P3301",
-                format!(
-                    "clause '{}' has probability {} outside [0, 1]",
-                    clause.label, clause.prob
-                ),
-            )
-            .with_span(ctx.prob_span(i))
-            .with_clause(&clause.label);
-            ctx.emit(d);
-        } else if clause.prob == 0.0 {
+        if clause.prob == 0.0 {
             let d = Diagnostic::warn(
                 "P3302",
                 format!(

@@ -1,9 +1,9 @@
 //! Reachability analysis: dead rules (P3401) and unused fact predicates
 //! (P3402), via a support fixpoint over predicates.
 
-use crate::ctx::Ctx;
 use p3_datalog::diag::Diagnostic;
 use p3_datalog::symbol::Symbol;
+use p3_datalog::validate::Ctx;
 use std::collections::HashSet;
 
 pub(crate) fn run(ctx: &mut Ctx<'_>) {

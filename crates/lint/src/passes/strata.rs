@@ -1,22 +1,21 @@
-//! Graph-level checks: unstratified negation (P3201), negation outside the
-//! provenance model (P3202), recursive-SCC cost notes (P3601), high rule
-//! fan-in (P3602), the demand-mode recommendation (P3603) and the
+//! Graph-level checks over the validator's dependency graph: negation
+//! outside the provenance model (P3202), recursive-SCC cost notes (P3601),
+//! high rule fan-in (P3602), the demand-mode recommendation (P3603) and the
 //! persistent-store recommendation (P3604).
 
-use crate::ctx::Ctx;
 use crate::messages::{DEMAND_MODE, WARM_RESTART};
 use p3_datalog::diag::Diagnostic;
 use p3_datalog::graph::DepGraph;
 use p3_datalog::symbol::Symbol;
+use p3_datalog::validate::Ctx;
 use std::collections::HashMap;
 
-pub(crate) fn run(ctx: &mut Ctx<'_>) {
-    let graph = DepGraph::build(ctx.clauses);
-    negation(ctx, &graph);
-    recursive_cost(ctx, &graph);
+pub(crate) fn run(ctx: &mut Ctx<'_>, graph: &DepGraph) {
+    negation(ctx);
+    recursive_cost(ctx, graph);
     let heavy_fan_in = fan_in(ctx);
-    demand_hint(ctx, &graph, heavy_fan_in);
-    store_hint(ctx, &graph);
+    demand_hint(ctx, graph, heavy_fan_in);
+    store_hint(ctx, graph);
 }
 
 /// The sizes of the graph's recursive SCCs, dependencies first.
@@ -26,28 +25,9 @@ fn recursive_sizes(graph: &DepGraph) -> impl Iterator<Item = usize> + '_ {
         .map(|k| graph.members(k).len())
 }
 
-fn negation(ctx: &mut Ctx<'_>, graph: &DepGraph) {
-    let clauses = ctx.clauses;
-    for (i, clause) in clauses.iter().enumerate() {
-        for j in graph.unstratified(clause) {
-            let d = Diagnostic::error(
-                "P3201",
-                format!(
-                    "program is not stratified: predicate '{}' is negated within a recursive \
-                     cycle",
-                    ctx.name(clause.negated()[j].pred)
-                ),
-            )
-            .with_span(ctx.negated_span(i, j))
-            .with_clause(&clause.label)
-            .with_help(
-                "negation through recursion has no least fixpoint; break the cycle or \
-                 move the negated predicate to a lower stratum",
-            );
-            ctx.emit(d);
-        }
-    }
-    if let Some(i) = clauses.iter().position(|c| !c.negated().is_empty()) {
+/// P3202, once, at the program's first negated atom.
+fn negation(ctx: &mut Ctx<'_>) {
+    if let Some(i) = ctx.clauses.iter().position(|c| !c.negated().is_empty()) {
         let d = Diagnostic::warn(
             "P3202",
             "program uses negation: provenance queries will be rejected (the P3 model \

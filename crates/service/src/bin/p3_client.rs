@@ -73,7 +73,6 @@ name, dashes as underscores, and the server checks its value):
     --eval-mode M       evaluation mode override: auto|naive|demand
     --timeout-ms N      per-request deadline
     --hop-limit N       provenance extraction depth cap
-    --no-lint           load-program: skip the lint pre-flight gate
     --trace-out FILE    record client-side spans under a fresh trace id,
                         propagate the id to the server, and write the
                         client's chrome://tracing JSON to FILE on exit
@@ -119,7 +118,6 @@ fn build_request(words: &[String]) -> Result<String, String> {
     let mut iter = words[1..].iter();
     while let Some(word) = iter.next() {
         match word.as_str() {
-            "--no-lint" => pairs.push(("lint".into(), Value::Bool(false))),
             flag if FLAGS.contains(&flag) => {
                 let value = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
                 pairs.push((flag[2..].replace('-', "_"), scalar(value)));
@@ -460,7 +458,6 @@ mod tests {
         ],
         &["lint", "FILE"],
         &["load-program", "FILE"],
-        &["load-program", "FILE", "--no-lint"],
     ];
 
     /// Where the requests built at the commit that introduced this test
@@ -540,7 +537,7 @@ mod tests {
             );
         }
         let options = USAGE.split("\nOPTIONS").nth(1).unwrap();
-        for flag in FLAGS.iter().chain(&["--no-lint"]) {
+        for flag in FLAGS {
             assert!(options.contains(&format!("    {flag} ")), "{flag}");
         }
     }

@@ -57,7 +57,6 @@ OPTIONS:
                        built-in 500ms/0.99 default for that class
     --slo-readyz       turn a tripped 5-minute SLO burn window into a 503
                        on GET /readyz (off by default)
-    --no-lint          skip the lint pre-flight gate on the boot-time program
     -h, --help         print this help
 
 At least one of --tcp / --unix is required. Shut down with SIGTERM, SIGINT,
@@ -78,13 +77,12 @@ fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> 
         .map_err(|_| format!("bad {flag} value '{value}'"))
 }
 
-/// What the command line asks for: the program to serve, whether to lint
-/// it first, and the server's configuration. `None` asks for `--help`.
-type Args = Option<(PathBuf, bool, ServerConfig)>;
+/// What the command line asks for: the program to serve and the server's
+/// configuration. `None` asks for `--help`.
+type Args = Option<(PathBuf, ServerConfig)>;
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut program: Option<PathBuf> = None;
-    let mut lint = true;
     let mut config = ServerConfig::default();
     let mut audit: Option<p3_audit::AuditConfig> = None;
     let (mut segment_bytes, mut max_segments, mut segment_age_secs) = (None, None, None);
@@ -109,7 +107,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--audit-segment-age-secs" => segment_age_secs = Some(number(&arg, value()?)?),
             "--slo" => config.slos.push(p3_obs::slo::SloConfig::parse(&value()?)?),
             "--slo-readyz" => config.slo_readyz = true,
-            "--no-lint" => lint = false,
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
@@ -125,14 +122,14 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     } else if segment_bytes.is_some() || max_segments.is_some() || segment_age_secs.is_some() {
         return Err("--audit-segment-* options need --audit-dir".to_string());
     }
-    Ok(Some((program, lint, config)))
+    Ok(Some((program, config)))
 }
 
 fn main() -> ExitCode {
     // Span collection is on for the server's lifetime: the ring holds the
     // most recent spans for `trace` requests at a bounded memory cost.
     p3_obs::span::set_enabled(true);
-    let (program, lint, mut config) = match parse_args(std::env::args().skip(1)) {
+    let (program, mut config) = match parse_args(std::env::args().skip(1)) {
         Ok(Some(args)) => args,
         Ok(None) => {
             print!("{USAGE}");
@@ -144,24 +141,19 @@ fn main() -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(&format!("cannot read {}: {e}", program.display())),
     };
-    if lint {
-        // Same gate the load-program op applies: every error-severity
-        // finding is reported (with source excerpts) before refusing to
-        // serve; --no-lint falls back to plain parse + validate.
-        let report = p3_lint::lint_source(&source);
-        if report.has_errors() {
-            let name = program.display().to_string();
-            eprint!("{}", report.render(Some(&source), Some(&name)));
-            return fail(&format!(
-                "{} failed lint pre-flight ({}); pass --no-lint to skip the gate",
-                name,
-                report.summary_line()
-            ));
-        }
-    }
     let p3 = match p3_core::P3::from_source(&source) {
         Ok(p3) => p3,
-        Err(e) => return fail(&format!("cannot load {}: {e}", program.display())),
+        Err(e) => {
+            // A program that breaks a validity rule gets every finding
+            // reported with source excerpts before the server refuses it.
+            let name = program.display().to_string();
+            let report = p3_lint::lint_source(&source);
+            if report.has_errors() {
+                eprint!("{}", report.render(Some(&source), Some(&name)));
+                return fail(&format!("{name} is invalid ({})", report.summary_line()));
+            }
+            return fail(&format!("cannot load {name}: {e}"));
+        }
     };
     if config.store_dir.is_some() {
         // The store is keyed to the exact program text: a store directory
@@ -202,7 +194,7 @@ mod tests {
 
     #[test]
     fn parses_a_full_command_line() {
-        let (program, lint, config) = parse(&[
+        let (program, config) = parse(&[
             "--program",
             "p.pl",
             "--unix",
@@ -219,12 +211,10 @@ mod tests {
             "2",
             "--slo",
             "probability:250:0.99",
-            "--no-lint",
         ])
         .unwrap()
         .unwrap();
         assert_eq!(program, PathBuf::from("p.pl"));
-        assert!(!lint);
         assert_eq!(config.workers, 3);
         assert_eq!(config.cache_cap, Some(64));
         assert_eq!(config.eval_mode, p3_core::EvalMode::Demand);

@@ -111,13 +111,11 @@ pub enum Op {
     /// Persistent-store backend counters (records written, pending buffer,
     /// snapshot size).
     StoreStats,
-    /// Replace the served program with `source`.
+    /// Replace the served program with `source`, unless it has
+    /// error-severity lint findings.
     LoadProgram {
         /// Program text.
         source: String,
-        /// Run the lint pre-flight gate (default `true`); error-severity
-        /// findings reject the program. `"lint": false` opts out.
-        lint: bool,
     },
     /// Static analysis: lint `source` without loading it.
     Lint {
@@ -371,7 +369,6 @@ impl Request {
             "persist" => Op::Persist,
             "load-program" => Op::LoadProgram {
                 source: str_field(&v, "source")?,
-                lint: opt(&v, "lint", "a boolean", Value::as_bool)?.unwrap_or(true),
             },
             "lint" => Op::Lint {
                 source: str_field(&v, "source")?,
@@ -622,10 +619,6 @@ mod tests {
             (r#"{"op":"modification","query":"a(1)"}"#, "target"),
             (r#"{"op":"load-program"}"#, "source"),
             (r#"{"op":"lint"}"#, "source"),
-            (
-                r#"{"op":"load-program","source":"x.","lint":"yes"}"#,
-                "lint",
-            ),
             (
                 r#"{"op":"probability","query":"a(1)","timeout_ms":-3}"#,
                 "timeout_ms",
@@ -924,19 +917,10 @@ mod tests {
     }
 
     #[test]
-    fn load_program_lint_gate_defaults_on_and_opts_out() {
-        match Request::parse(r#"{"op":"load-program","source":"t 1.0: a(1)."}"#)
-            .unwrap()
-            .op
-        {
-            Op::LoadProgram { lint, .. } => assert!(lint, "gate defaults on"),
-            ref other => panic!("{other:?}"),
-        }
-        match Request::parse(r#"{"op":"load-program","source":"t 1.0: a(1).","lint":false}"#)
-            .unwrap()
-            .op
-        {
-            Op::LoadProgram { lint, .. } => assert!(!lint),
+    fn load_program_ignores_a_lint_field() {
+        let line = r#"{"op":"load-program","source":"t 1.0: a(1).","lint":false}"#;
+        match Request::parse(line).unwrap().op {
+            Op::LoadProgram { ref source } => assert_eq!(source, "t 1.0: a(1)."),
             ref other => panic!("{other:?}"),
         }
     }

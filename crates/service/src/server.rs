@@ -1159,10 +1159,9 @@ fn execute(
                 ("snapshot_bytes", Value::from(stats.snapshot_bytes)),
             ]))
         }
-        Op::LoadProgram { source: text, lint } => {
-            // Pre-flight lint: findings go to the structured log either
-            // way; error-severity findings reject the program unless the
-            // request opted out with `"lint": false`.
+        Op::LoadProgram { source: text } => {
+            // Lint first: findings go to the structured log, their counts
+            // into the answer, and error-severity ones reject the program.
             let report = timed(record, "lint", || p3_lint::lint_source(text));
             for d in &report.diagnostics {
                 p3_obs::info!(
@@ -1174,7 +1173,7 @@ fn execute(
                     message = d.message
                 );
             }
-            if *lint && report.has_errors() {
+            if report.has_errors() {
                 record.outcome = p3_audit::Outcome::LintReject;
                 let mut msg = format!("program rejected by lint: {}", report.summary_line());
                 for d in report.at_least(p3_lint::Severity::Error) {

@@ -409,7 +409,7 @@ fn lint_op_and_load_program_gate() {
         .unwrap();
     assert_eq!(resp.status, Status::Ok);
 
-    // load-program rejects error-severity findings by default...
+    // load-program rejects error-severity findings...
     let resp = client
         .request(r#"{"op":"load-program","source":"f(X).\n"}"#)
         .unwrap();
@@ -417,15 +417,6 @@ fn lint_op_and_load_program_gate() {
     let err = resp.error.unwrap();
     assert!(err.contains("rejected by lint"), "{err}");
     assert!(err.contains("P3102"), "{err}");
-
-    // ...and "lint": false falls back to plain validation (still an error
-    // for this program, but the validator's single-error report).
-    let resp = client
-        .request(r#"{"op":"load-program","source":"f(X).\n","lint":false}"#)
-        .unwrap();
-    assert_eq!(resp.status, Status::Error);
-    let err = resp.error.unwrap();
-    assert!(!err.contains("rejected by lint"), "{err}");
 
     // A program with only warning-level findings loads, and the response
     // reports the lint counts.
