@@ -8,9 +8,9 @@
 //! resolves from the program's *predicted* cost.
 //!
 //! [`EvalMode::decide`] is the **single** auto-mode decision point: the
-//! session constructor, `P3::auto_eval_mode`, and the service's per-query
-//! override path all resolve through it, so the same program can never get
-//! two different answers depending on which layer asked. The decision
+//! session constructor and the service's per-query override path both
+//! resolve through it, so the same program can never get two different
+//! answers depending on which layer asked. The decision
 //! itself delegates to [`p3_analyze::recommend_mode`]: recursive programs
 //! get demand (the historic syntactic rule), and flat programs whose
 //! statically predicted join cost crosses

@@ -10,7 +10,7 @@
 //! * the **demand cores** — one magic-transformed, query-directed
 //!   evaluation per queried atom (see [`p3_provenance::demand`]), cached by
 //!   `(predicate, arguments)` and used by sessions running in
-//!   [`EvalMode::Demand`]. Each runs over the program's shared fact base
+//!   [`EvalMode::Demand`](crate::EvalMode::Demand). Each runs over the program's shared fact base
 //!   ([`Program::fact_base`]), which the first of them builds; loading
 //!   builds nothing.
 //!
@@ -22,7 +22,6 @@
 //! memoized concurrent querying.
 
 use crate::error::P3Error;
-use crate::eval_mode::EvalMode;
 use crate::prob_method::ProbMethod;
 use crate::query::explanation::Explanation;
 use crate::session::{QuerySession, SessionOptions};
@@ -215,7 +214,7 @@ impl P3 {
 
     /// Like [`P3::session`], but with explicit [`SessionOptions`] — e.g. a
     /// `max_entries` cap so a long-lived session's memo tables stay
-    /// bounded, or an explicit [`EvalMode`] (the default, `auto`, picks
+    /// bounded, or an explicit [`EvalMode`](crate::EvalMode) (the default, `auto`, picks
     /// demand evaluation for recursive programs).
     pub fn session_with(&self, opts: SessionOptions) -> QuerySession {
         QuerySession::with_options(self.clone(), opts)
@@ -302,11 +301,6 @@ impl P3 {
     /// Forces the full naive evaluation.
     pub fn analysis(&self) -> &Analysis {
         &self.full().analysis
-    }
-
-    /// The evaluation mode [`EvalMode::Auto`] resolves to for this program.
-    pub fn auto_eval_mode(&self) -> EvalMode {
-        EvalMode::Auto.resolve(&self.program)
     }
 
     /// The success probability of a queried tuple, using `method`.
