@@ -855,7 +855,7 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
             let elapsed = start.elapsed();
             let record = AuditRecord {
                 class: "malformed".to_string(),
-                eval_mode: shared.eval_mode.as_str().to_string(),
+                eval_mode: shared.current_session().eval_mode().as_str().to_string(),
                 outcome: p3_audit::Outcome::Error,
                 ..Default::default()
             };
@@ -880,11 +880,11 @@ fn handle_line(line: &str, shared: &Shared) -> Response {
     record_request_metrics(class, elapsed);
     record.class = class.to_string();
     record.trace = request.trace.clone().unwrap_or_default();
-    record.eval_mode = request
-        .eval_mode
-        .unwrap_or(shared.eval_mode)
-        .as_str()
-        .to_string();
+    // A worker stamped the mode that ran; inline ops and timeouts report
+    // the default session's.
+    if record.eval_mode.is_empty() {
+        record.eval_mode = shared.current_session().eval_mode().as_str().to_string();
+    }
     record.query_hash = request.op.query_text().map(p3_audit::fnv1a_64).unwrap_or(0);
     p3_obs::debug!(
         "request served",
@@ -1046,7 +1046,10 @@ fn worker_loop(shared: Arc<Shared>) {
                 .map(|s| s.backend.stats().records_written)
         };
         let store_records_before = store_records().unwrap_or(0);
-        let mut record = AuditRecord::default();
+        let mut record = AuditRecord {
+            eval_mode: session.eval_mode().as_str().to_string(),
+            ..Default::default()
+        };
         let result = {
             let mut span = p3_obs::span::child_of("execute", job.root_span);
             span.add_field("class", job.class);
@@ -1197,6 +1200,8 @@ fn execute(
             };
             audit_evaluations(record, &fresh.explain_plans());
             let eval_mode = new_session.eval_mode().as_str();
+            // The record charges the new session's evaluation.
+            record.eval_mode = eval_mode.to_string();
             // The store is keyed to the boot-time program's content hash;
             // a different program must not journal into it (or warm-boot
             // from it), so detach before the swap. Restart with
@@ -2435,6 +2440,58 @@ mod tests {
         );
         // The warm explain forced nothing.
         assert_eq!(records[0].get("rule_cost").unwrap().as_u64(), Some(0));
+        server.shutdown();
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn audit_records_name_the_mode_that_ran_never_auto() {
+        let dir = std::env::temp_dir().join(format!("p3-audit-mode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // The default `auto` resolves to demand on the recursive program.
+        let server = Server::start(
+            P3::from_source(ACQ).unwrap(),
+            ServerConfig {
+                tcp: Some("127.0.0.1:0".to_string()),
+                workers: 1,
+                audit: Some(p3_audit::AuditConfig::new(&dir)),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut client = Client::connect_tcp(&server.tcp_addr().unwrap().to_string()).unwrap();
+        let query = Q.replace('"', "\\\"");
+        result_of(
+            &mut client,
+            &format!(r#"{{"op":"probability","query":"{query}"}}"#),
+        );
+        result_of(
+            &mut client,
+            &format!(r#"{{"op":"probability","query":"{query}","eval_mode":"naive"}}"#),
+        );
+        result_of(&mut client, r#"{"op":"ping"}"#);
+        let tail = result_of(&mut client, r#"{"op":"audit-tail","n":10}"#);
+        let modes: Vec<(&str, &str)> = tail
+            .get("records")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|r| {
+                let field = |name| r.get(name).and_then(Value::as_str).unwrap();
+                (field("class"), field("eval_mode"))
+            })
+            .collect();
+        // Newest first.
+        assert_eq!(
+            modes,
+            [
+                ("ping", "demand"),
+                ("probability", "naive"),
+                ("probability", "demand")
+            ]
+        );
         server.shutdown();
         server.join();
         let _ = std::fs::remove_dir_all(&dir);
