@@ -10,9 +10,9 @@
 //! * the **demand cores** — one magic-transformed, query-directed
 //!   evaluation per queried atom (see [`p3_provenance::demand`]), cached by
 //!   `(predicate, arguments)` and used by sessions running in
-//!   [`EvalMode::Demand`](crate::EvalMode::Demand). Each runs over the program's shared fact base
-//!   ([`Program::fact_base`]), which the first of them builds; loading
-//!   builds nothing.
+//!   [`EvalMode::Demand`](crate::EvalMode::Demand). Each runs over the
+//!   program's shared fact base ([`Program::fact_base`]), which the first
+//!   of them builds; loading builds nothing.
 //!
 //! Both cores are probability-independent, so they survive what-if updates
 //! ([`P3::with_probabilities`]) intact, as do the shared structural caches
@@ -214,8 +214,8 @@ impl P3 {
 
     /// Like [`P3::session`], but with explicit [`SessionOptions`] — e.g. a
     /// `max_entries` cap so a long-lived session's memo tables stay
-    /// bounded, or an explicit [`EvalMode`](crate::EvalMode) (the default, `auto`, picks
-    /// demand evaluation for recursive programs).
+    /// bounded, or an explicit [`EvalMode`](crate::EvalMode) (the default,
+    /// `auto`, picks demand evaluation for recursive programs).
     pub fn session_with(&self, opts: SessionOptions) -> QuerySession {
         QuerySession::with_options(self.clone(), opts)
     }
